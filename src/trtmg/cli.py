@@ -48,22 +48,12 @@ class RunConfig:
     eps: float = 1e-6
     eps_tilde: float = 1e-7
     max_outer: int = 200
-    n_newton: int = 1
     out: str = "out"
     snapshots: tuple = DEFAULT_SNAPSHOTS
-    deterministic: bool = True
 
     @property
     def grid_counts(self) -> tuple:
         return self.grids if self.grids else (self.groups, 1)
-
-
-def _parse_int(s):
-    return int(s)
-
-
-def _parse_float(s):
-    return float(s)
 
 
 def _parse_int_list(s):
@@ -76,23 +66,13 @@ def _parse_float_list(s):
     return tuple(float(x) for x in s.split(",")) if s else ()
 
 
-def _parse_bool(s):
-    v = s.strip().lower()
-    if v in ("true", "yes", "1", "on"):
-        return True
-    if v in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
-
-
 _PARSERS = {
-    "problem": str, "groups": _parse_int, "grids": _parse_int_list,
-    "cycle": str, "visits": _parse_int_list, "lmax": _parse_int,
-    "cells": _parse_int, "length": _parse_float, "quad": _parse_int,
-    "dt": _parse_float, "tend": _parse_float, "eps": _parse_float,
-    "eps_tilde": _parse_float, "max_outer": _parse_int,
-    "n_newton": _parse_int, "out": str, "snapshots": _parse_float_list,
-    "deterministic": _parse_bool,
+    "problem": str, "groups": int, "grids": _parse_int_list,
+    "cycle": str, "visits": _parse_int_list, "lmax": int,
+    "cells": int, "length": float, "quad": int,
+    "dt": float, "tend": float, "eps": float,
+    "eps_tilde": float, "max_outer": int,
+    "out": str, "snapshots": _parse_float_list,
 }
 
 
@@ -146,8 +126,7 @@ def _validate(cfg: RunConfig):
     if cfg.groups < 3:
         raise ConfigError("groups: the frequency grid needs at least 3 groups")
     for key, val in (("cells", cfg.cells), ("quad", cfg.quad),
-                     ("lmax", cfg.lmax), ("n_newton", cfg.n_newton),
-                     ("max_outer", cfg.max_outer)):
+                     ("lmax", cfg.lmax), ("max_outer", cfg.max_outer)):
         if val < 1:
             raise ConfigError(f"{key} must be >= 1, got {val}")
     for key, val in (("length", cfg.length), ("dt", cfg.dt),
@@ -162,14 +141,12 @@ def _validate(cfg: RunConfig):
         make_schedule(cfg.cycle, counts, cfg.lmax,
                       cfg.visits if cfg.cycle.lower() == "custom" else None)
         build_hierarchy(build_fc_frequency_grid(cfg.groups), counts)
-        ConvergenceCriteria(cfg.eps, cfg.eps_tilde, cfg.max_outer, cfg.n_newton)
+        ConvergenceCriteria(cfg.eps, cfg.eps_tilde, cfg.max_outer)
     except (ScheduleError, GridError, ValueError) as e:
         raise ConfigError(str(e)) from e
 
 
 def _format_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, tuple):
         return ",".join(_format_value(x) for x in v)
     if isinstance(v, float):
@@ -297,8 +274,7 @@ def main(argv=None) -> int:
         schedule = make_schedule(
             cfg.cycle, cfg.grid_counts, cfg.lmax,
             cfg.visits if cfg.cycle.lower() == "custom" else None)
-        criteria = ConvergenceCriteria(cfg.eps, cfg.eps_tilde, cfg.max_outer,
-                                       cfg.n_newton)
+        criteria = ConvergenceCriteria(cfg.eps, cfg.eps_tilde, cfg.max_outer)
         result = run_simulation(problem, schedule, criteria, cfg.dt, cfg.tend,
                                 cfg.snapshots)
         out = Path(cfg.out)

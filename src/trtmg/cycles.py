@@ -15,7 +15,7 @@ coarse visits costs n_fine + sum of coarse group counts + (K + 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,7 +96,6 @@ class ConvergenceCriteria:
     eps: float = 1e-6        # outer (transport) relative tolerance
     eps_tilde: float = 1e-7  # inner (cycle) relative tolerance
     max_outer: int = 200
-    n_newton: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.eps_tilde <= self.eps < 1.0:
@@ -221,7 +220,7 @@ def _match_sum(parts, total):
 
 
 def _grey_stage(problem: Problem, prev: SimulationState, coef_src, sol_src,
-                T_stage, dt, criteria, stats, hist, grey_level, work):
+                T_stage, dt, stats, hist, grey_level, work):
     const = problem.constants
     gp = grey.form_grey(sol_src, coef_src, grey_level, const)
     sig_grey = gp.coef.sig_E[0].copy()
@@ -235,8 +234,7 @@ def _grey_stage(problem: Problem, prev: SimulationState, coef_src, sol_src,
         demis = grey.frechet_update(hist[0], hist[2], T_stage, emis_stage)
     T_new, work.grey_sol = grey.solve_grey_meb(
         gp, dsig, prev.T, work.grey_E_prev, work.grey_F_prev, T_stage, dt,
-        problem.material, problem.mesh, const,
-        n_newton=criteria.n_newton, demis=demis, tally=stats)
+        problem.material, problem.mesh, const, demis=demis, tally=stats)
     return T_new, (T_stage.copy(), sig_grey, emis_stage)
 
 
@@ -262,7 +260,7 @@ def run_cycle(problem: Problem, prev: SimulationState, T_tilde, work: _StepWork,
     work.T_r = phys.radiation_temperature(sol1.total_E(), const)
 
     T_cur, hist = _grey_stage(problem, prev, coef1, sol1, T_tilde, dt,
-                              criteria, stats, hist, grey_level, work)
+                              stats, hist, grey_level, work)
     for gnum in schedule.visits:
         level = gnum - 1
         # spectral coefficients refresh at the newest temperature, weighted
@@ -277,7 +275,7 @@ def run_cycle(problem: Problem, prev: SimulationState, T_tilde, work: _StepWork,
         solk = loqd.solve_moment_system(coefk, E_pk, F_pk, dt, mesh, const,
                                         tally=stats)
         T_cur, hist = _grey_stage(problem, prev, coefk, solk, T_cur, dt,
-                                  criteria, stats, hist, grey_level, work)
+                                  stats, hist, grey_level, work)
     stats.n_c += 1
     return T_cur, hist
 
@@ -352,6 +350,10 @@ def run_time_step(problem: Problem, state: SimulationState,
         rT, rE = run_transport_iteration(problem, state, work, schedule,
                                          criteria, s, dt, stats, conv,
                                          step_index)
+        if not (np.isfinite(rT) and np.isfinite(rE)):
+            raise ConvergenceError(
+                f"step {step_index}: non-finite outer change at transport "
+                f"iteration s={s} (dT={rT:.3e}, dE={rE:.3e})")
         if s >= 1 and rT <= criteria.eps and rE <= criteria.eps:
             converged = True
             break

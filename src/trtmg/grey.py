@@ -71,50 +71,44 @@ def solve_grey_meb(grey: GreyProblem, frechet: np.ndarray,
                    T_prev_time: np.ndarray, E_prev: np.ndarray,
                    F_prev: np.ndarray, T_stage: np.ndarray, dt: float,
                    material: MaterialModel, mesh: SpatialMesh,
-                   constants: PhysicalConstants = CONST, n_newton: int = 1,
+                   constants: PhysicalConstants = CONST,
                    demis=None, tally=None):
-    """Newton solve of the grey moment + material energy balance system.
+    """One Newton step of the grey moment + material energy balance system.
 
     Returns (T_new, grey MomentField).  E_prev/F_prev are the grey
     (spectrum-summed) moments at the previous time step; T_stage is the
-    temperature the grey coefficients were built at, which seeds the Newton
-    iteration.  frechet is the divided-difference slope of sigma_E, demis
-    that of the emission rate c sigma_B a_R T^4 (None or nonpositive entries
-    fall back to the quartic slope at frozen sigma_B).  Both diagonals are
-    held fixed across the n_newton steps.
+    temperature the grey coefficients were built at, about which the
+    balance is linearized.  frechet is the divided-difference slope of
+    sigma_E, demis that of the emission rate c sigma_B a_R T^4 (None or
+    nonpositive entries fall back to the quartic slope at frozen sigma_B).
     """
     c = constants.c
     a_R = constants.a_R
     cv_dt = material.c_v / dt
     sigE = grey.coef.sig_E[0]
     sigB = grey.coef.sig_B[0]
-    E_prev = np.atleast_2d(E_prev)
-    F_prev = np.atleast_2d(F_prev)
+    T_stage = np.asarray(T_stage, dtype=float)
 
-    T_star = np.array(T_stage, dtype=float, copy=True)
-    sol = None
-    for _ in range(max(int(n_newton), 1)):
-        slope = 4.0 * c * sigB * a_R * T_star**3
-        if demis is not None:
-            slope = np.where(demis > 0.0, demis, slope)
-        beta = slope - c * frechet * grey.E_star
+    slope = 4.0 * c * sigB * a_R * T_stage**3
+    if demis is not None:
+        slope = np.where(demis > 0.0, demis, slope)
+    beta = slope - c * frechet * grey.E_star
+    chi = cv_dt + beta
+    bad = chi <= 0.0
+    if np.any(bad):
+        # runaway Frechet slope; drop it for those cells (plain Newton)
+        beta = np.where(bad, slope, beta)
         chi = cv_dt + beta
-        bad = chi <= 0.0
-        if np.any(bad):
-            # runaway Frechet slope; drop it for those cells (plain Newton)
-            beta = np.where(bad, slope, beta)
-            chi = cv_dt + beta
-        emis = c * sigB * a_R * T_star**4
-        r = emis + cv_dt * (T_star - T_prev_time)
-        sig_eff = sigE * cv_dt / chi
-        S_eff = emis - beta * r / chi
-        sol = loqd.solve_moment_system(grey.coef, E_prev, F_prev, dt, mesh,
-                                       constants, sig_E=sig_eff[None],
-                                       source=S_eff[None], tally=tally)
-        dT = (c * sigE * sol.E[0] - r) / chi
-        T_new = T_star + dT
-        if np.any(T_new < 0.0):
-            log.warning("negative temperature after grey update in %d cells; "
-                        "flooring", int(np.sum(T_new < 0.0)))
-        T_star = np.maximum(T_new, T_FLOOR)
-    return T_star, sol
+    emis = c * sigB * a_R * T_stage**4
+    r = emis + cv_dt * (T_stage - T_prev_time)
+    sig_eff = sigE * cv_dt / chi
+    S_eff = emis - beta * r / chi
+    sol = loqd.solve_moment_system(grey.coef, np.atleast_2d(E_prev),
+                                   np.atleast_2d(F_prev), dt, mesh, constants,
+                                   sig_E=sig_eff[None], source=S_eff[None],
+                                   tally=tally)
+    T_new = T_stage + (c * sigE * sol.E[0] - r) / chi
+    if np.any(T_new < 0.0):
+        log.warning("negative temperature after grey update in %d cells; "
+                    "flooring", int(np.sum(T_new < 0.0)))
+    return np.maximum(T_new, T_FLOOR), sol

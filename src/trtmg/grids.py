@@ -55,23 +55,17 @@ class FrequencyGridHierarchy:
     """Nested frequency grids; level index 0 is the fine grid, the last
     level is the single-interval grey grid.
 
-    starts_prev[L] gives, for each interval of level L, the run of intervals
-    of level L-1 it merges (as cumulative start indices); starts_fine[L] is
-    the same against level 0.
+    starts_fine[L] gives, for each interval of level L, the run of fine
+    (level 0) groups it merges, as cumulative start indices.
     """
 
     fine: FrequencyGrid
     counts: tuple
-    starts_prev: tuple     # starts_prev[0] is None
     starts_fine: tuple     # starts_fine[0] is identity
-    level_edges: tuple     # frequency edges per level
 
     @property
     def n_levels(self) -> int:
         return len(self.counts)
-
-    def n_groups(self, level: int) -> int:
-        return self.counts[level]
 
     def restrict(self, q: np.ndarray, level: int, axis: int = 0) -> np.ndarray:
         """Sum a fine-grid (level 0) group-indexed array onto the given level."""
@@ -80,24 +74,13 @@ class FrequencyGridHierarchy:
         starts = self.starts_fine[level]
         return np.add.reduceat(np.asarray(q), starts[:-1], axis=axis)
 
-    def restrict_between(self, q: np.ndarray, level_from: int, level_to: int,
-                         axis: int = 0) -> np.ndarray:
-        """Sum a level_from-indexed array onto a coarser level_to."""
-        if level_to == level_from:
-            return np.asarray(q)
-        if level_to < level_from:
-            raise GridError("restriction must go to a coarser level")
-        out = np.asarray(q)
-        for L in range(level_from + 1, level_to + 1):
-            out = np.add.reduceat(out, self.starts_prev[L][:-1], axis=axis)
-        return out
-
 
 def build_hierarchy(fine: FrequencyGrid, counts) -> FrequencyGridHierarchy:
     """Build the multigrid-in-frequency hierarchy for the given group counts.
 
     counts must start at the fine group number, decrease strictly, and end
-    at 1 (the grey grid).
+    at 1 (the grey grid).  Each level merges contiguous runs of the level
+    above it.
     """
     counts = tuple(int(n) for n in counts)
     if counts[0] != fine.n_groups:
@@ -106,18 +89,12 @@ def build_hierarchy(fine: FrequencyGrid, counts) -> FrequencyGridHierarchy:
         raise GridError("hierarchy must end at a single grey interval")
     if any(b >= a for a, b in zip(counts, counts[1:])):
         raise GridError("hierarchy group counts must be strictly decreasing")
-    starts_prev = [None]
     starts_fine = [np.arange(counts[0] + 1)]
-    level_edges = [fine.edges]
     for L in range(1, len(counts)):
-        sp = _run_starts(counts[L - 1], counts[L])
-        starts_prev.append(sp)
-        starts_fine.append(starts_fine[L - 1][sp])
-        level_edges.append(fine.edges[starts_fine[L]])
+        starts_prev = _run_starts(counts[L - 1], counts[L])
+        starts_fine.append(starts_fine[L - 1][starts_prev])
     return FrequencyGridHierarchy(fine=fine, counts=counts,
-                                  starts_prev=tuple(starts_prev),
-                                  starts_fine=tuple(starts_fine),
-                                  level_edges=tuple(level_edges))
+                                  starts_fine=tuple(starts_fine))
 
 
 @dataclass(frozen=True)

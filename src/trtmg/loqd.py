@@ -14,7 +14,7 @@ E_g = 2 B_g / c, so the spectrum-integrated energy density is a_R T^4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -189,24 +189,6 @@ def solve_moment_system(coef: LoqdCoefficients, E_prev: np.ndarray,
         tally.add_low_order(P)
     return MomentField(level=coef.level, E=u[:, 1:-1],
                        E_face=u[:, [0, -1]], F=F)
-
-
-def assemble_solve_group(p: int, coef: LoqdCoefficients, E_prev, F_prev,
-                         dt: float, mesh: SpatialMesh,
-                         constants: PhysicalConstants = CONST) -> MomentField:
-    """Solve a single interval's system (convenience for tests/diagnostics)."""
-    one = replace(
-        coef,
-        sig_E=coef.sig_E[p:p + 1], sig_B=coef.sig_B[p:p + 1], B=coef.B[p:p + 1],
-        f=coef.f[p:p + 1], f_face=coef.f_face[p:p + 1],
-        sig_R_face=coef.sig_R_face[p:p + 1],
-        eta_hat=coef.eta_hat[p:p + 1], eta_check=coef.eta_check[p:p + 1],
-        C_minus=coef.C_minus[p:p + 1], C_plus=coef.C_plus[p:p + 1],
-        E_in=coef.E_in[p:p + 1], F_in=coef.F_in[p:p + 1],
-        bc_offset=coef.bc_offset[p:p + 1],
-    )
-    return solve_moment_system(one, E_prev[p:p + 1], F_prev[p:p + 1], dt,
-                               mesh, constants)
 
 
 def residual_norms(coef: LoqdCoefficients, sol: MomentField, E_prev, F_prev,

@@ -1,15 +1,15 @@
 """Planck spectrum, opacity averages, and material closure in code units.
 
-Units throughout: length cm, time ns, temperature keV (k_B = 1), energy in
-jerks (1e9 J).  The photon frequency variable is the photon energy h*nu in
-keV.  The spectral emission density B(nu, T) is normalized so that its
-integral over all frequencies equals c*a_R*T^4 / 2, which makes the
-equilibrium radiation energy density (both half ranges) equal a_R*T^4.
+Units throughout: length cm, time ns, temperature keV (Boltzmann constant
+1), energy in jerks (1e9 J).  The photon frequency variable is the photon
+energy h*nu in keV.  The spectral emission density B(nu, T) is normalized
+so that its integral over all frequencies equals c*a_R*T^4 / 2, which makes
+the equilibrium radiation energy density (both half ranges) equal a_R*T^4.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,13 +30,11 @@ _GL_NODES, _GL_WEIGHTS = leggauss(16)
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """Unit-system constants.  h is derived from a_R and c so that the
-    analytic Planck identities hold exactly in code units."""
+    """Unit-system constants.  B(nu, T) takes its prefactor from c and a_R
+    alone, so the analytic Planck identities hold exactly in code units."""
 
     c: float = 29.9792458            # cm/ns
     a_R: float = 0.01372016          # jerks/(cm^3 keV^4)
-    k_B: float = 1.0                 # keV/keV
-    h: float = 4.135668627819953e-09  # keV ns, = (8 pi^5 kappa / (15 a_R c^3))^(1/3)
 
     @property
     def planck_prefactor(self) -> float:
@@ -55,9 +53,6 @@ class MaterialModel:
 
     def energy(self, T):
         return self.c_v * np.asarray(T, dtype=float)
-
-    def temperature(self, eps):
-        return np.asarray(eps, dtype=float) / self.c_v
 
 
 class FleckCummingsOpacity:
@@ -108,8 +103,6 @@ _BERN_C = np.array([
     +1.21886449642395423e-22, -2.88823142807662809e-24,
     +6.87258318890207039e-26])
 
-_PI4_15 = np.pi**4 / 15.0
-
 
 def _planck_tail(x):
     """Integral of t^3/(e^t - 1) over [x, inf).
@@ -146,22 +139,6 @@ def _planck_tail(x):
     return float(out[0]) if scalar else out
 
 
-def _planck_dT_tail(x):
-    """Integral of t^4 e^t/(e^t - 1)^2 over [x, inf): equals
-    x^4/(e^x - 1) + 4 * integral of t^3/(e^t - 1)."""
-    x = np.asarray(x, dtype=float)
-    denom = -np.expm1(-x)
-    lead = np.zeros_like(denom)
-    np.divide(x**4 * np.exp(-x), denom, out=lead, where=x > 0)
-    return lead + 4.0 * _planck_tail(x)
-
-
-def planck_group(T: float, interval, constants: PhysicalConstants = CONST) -> float:
-    """Integral of planck_B over one frequency interval [nu_lo, nu_hi]."""
-    lo, hi = interval
-    return float(planck_groups(np.array([T]), np.array([lo, hi]), constants)[0, 0])
-
-
 def planck_groups(T, edges, constants: PhysicalConstants = CONST):
     """Group integrals of planck_B for all groups at each temperature.
 
@@ -174,22 +151,6 @@ def planck_groups(T, edges, constants: PhysicalConstants = CONST):
     x = edges[None, :] / T[:, None]
     tails = np.where(x <= 0.0, _PI4_15, _planck_tail(np.maximum(x, 0.0)))
     pref = constants.planck_prefactor * T**4
-    return pref[:, None] * (tails[:, :-1] - tails[:, 1:])
-
-
-def planck_dT_group(T_r: float, interval, constants: PhysicalConstants = CONST) -> float:
-    """Integral of planck_dB_dT over one interval, at temperature T_r."""
-    lo, hi = interval
-    return float(planck_dT_groups(np.array([T_r]), np.array([lo, hi]), constants)[0, 0])
-
-
-def planck_dT_groups(T_r, edges, constants: PhysicalConstants = CONST):
-    """Group integrals of planck_dB_dT; sums to 2 c a_R T_r^3 over the full range."""
-    T_r = np.asarray(T_r, dtype=float)
-    edges = np.asarray(edges, dtype=float)
-    x = edges[None, :] / T_r[:, None]
-    tails = np.where(x <= 0.0, 4.0 * _PI4_15, _planck_dT_tail(np.maximum(x, 0.0)))
-    pref = constants.planck_prefactor * T_r**3
     return pref[:, None] * (tails[:, :-1] - tails[:, 1:])
 
 
@@ -209,74 +170,6 @@ def _log_nodes(edges):
     return nu, w
 
 
-def _averaged_sigma(weight_fn, sigma, T_sigma, edges, harmonic, constants):
-    """Weighted group means of sigma over the 16-point log-frequency rule.
-
-    weight_fn(nu) -> (n, G, K) weights; T_sigma (n,) is the temperature at
-    which sigma is evaluated.  harmonic=True averages 1/sigma (Rosseland).
-    Groups whose weight integral underflows use sigma at the geometric
-    midpoint of the (clamped) group.
-    """
-    nu, w = _log_nodes(np.asarray(edges, dtype=float))
-    T_sigma = np.asarray(T_sigma, dtype=float)
-    sig = sigma(nu[None, :, :], T_sigma[:, None, None])
-    wgt = weight_fn(nu[None, :, :]) * w[None, :, :]
-    den_w = wgt.sum(axis=2)
-    if harmonic:
-        num = den_w
-        den = (wgt / sig).sum(axis=2)
-    else:
-        num = (wgt * sig).sum(axis=2)
-        den = den_w
-    lo = np.maximum(edges[:-1], edges[1:] * 1e-12)
-    mid = np.sqrt(lo * edges[1:])
-    fallback = sigma(mid[None, :], T_sigma[:, None])
-    empty = den_w < _WIEN_FLOOR
-    out = np.where(empty, fallback, num / np.where(empty, 1.0, den))
-    return out
-
-
-def sigma_B_group(T: float, interval, sigma: OpacityFunction,
-                  constants: PhysicalConstants = CONST) -> float:
-    """Planck-mean opacity of one group at material temperature T."""
-    return float(sigma_B_groups(np.array([T]), np.asarray(interval, float), sigma,
-                                constants)[0, 0])
-
-
-def sigma_B_groups(T, edges, sigma, constants: PhysicalConstants = CONST):
-    T = np.asarray(T, dtype=float)
-    return _averaged_sigma(lambda nu: planck_B(nu, T[:, None, None], constants),
-                           sigma, T, edges, False, constants)
-
-
-def sigma_E_group(T: float, T_r: float, interval, sigma: OpacityFunction,
-                  constants: PhysicalConstants = CONST) -> float:
-    """Absorption opacity: sigma(., T) weighted by the spectrum at T_r."""
-    return float(sigma_E_groups(np.array([T]), np.array([T_r]),
-                                np.asarray(interval, float), sigma, constants)[0, 0])
-
-
-def sigma_E_groups(T, T_r, edges, sigma, constants: PhysicalConstants = CONST):
-    T = np.asarray(T, dtype=float)
-    T_r = np.asarray(T_r, dtype=float)
-    return _averaged_sigma(lambda nu: planck_B(nu, T_r[:, None, None], constants),
-                           sigma, T, edges, False, constants)
-
-
-def sigma_R_group(T: float, T_r: float, interval, sigma: OpacityFunction,
-                  constants: PhysicalConstants = CONST) -> float:
-    """Rosseland mean: dB/dT-weighted harmonic average of sigma(., T)."""
-    return float(sigma_R_groups(np.array([T]), np.array([T_r]),
-                                np.asarray(interval, float), sigma, constants)[0, 0])
-
-
-def sigma_R_groups(T, T_r, edges, sigma, constants: PhysicalConstants = CONST):
-    T = np.asarray(T, dtype=float)
-    T_r = np.asarray(T_r, dtype=float)
-    return _averaged_sigma(lambda nu: planck_dB_dT(nu, T_r[:, None, None], constants),
-                           sigma, T, edges, True, constants)
-
-
 @dataclass
 class GroupOpacitySet:
     """Per-cell, per-group coefficients for one temperature state."""
@@ -291,9 +184,13 @@ def build_group_opacities(T, T_r, edges, sigma: OpacityFunction,
                           constants: PhysicalConstants = CONST) -> GroupOpacitySet:
     """Evaluate all group opacities and emission integrals for cell arrays T, T_r.
 
-    Equivalent to calling sigma_B_groups / sigma_E_groups / sigma_R_groups
-    separately, but shares the frequency nodes and the sigma(nu, T) samples
-    across the three averages (this sits on the hot path of every cycle).
+    Each group mean uses the 16-point log-frequency rule of _log_nodes:
+    sig_B weights sigma(nu, T) with B(nu, T), sig_E with B(nu, T_r), and
+    sig_R is the dB/dT(nu, T_r)-weighted harmonic mean (Rosseland).  Groups
+    whose weight integral underflows (deep Wien tail) use sigma at the
+    geometric midpoint of the (clamped) group.  The frequency nodes and the
+    sigma(nu, T) samples are shared by the three averages, since this sits
+    on the hot path of every cycle.
     """
     T = np.asarray(T, dtype=float)
     T_r = np.asarray(T_r, dtype=float)

@@ -107,16 +107,6 @@ def sweep_all(psi_prev: np.ndarray, inc_left: np.ndarray, inc_right: np.ndarray,
     return psi
 
 
-def sweep_group(g: int, psi_prev: np.ndarray, inc_left: np.ndarray,
-                inc_right: np.ndarray, sigma: np.ndarray, q: np.ndarray,
-                mesh: SpatialMesh, quad: AngularQuadrature, dt,
-                constants: PhysicalConstants = CONST) -> np.ndarray:
-    """Sweep a single group; sigma and q are per-cell arrays for that group."""
-    out = sweep_all(psi_prev[g:g + 1], inc_left[g:g + 1], inc_right[g:g + 1],
-                    sigma[None, :], q[None, :], mesh, quad, dt, constants)
-    return out[0]
-
-
 def _face_intensities(psi, inc_left, inc_right, pos):
     """Boundary-face angular intensities: incoming data on the entering half
     range, exit-corner values on the leaving half range."""

@@ -55,6 +55,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="wavelength"):
             parse_config(None, {"wavelength": "3"})
 
+    @pytest.mark.parametrize("line", ["deterministic = true",
+                                      "n_newton = 1"])
+    def test_removed_keys_rejected(self, tmp_path, capsys, line):
+        # keys that configured nothing are unknown now, in a file as anywhere
+        p = tmp_path / "old.cfg"
+        p.write_text(f"groups = 16\n{line}\n")
+        key = line.split()[0]
+        with pytest.raises(ConfigError, match=key):
+            parse_config(p)
+        assert main(["--config", str(p), "--out", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
+
     def test_bad_value_names_key(self):
         with pytest.raises(ConfigError, match="lmax"):
             parse_config(None, {"lmax": "four"})

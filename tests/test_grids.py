@@ -37,15 +37,16 @@ class TestHierarchy:
         # remainder groups land at the high-frequency end: runs 2,2,3,3
         assert hier.starts_fine[1].tolist() == [0, 2, 4, 7, 10]
         assert hier.starts_fine[2].tolist() == [0, 10]
-        assert hier.n_groups(0) == 10 and hier.n_groups(1) == 4
 
-    def test_level_edges_nested(self):
-        fine = build_fc_frequency_grid(16)
-        hier = build_hierarchy(fine, (16, 8, 4, 1))
-        for L in range(hier.n_levels):
-            assert np.all(np.isin(hier.level_edges[L], fine.edges))
-            assert hier.level_edges[L][0] == 0.0
-            assert hier.level_edges[L][-1] == 1e7
+    def test_levels_nested(self):
+        # every level's boundaries are boundaries of the level above it,
+        # and every level spans the whole fine spectrum
+        hier = build_hierarchy(build_fc_frequency_grid(16), (16, 8, 3, 1))
+        for L in range(1, hier.n_levels):
+            starts = hier.starts_fine[L]
+            assert starts.size == hier.counts[L] + 1
+            assert np.all(np.isin(starts, hier.starts_fine[L - 1]))
+            assert starts[0] == 0 and starts[-1] == 16
 
     def test_restrict_sums(self):
         hier = build_hierarchy(build_fc_frequency_grid(10), (10, 4, 1))
@@ -56,13 +57,6 @@ class TestHierarchy:
         # restriction along a non-leading axis
         q2 = np.arange(20.0).reshape(2, 10)
         assert hier.restrict(q2, 1, axis=1).shape == (2, 4)
-
-    def test_restrict_between_levels(self):
-        hier = build_hierarchy(build_fc_frequency_grid(16), (16, 8, 2, 1))
-        q = np.ones(8)
-        assert hier.restrict_between(q, 1, 2).tolist() == [4.0, 4.0]
-        with pytest.raises(GridError):
-            hier.restrict_between(q, 2, 1)
 
     def test_validation(self):
         fine = build_fc_frequency_grid(16)

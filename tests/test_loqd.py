@@ -127,9 +127,6 @@ def test_solver_matches_dense_oracle():
     assert np.allclose(got.E_face, ref.E_face, rtol=1e-12)
     assert np.allclose(got.F, ref.F, rtol=1e-12, atol=1e-14)
     assert loqd.residual_norms(coef, got, E_prev, F_prev, dt, mesh) <= 1e-12
-    # per-interval convenience path agrees
-    one = loqd.assemble_solve_group(1, coef, E_prev, F_prev, dt, mesh)
-    assert np.allclose(one.E[0], got.E[1], rtol=1e-13)
 
 
 def test_solver_override_paths():

@@ -13,6 +13,12 @@ from trtmg.phys import CONST, FleckCummingsOpacity
 FC = FleckCummingsOpacity()
 
 
+def _one_group(T, T_r, band, sigma):
+    """Group opacities of a single cell and a single group."""
+    return phys.build_group_opacities(np.array([T]), np.array([T_r]),
+                                      np.asarray(band, float), sigma, CONST)
+
+
 def test_planck_prefactor():
     A = 15.0 * CONST.c * CONST.a_R / (2.0 * np.pi**4)
     assert CONST.planck_prefactor == pytest.approx(A, rel=1e-15)
@@ -31,7 +37,7 @@ def test_planck_pointwise():
 
 
 def test_planck_band_integral():
-    got = phys.planck_group(1.0, (0.1, 10.0))
+    got = phys.planck_groups(np.array([1.0]), np.array([0.1, 10.0]))[0, 0]
     assert got == pytest.approx(0.20368579320691779, rel=1e-13)
 
 
@@ -44,25 +50,14 @@ def test_planck_total_is_stefan_boltzmann():
                                     rel=5e-14)
 
 
-def test_planck_dT_band_integral():
-    got = phys.planck_dT_group(1.0, (0.1, 10.0))
-    assert got == pytest.approx(0.80039468700164882, rel=1e-13)
-
-
-def test_planck_dT_total():
-    edges = np.concatenate(([0.0], np.logspace(-4, 1, 63), [1e7]))
-    for T in (0.02, 1.0):
-        tot = phys.planck_dT_groups(np.array([T]), edges, CONST).sum()
-        assert tot == pytest.approx(2.0 * CONST.c * CONST.a_R * T**3,
-                                    rel=1e-13)
-
-
 def test_planck_dT_matches_divided_difference():
+    # dB/dT at fixed nu against a central difference of B, from the
+    # Rayleigh-Jeans side through the peak to a deep-Wien nu where both are 0
     T, h = 0.8, 1e-5
-    band = (0.05, 4.0)
-    num = (phys.planck_group(T + h, band) - phys.planck_group(T - h, band)) \
-        / (2.0 * h)
-    assert phys.planck_dT_group(T, band) == pytest.approx(num, rel=1e-8)
+    for nu in (0.05, 1.0, 4.0, 4e4):
+        num = (phys.planck_B(nu, T + h) - phys.planck_B(nu, T - h)) / (2.0 * h)
+        assert phys.planck_dB_dT(nu, T) == pytest.approx(num, rel=1e-8)
+    assert phys.planck_dB_dT(4e4, T) == 0.0
 
 
 def test_planck_tail_branches():
@@ -86,46 +81,46 @@ def test_fc_opacity_shape_and_values():
 
 def test_group_opacity_frozen_values():
     band = (1.0, 2.0)
-    assert phys.sigma_B_group(1.0, band, FC) == pytest.approx(
+    # sig_B depends on T alone, sig_E and sig_R on (T, T_r)
+    assert _one_group(1.0, 1.0, band, FC).sig_B[0, 0] == pytest.approx(
         6.5984712819680285, rel=5e-13)
-    assert phys.sigma_E_group(0.5, 1.0, band, FC) == pytest.approx(
+    assert _one_group(0.5, 1.0, band, FC).sig_E[0, 0] == pytest.approx(
         8.258695235803032, rel=5e-13)
-    assert phys.sigma_R_group(1.0, 1.0, band, FC) == pytest.approx(
+    assert _one_group(1.0, 1.0, band, FC).sig_R[0, 0] == pytest.approx(
         5.0234372708987582, rel=5e-13)
-    assert phys.sigma_R_group(0.5, 0.8, band, FC) == pytest.approx(
+    assert _one_group(0.5, 0.8, band, FC).sig_R[0, 0] == pytest.approx(
         6.055873016122114, rel=5e-13)
 
 
 def test_group_opacity_constant_sigma():
     const_sig = lambda nu, T: np.broadcast_to(2.25, np.broadcast_shapes(
         np.shape(nu), np.shape(T))).copy()
-    band = (0.2, 3.0)
-    for f in (lambda: phys.sigma_B_group(0.7, band, const_sig),
-              lambda: phys.sigma_E_group(0.7, 1.1, band, const_sig),
-              lambda: phys.sigma_R_group(0.7, 1.1, band, const_sig)):
-        assert f() == pytest.approx(2.25, rel=1e-14)
+    opac = _one_group(0.7, 1.1, (0.2, 3.0), const_sig)
+    for got in (opac.sig_B, opac.sig_E, opac.sig_R):
+        assert got[0, 0] == pytest.approx(2.25, rel=1e-14)
 
 
 def test_wien_tail_fallback():
     # group far beyond the Planck peak: weight underflows, the average
     # falls back to sigma at the geometric midpoint of the group
     band = (1e6, 1e7)
-    got = phys.sigma_B_group(1.0, band, FC)
+    got = _one_group(1.0, 1.0, band, FC).sig_B[0, 0]
     assert got == pytest.approx(float(FC(np.sqrt(1e13), 1.0)), rel=1e-15)
 
 
 def test_build_group_opacities_matches_separate_averages():
+    # the batched build equals a separate build for each (cell, group)
+    # pair, bit for bit: cells and groups do not interact
     edges = np.concatenate(([0.0], np.logspace(-4, 1, 15), [1e7]))
     T = np.array([1e-3, 0.2, 0.9])
     T_r = np.array([0.5, 0.5, 1.2])
     opac = phys.build_group_opacities(T, T_r, edges, FC, CONST)
-    assert np.array_equal(opac.sig_B, phys.sigma_B_groups(T, edges, FC, CONST))
-    assert np.array_equal(opac.sig_E,
-                          phys.sigma_E_groups(T, T_r, edges, FC, CONST))
-    assert np.array_equal(opac.sig_R,
-                          phys.sigma_R_groups(T, T_r, edges, FC, CONST))
-    assert np.array_equal(opac.B, phys.planck_groups(T, edges, CONST))
     assert opac.sig_B.shape == (3, 16)
+    for i in range(3):
+        for g in range(16):
+            one = _one_group(T[i], T_r[i], edges[g:g + 2], FC)
+            for name in ("sig_B", "sig_E", "sig_R", "B"):
+                assert getattr(opac, name)[i, g] == getattr(one, name)[0, 0]
 
 
 def test_radiation_temperature():
@@ -137,7 +132,8 @@ def test_radiation_temperature():
     assert arr.shape == (2,)
 
 
-def test_material_model_round_trip():
+def test_material_energy():
     mat = phys.MaterialModel(c_v=0.5917 * CONST.a_R)
     T = np.array([1e-3, 0.5, 1.0])
-    assert np.allclose(mat.temperature(mat.energy(T)), T, rtol=1e-15)
+    assert np.array_equal(mat.energy(T), mat.c_v * T)
+    assert mat.energy(0.5) == mat.c_v * 0.5
