@@ -8,19 +8,17 @@ from .cycles import (ConvergenceCriteria, ConvergenceError, CycleSchedule,
 from .grids import (AngularQuadrature, FrequencyGrid, FrequencyGridHierarchy,
                     GridError, SpatialMesh, build_fc_frequency_grid,
                     build_hierarchy, double_gauss_legendre)
-from .phys import (CONST, FleckCummingsOpacity, GroupOpacitySet,
-                   MaterialModel, PhysicalConstants, build_group_opacities,
-                   planck_groups)
+from .phys import (FleckCummingsOpacity, GroupOpacitySet, MaterialModel,
+                   build_group_opacities, planck_groups)
 
 __all__ = [
-    "AngularQuadrature", "CONST", "ConvergenceCriteria", "ConvergenceError",
+    "AngularQuadrature", "ConvergenceCriteria", "ConvergenceError",
     "CycleSchedule", "FleckCummingsOpacity", "FrequencyGrid",
     "FrequencyGridHierarchy", "GridError", "GroupOpacitySet", "MaterialModel",
-    "PhysicalConstants", "Problem", "ScheduleError", "SimulationResult",
-    "SpatialMesh", "build_fc_frequency_grid", "build_group_opacities",
-    "build_hierarchy", "double_gauss_legendre", "initial_state",
-    "make_schedule", "per_cycle_cost", "planck_groups", "run_simulation",
-    "run_time_step",
+    "Problem", "ScheduleError", "SimulationResult", "SpatialMesh",
+    "build_fc_frequency_grid", "build_group_opacities", "build_hierarchy",
+    "double_gauss_legendre", "initial_state", "make_schedule",
+    "per_cycle_cost", "planck_groups", "run_simulation", "run_time_step",
 ]
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from .cycles import (ConvergenceCriteria, ConvergenceError, Problem,
                      run_simulation)
 from .grids import (GridError, SpatialMesh, build_fc_frequency_grid,
                     build_hierarchy, double_gauss_legendre)
-from .phys import CONST, FleckCummingsOpacity, MaterialModel
+from .phys import A_RAD, C_LIGHT, FleckCummingsOpacity, MaterialModel
 
 
 class ConfigError(ValueError):
@@ -138,8 +138,7 @@ def _validate(cfg: RunConfig):
         raise ConfigError(
             f"grids: first grid has {counts[0]} groups but groups={cfg.groups}")
     try:
-        make_schedule(cfg.cycle, counts, cfg.lmax,
-                      cfg.visits if cfg.cycle.lower() == "custom" else None)
+        make_schedule(cfg.cycle, counts, cfg.lmax, cfg.visits or None)
         build_hierarchy(build_fc_frequency_grid(cfg.groups), counts)
         ConvergenceCriteria(cfg.eps, cfg.eps_tilde, cfg.max_outer)
     except (ScheduleError, GridError, ValueError) as e:
@@ -170,15 +169,14 @@ def fc_problem(config: RunConfig) -> Problem:
     """Slab benchmark: 1 keV black-body drive on the left of a cold
     (10^-3 keV) slab with sigma = 27(1 - e^(-nu/T))/nu^3 and c_v tied to the
     drive temperature; right boundary vacuum."""
-    const = CONST
     fine = build_fc_frequency_grid(config.groups)
     hier = build_hierarchy(fine, config.grid_counts)
     mesh = SpatialMesh.uniform(config.cells, config.length)
     quad = double_gauss_legendre(config.quad)
     T_b, T_0 = 1.0, 1e-3
-    material = MaterialModel(c_v=0.5917 * const.a_R * T_b**3)
+    material = MaterialModel(c_v=0.5917 * A_RAD * T_b**3)
 
-    B_b = phys.planck_groups(np.array([T_b]), fine.edges, const)[0]  # (G,)
+    B_b = phys.planck_groups(np.array([T_b]), fine.edges)[0]  # (G,)
     G, M = fine.n_groups, quad.n_dirs
     inc_left = np.zeros((G, M))
     inc_left[:, quad.positive] = 0.5 * B_b[:, None]
@@ -188,12 +186,11 @@ def fc_problem(config: RunConfig) -> Problem:
     # and partial flux B/2
     E_in = np.zeros((G, 2))
     F_in = np.zeros((G, 2))
-    E_in[:, 0] = B_b / const.c
+    E_in[:, 0] = B_b / C_LIGHT
     F_in[:, 0] = 0.5 * B_b
     return Problem(mesh=mesh, quad=quad, hierarchy=hier, material=material,
                    sigma=FleckCummingsOpacity(), inc_left=inc_left,
-                   inc_right=inc_right, E_in=E_in, F_in=F_in, T_init=T_0,
-                   constants=const)
+                   inc_right=inc_right, E_in=E_in, F_in=F_in, T_init=T_0)
 
 
 def _fmt(x) -> str:
@@ -271,9 +268,8 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config, overrides)
         problem = fc_problem(cfg)
-        schedule = make_schedule(
-            cfg.cycle, cfg.grid_counts, cfg.lmax,
-            cfg.visits if cfg.cycle.lower() == "custom" else None)
+        schedule = make_schedule(cfg.cycle, cfg.grid_counts, cfg.lmax,
+                                 cfg.visits or None)
         criteria = ConvergenceCriteria(cfg.eps, cfg.eps_tilde, cfg.max_outer)
         result = run_simulation(problem, schedule, criteria, cfg.dt, cfg.tend,
                                 cfg.snapshots)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import grey, loqd, phys, transport
 from .grids import AngularQuadrature, FrequencyGridHierarchy, SpatialMesh
-from .phys import CONST, MaterialModel, PhysicalConstants
+from .phys import A_RAD, C_LIGHT, MaterialModel
 
 
 class ScheduleError(ValueError):
@@ -60,6 +60,8 @@ def make_schedule(kind: str, counts, l_max: int, visits=None) -> CycleSchedule:
     if l_max < 1:
         raise ScheduleError(f"l_max must be >= 1, got {l_max}")
     n = len(counts)
+    if kind in ("V", "W", "F") and visits is not None:
+        raise ScheduleError(f"{kind} cycle takes no explicit visit list")
     if kind == "V":
         if n != 2:
             raise ScheduleError("V cycle uses exactly two grids (fine, grey)")
@@ -147,7 +149,6 @@ class Problem:
     E_in: np.ndarray           # (G, 2) incoming moment data for the low order
     F_in: np.ndarray           # (G, 2)
     T_init: float = phys.T_FLOOR
-    constants: PhysicalConstants = CONST
 
 
 @dataclass
@@ -163,19 +164,18 @@ class SimulationState:
 
 def initial_state(problem: Problem) -> SimulationState:
     """Isotropic Planckian field at the initial temperature, zero flux."""
-    const = problem.constants
     nx = problem.mesh.n_cells
     G = problem.hierarchy.fine.n_groups
     M = problem.quad.n_dirs
     T0 = np.broadcast_to(np.asarray(problem.T_init, dtype=float),
                          (nx,)).astype(float)
-    B0 = phys.planck_groups(T0, problem.hierarchy.fine.edges, const)  # (nx, G)
+    B0 = phys.planck_groups(T0, problem.hierarchy.fine.edges)  # (nx, G)
     psi = np.empty((G, M, nx, 2))
     psi[:] = (0.5 * B0.T)[:, None, :, None]
-    E = 2.0 * B0.T / const.c
+    E = 2.0 * B0.T / C_LIGHT
     F = np.zeros((G, nx + 1))
     return SimulationState(
-        t=0.0, T=T0, T_r=phys.radiation_temperature(E.sum(axis=0), const),
+        t=0.0, T=T0, T_r=phys.radiation_temperature(E.sum(axis=0)),
         psi=psi, E=E, F=F,
         closures=transport.ClosureData.isotropic(G, nx))
 
@@ -220,12 +220,14 @@ def _match_sum(parts, total):
 
 
 def _grey_stage(problem: Problem, prev: SimulationState, coef_src, sol_src,
-                T_stage, dt, stats, hist, grey_level, work):
-    const = problem.constants
-    gp = grey.form_grey(sol_src, coef_src, grey_level, const)
+                T_stage, dt, stats, work):
+    """Grey Newton update from one level's solution; advances the Frechet
+    stage history in work.hist and returns the new temperature."""
+    gp = grey.form_grey(sol_src, coef_src, problem.hierarchy.n_levels - 1)
     sig_grey = gp.coef.sig_E[0].copy()
     T_stage = np.asarray(T_stage, dtype=float)
-    emis_stage = const.c * gp.coef.sig_B[0] * const.a_R * T_stage**4
+    emis_stage = C_LIGHT * gp.coef.sig_B[0] * A_RAD * T_stage**4
+    hist = work.hist
     if hist is None:
         dsig = np.zeros_like(work.T)
         demis = None
@@ -234,50 +236,44 @@ def _grey_stage(problem: Problem, prev: SimulationState, coef_src, sol_src,
         demis = grey.frechet_update(hist[0], hist[2], T_stage, emis_stage)
     T_new, work.grey_sol = grey.solve_grey_meb(
         gp, dsig, prev.T, work.grey_E_prev, work.grey_F_prev, T_stage, dt,
-        problem.material, problem.mesh, const, demis=demis, tally=stats)
-    return T_new, (T_stage.copy(), sig_grey, emis_stage)
+        problem.material, problem.mesh, demis=demis, tally=stats)
+    work.hist = (T_stage.copy(), sig_grey, emis_stage)
+    return T_new
 
 
 def run_cycle(problem: Problem, prev: SimulationState, T_tilde, work: _StepWork,
-              schedule: CycleSchedule, criteria: ConvergenceCriteria,
-              dt: float, stats: IterationStats, hist):
+              schedule: CycleSchedule, dt: float, stats: IterationStats):
     """One inner cycle: fine-grid spectrum, grey temperature update, then the
     scheduled coarse grids (each followed by a grey update).  Returns the new
-    temperature iterate and the Frechet stage history."""
-    const = problem.constants
+    temperature iterate."""
     hier = problem.hierarchy
     mesh = problem.mesh
     edges = hier.fine.edges
-    grey_level = hier.n_levels - 1
 
-    opac = phys.build_group_opacities(T_tilde, work.T_r, edges, problem.sigma,
-                                      const)
+    opac = phys.build_group_opacities(T_tilde, work.T_r, edges, problem.sigma)
     coef1 = loqd.build_fine_coefficients(opac, work.closures, problem.E_in,
                                          problem.F_in, mesh)
-    sol1 = loqd.solve_moment_system(coef1, prev.E, prev.F, dt, mesh, const,
+    sol1 = loqd.solve_moment_system(coef1, prev.E, prev.F, dt, mesh,
                                     tally=stats)
     work.fine_sol = sol1
-    work.T_r = phys.radiation_temperature(sol1.total_E(), const)
+    work.T_r = phys.radiation_temperature(sol1.total_E())
 
-    T_cur, hist = _grey_stage(problem, prev, coef1, sol1, T_tilde, dt,
-                              stats, hist, grey_level, work)
+    T_cur = _grey_stage(problem, prev, coef1, sol1, T_tilde, dt, stats, work)
     for gnum in schedule.visits:
         level = gnum - 1
         # spectral coefficients refresh at the newest temperature, weighted
         # with this cycle's fine solution
-        opk = phys.build_group_opacities(T_cur, work.T_r, edges, problem.sigma,
-                                         const)
+        opk = phys.build_group_opacities(T_cur, work.T_r, edges, problem.sigma)
         c1k = loqd.build_fine_coefficients(opk, work.closures, problem.E_in,
                                            problem.F_in, mesh)
-        coefk = loqd.restrict_coefficients(c1k, sol1, hier, level, const)
+        coefk = loqd.restrict_coefficients(c1k, sol1, hier, level)
         E_pk = hier.restrict(prev.E, level, axis=0)
         F_pk = hier.restrict(prev.F, level, axis=0)
-        solk = loqd.solve_moment_system(coefk, E_pk, F_pk, dt, mesh, const,
+        solk = loqd.solve_moment_system(coefk, E_pk, F_pk, dt, mesh,
                                         tally=stats)
-        T_cur, hist = _grey_stage(problem, prev, coefk, solk, T_cur, dt,
-                                  stats, hist, grey_level, work)
+        T_cur = _grey_stage(problem, prev, coefk, solk, T_cur, dt, stats, work)
     stats.n_c += 1
-    return T_cur, hist
+    return T_cur
 
 
 def run_transport_iteration(problem: Problem, prev: SimulationState,
@@ -286,22 +282,20 @@ def run_transport_iteration(problem: Problem, prev: SimulationState,
                             stats: IterationStats, conv=None, step_index=0):
     """One outer iteration: sweep (for s > 0) then inner cycles to tolerance
     or l_max.  Returns the outer relative changes (dT, dE)."""
-    const = problem.constants
     if s > 0:
         opac = phys.build_group_opacities(work.T, work.T_r,
                                           problem.hierarchy.fine.edges,
-                                          problem.sigma, const)
+                                          problem.sigma)
         work.psi, work.closures = transport.transport_solve(
             prev.psi, problem.inc_left, problem.inc_right, opac, problem.mesh,
-            problem.quad, dt, const)
+            problem.quad, dt)
         stats.n_ti += 1
 
     T_entry = work.T
     E_entry = work.E_mon
     T_tilde = work.T
     for ell in range(1, schedule.l_max + 1):
-        T_new, work.hist = run_cycle(problem, prev, T_tilde, work, schedule,
-                                     criteria, dt, stats, work.hist)
+        T_new = run_cycle(problem, prev, T_tilde, work, schedule, dt, stats)
         E_new = work.fine_sol.total_E()
         dT = _dinf(T_new, T_tilde)
         dE = _dinf(E_new, work.E_mon)

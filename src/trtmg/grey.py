@@ -28,7 +28,7 @@ import numpy as np
 
 from . import loqd
 from .grids import SpatialMesh
-from .phys import CONST, T_FLOOR, MaterialModel, PhysicalConstants
+from .phys import A_RAD, C_LIGHT, T_FLOOR, MaterialModel
 
 log = logging.getLogger(__name__)
 
@@ -43,13 +43,11 @@ class GreyProblem:
 
 
 def form_grey(level_sol: loqd.MomentField, level_coef: loqd.LoqdCoefficients,
-              level_out: int = -1,
-              constants: PhysicalConstants = CONST) -> GreyProblem:
+              level_out: int = -1) -> GreyProblem:
     """Average a level's coefficients over its whole spectrum (weights from
     its moment solution) into a one-interval grey system."""
     starts = np.array([0, level_coef.n_intervals])
-    coef = loqd.merge_coefficients(level_coef, level_sol, starts, level_out,
-                                   constants)
+    coef = loqd.merge_coefficients(level_coef, level_sol, starts, level_out)
     return GreyProblem(coef=coef, E_star=level_sol.E.sum(axis=0))
 
 
@@ -71,7 +69,6 @@ def solve_grey_meb(grey: GreyProblem, frechet: np.ndarray,
                    T_prev_time: np.ndarray, E_prev: np.ndarray,
                    F_prev: np.ndarray, T_stage: np.ndarray, dt: float,
                    material: MaterialModel, mesh: SpatialMesh,
-                   constants: PhysicalConstants = CONST,
                    demis=None, tally=None):
     """One Newton step of the grey moment + material energy balance system.
 
@@ -82,8 +79,7 @@ def solve_grey_meb(grey: GreyProblem, frechet: np.ndarray,
     sigma_E, demis that of the emission rate c sigma_B a_R T^4 (None or
     nonpositive entries fall back to the quartic slope at frozen sigma_B).
     """
-    c = constants.c
-    a_R = constants.a_R
+    c, a_R = C_LIGHT, A_RAD
     cv_dt = material.c_v / dt
     sigE = grey.coef.sig_E[0]
     sigB = grey.coef.sig_B[0]
@@ -104,7 +100,7 @@ def solve_grey_meb(grey: GreyProblem, frechet: np.ndarray,
     sig_eff = sigE * cv_dt / chi
     S_eff = emis - beta * r / chi
     sol = loqd.solve_moment_system(grey.coef, np.atleast_2d(E_prev),
-                                   np.atleast_2d(F_prev), dt, mesh, constants,
+                                   np.atleast_2d(F_prev), dt, mesh,
                                    sig_E=sig_eff[None], source=S_eff[None],
                                    tally=tally)
     T_new = T_stage + (c * sigE * sol.E[0] - r) / chi

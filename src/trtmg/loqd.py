@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import FrequencyGridHierarchy, SpatialMesh
-from .phys import CONST, GroupOpacitySet, PhysicalConstants
+from .phys import C_LIGHT, GroupOpacitySet
 from .transport import ClosureData
 
 
@@ -102,15 +102,14 @@ def build_fine_coefficients(opac: GroupOpacitySet, closure: ClosureData,
     )
 
 
-def _face_weights(coef: LoqdCoefficients, dt: float, mesh: SpatialMesh,
-                  constants: PhysicalConstants):
+def _face_weights(coef: LoqdCoefficients, dt: float, mesh: SpatialMesh):
     """Per-face elimination coefficients: F = (R + c a1 u_left - c a2 u_right)/D.
 
     eta carries units 1/cm and scales with the dual-cell width here, which is
     exactly what makes the merged first-moment equation reproduce the summed
     originals (the sigma_R spread term it compensates is width-weighted too).
     """
-    tau = 1.0 / (constants.c * dt)
+    tau = 1.0 / (C_LIGHT * dt)
     dxd = mesh.dual_dx[None, :]
     D = dxd * (tau + coef.sig_R_face)
     a1 = np.empty_like(coef.sig_R_face)
@@ -142,7 +141,6 @@ def _thomas(lower, diag, upper, rhs):
 
 def solve_moment_system(coef: LoqdCoefficients, E_prev: np.ndarray,
                         F_prev: np.ndarray, dt: float, mesh: SpatialMesh,
-                        constants: PhysicalConstants = CONST,
                         sig_E=None, source=None, tally=None) -> MomentField:
     """Direct banded solve of one level's moment system for one time step.
 
@@ -151,13 +149,13 @@ def solve_moment_system(coef: LoqdCoefficients, E_prev: np.ndarray,
     interval.  sig_E/source override the absorption and emission density
     (used by the grey solve); source defaults to 2 sigma_B B.
     """
-    c = constants.c
+    c = C_LIGHT
     P, nx = coef.sig_E.shape
     if sig_E is None:
         sig_E = coef.sig_E
     if source is None:
         source = 2.0 * coef.sig_B * coef.B
-    tau, D, a1, a2 = _face_weights(coef, dt, mesh, constants)
+    tau, D, a1, a2 = _face_weights(coef, dt, mesh)
     R = mesh.dual_dx[None, :] * tau * F_prev
 
     dx = mesh.dx[None, :]
@@ -193,16 +191,15 @@ def solve_moment_system(coef: LoqdCoefficients, E_prev: np.ndarray,
 
 def residual_norms(coef: LoqdCoefficients, sol: MomentField, E_prev, F_prev,
                    dt: float, mesh: SpatialMesh,
-                   constants: PhysicalConstants = CONST,
                    sig_E=None, source=None) -> float:
     """Largest relative defect over every assembled equation (balance,
     first-moment, boundary conditions) at the given solution."""
-    c = constants.c
+    c = C_LIGHT
     if sig_E is None:
         sig_E = coef.sig_E
     if source is None:
         source = 2.0 * coef.sig_B * coef.B
-    tau, D, a1, a2 = _face_weights(coef, dt, mesh, constants)
+    tau, D, a1, a2 = _face_weights(coef, dt, mesh)
     dx = mesh.dx[None, :]
     u = np.concatenate([sol.E_face[:, :1], sol.E, sol.E_face[:, 1:]], axis=1)
 
@@ -254,8 +251,7 @@ def _expand(coarse: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 
 def merge_coefficients(coef: LoqdCoefficients, sol: MomentField,
-                       starts: np.ndarray, level_out: int,
-                       constants: PhysicalConstants = CONST) -> LoqdCoefficients:
+                       starts: np.ndarray, level_out: int) -> LoqdCoefficients:
     """Restrict a level's coefficients onto merged spectral intervals, using
     that level's moment solution as weights.
 
@@ -267,7 +263,7 @@ def merge_coefficients(coef: LoqdCoefficients, sol: MomentField,
     face E weight and the incoming-flux offset keeps the merged boundary
     condition exact.
     """
-    c = constants.c
+    c = C_LIGHT
     starts = np.asarray(starts, dtype=int)
 
     E_p = _segment_sum(sol.E, starts)
@@ -312,11 +308,11 @@ def merge_coefficients(coef: LoqdCoefficients, sol: MomentField,
 
 
 def restrict_coefficients(fine_coef: LoqdCoefficients, fine_sol: MomentField,
-                          hierarchy: FrequencyGridHierarchy, level: int,
-                          constants: PhysicalConstants = CONST) -> LoqdCoefficients:
+                          hierarchy: FrequencyGridHierarchy,
+                          level: int) -> LoqdCoefficients:
     """Coefficients of coarse level built from the fine grid (level 0)."""
     return merge_coefficients(fine_coef, fine_sol, hierarchy.starts_fine[level],
-                              level, constants)
+                              level)
 
 
 def restrict_moments(sol: MomentField, hierarchy: FrequencyGridHierarchy,

@@ -18,6 +18,12 @@ from numpy.polynomial.legendre import leggauss
 # lowest admissible material/radiation temperature, keV
 T_FLOOR = 1e-6
 
+C_LIGHT = 29.9792458   # cm/ns
+A_RAD = 0.01372016     # jerks/(cm^3 keV^4)
+# B(nu, T) = PLANCK_PREFACTOR * nu^3 / (exp(nu/T) - 1); taken from C_LIGHT
+# and A_RAD alone, so the analytic Planck identities hold exactly
+PLANCK_PREFACTOR = 15.0 * C_LIGHT * A_RAD / (2.0 * np.pi**4)
+
 # quarter of the Riemann zeta tail: integral of x^3/(e^x - 1) over [0, inf)
 _PI4_15 = np.pi**4 / 15.0
 
@@ -26,23 +32,6 @@ _PI4_15 = np.pi**4 / 15.0
 _WIEN_FLOOR = 1e-300
 
 _GL_NODES, _GL_WEIGHTS = leggauss(16)
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Unit-system constants.  B(nu, T) takes its prefactor from c and a_R
-    alone, so the analytic Planck identities hold exactly in code units."""
-
-    c: float = 29.9792458            # cm/ns
-    a_R: float = 0.01372016          # jerks/(cm^3 keV^4)
-
-    @property
-    def planck_prefactor(self) -> float:
-        # B(nu, T) = prefactor * nu^3 / (exp(nu/T) - 1)
-        return 15.0 * self.c * self.a_R / (2.0 * np.pi**4)
-
-
-CONST = PhysicalConstants()
 
 
 @dataclass(frozen=True)
@@ -67,26 +56,26 @@ class FleckCummingsOpacity:
 OpacityFunction = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def planck_B(nu, T, constants: PhysicalConstants = CONST):
+def planck_B(nu, T):
     """Spectral emission density B(nu, T); zero at nu = 0 and in deep Wien tail."""
     nu = np.asarray(nu, dtype=float)
     T = np.asarray(T, dtype=float)
     x = np.divide(nu, T, out=np.zeros(np.broadcast(nu, T).shape), where=T > 0)
     denom = -np.expm1(-x)
     out = np.zeros_like(denom)
-    np.divide(constants.planck_prefactor * nu**3 * np.exp(-x), denom,
+    np.divide(PLANCK_PREFACTOR * nu**3 * np.exp(-x), denom,
               out=out, where=denom > 0)
     return out if out.ndim else float(out)
 
 
-def planck_dB_dT(nu, T, constants: PhysicalConstants = CONST):
+def planck_dB_dT(nu, T):
     """Temperature derivative of planck_B at fixed nu."""
     nu = np.asarray(nu, dtype=float)
     T = np.asarray(T, dtype=float)
     x = nu / T
     denom = np.expm1(-x) ** 2
     out = np.zeros_like(denom)
-    np.divide(constants.planck_prefactor * nu**4 / T**2 * np.exp(-x), denom,
+    np.divide(PLANCK_PREFACTOR * nu**4 / T**2 * np.exp(-x), denom,
               out=out, where=denom > 0)
     return out if out.ndim else float(out)
 
@@ -139,7 +128,7 @@ def _planck_tail(x):
     return float(out[0]) if scalar else out
 
 
-def planck_groups(T, edges, constants: PhysicalConstants = CONST):
+def planck_groups(T, edges):
     """Group integrals of planck_B for all groups at each temperature.
 
     T has shape (n,), edges (G+1,); returns (n, G).  Any edge at or beyond
@@ -150,7 +139,7 @@ def planck_groups(T, edges, constants: PhysicalConstants = CONST):
     edges = np.asarray(edges, dtype=float)
     x = edges[None, :] / T[:, None]
     tails = np.where(x <= 0.0, _PI4_15, _planck_tail(np.maximum(x, 0.0)))
-    pref = constants.planck_prefactor * T**4
+    pref = PLANCK_PREFACTOR * T**4
     return pref[:, None] * (tails[:, :-1] - tails[:, 1:])
 
 
@@ -180,8 +169,8 @@ class GroupOpacitySet:
     B: np.ndarray       # (n_x, G) group-integrated emission density at T
 
 
-def build_group_opacities(T, T_r, edges, sigma: OpacityFunction,
-                          constants: PhysicalConstants = CONST) -> GroupOpacitySet:
+def build_group_opacities(T, T_r, edges,
+                          sigma: OpacityFunction) -> GroupOpacitySet:
     """Evaluate all group opacities and emission integrals for cell arrays T, T_r.
 
     Each group mean uses the 16-point log-frequency rule of _log_nodes:
@@ -210,20 +199,19 @@ def build_group_opacities(T, T_r, edges, sigma: OpacityFunction,
         empty = den_w < _WIEN_FLOOR
         return np.where(empty, fallback, num / np.where(empty, 1.0, den))
 
-    w_loc = planck_B(nu[None, :, :], T[:, None, None], constants) * w[None, :, :]
-    w_rad = planck_B(nu[None, :, :], T_r[:, None, None], constants) * w[None, :, :]
-    w_ros = planck_dB_dT(nu[None, :, :], T_r[:, None, None], constants) * w[None, :, :]
+    w_loc = planck_B(nu[None, :, :], T[:, None, None]) * w[None, :, :]
+    w_rad = planck_B(nu[None, :, :], T_r[:, None, None]) * w[None, :, :]
+    w_ros = planck_dB_dT(nu[None, :, :], T_r[:, None, None]) * w[None, :, :]
     return GroupOpacitySet(
         sig_B=avg(w_loc, False),
         sig_E=avg(w_rad, False),
         sig_R=avg(w_ros, True),
-        B=planck_groups(T, edges, constants),
+        B=planck_groups(T, edges),
     )
 
 
-def radiation_temperature(E_total, constants: PhysicalConstants = CONST,
-                          floor: float = T_FLOOR):
+def radiation_temperature(E_total):
     """T_r = (E/a_R)^(1/4), floored; negative E is clipped to zero first."""
     E = np.maximum(np.asarray(E_total, dtype=float), 0.0)
-    T_r = np.maximum((E / constants.a_R) ** 0.25, floor)
+    T_r = np.maximum((E / A_RAD) ** 0.25, T_FLOOR)
     return T_r if T_r.ndim else float(T_r)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import AngularQuadrature, SpatialMesh
-from .phys import CONST, GroupOpacitySet, PhysicalConstants
+from .phys import C_LIGHT, GroupOpacitySet
 
 
 @dataclass
@@ -49,16 +49,15 @@ class TransportMoments:
     F: np.ndarray        # (G, n_x + 1)
 
 
-def _time_absorption(c: float, dt) -> float:
+def _time_absorption(dt) -> float:
     if dt is None or not np.isfinite(dt):
         return 0.0
-    return 1.0 / (c * dt)
+    return 1.0 / (C_LIGHT * dt)
 
 
 def sweep_all(psi_prev: np.ndarray, inc_left: np.ndarray, inc_right: np.ndarray,
               sigma: np.ndarray, q: np.ndarray, mesh: SpatialMesh,
-              quad: AngularQuadrature, dt, constants: PhysicalConstants = CONST
-              ) -> np.ndarray:
+              quad: AngularQuadrature, dt) -> np.ndarray:
     """Corner-balance sweep of every group and direction for one time level.
 
     Each half cell balances streaming through its faces against absorption
@@ -67,7 +66,7 @@ def sweep_all(psi_prev: np.ndarray, inc_left: np.ndarray, inc_right: np.ndarray,
     faces are upwinded.
     """
     G, M, nx = psi_prev.shape[0], quad.n_dirs, mesh.n_cells
-    tau = _time_absorption(constants.c, dt)
+    tau = _time_absorption(dt)
     dx = mesh.dx
     psi = np.empty_like(psi_prev)
 
@@ -116,16 +115,15 @@ def _face_intensities(psi, inc_left, inc_right, pos):
 
 
 def compute_moments(psi: np.ndarray, inc_left: np.ndarray, inc_right: np.ndarray,
-                    quad: AngularQuadrature, constants: PhysicalConstants = CONST
-                    ) -> TransportMoments:
+                    quad: AngularQuadrature) -> TransportMoments:
     """Energy-density and flux moments of the sweep intensity; fluxes at cell
     faces use the upwind corner values."""
     w, mu, pos = quad.w, quad.mu, quad.positive
     psi_bar = 0.5 * (psi[..., 0] + psi[..., 1])
-    E = np.einsum("m,gmi->gi", w, psi_bar) / constants.c
+    E = np.einsum("m,gmi->gi", w, psi_bar) / C_LIGHT
 
     fl, fr = _face_intensities(psi, inc_left, inc_right, pos)
-    E_face = np.stack([fl @ w, fr @ w], axis=1) / constants.c
+    E_face = np.stack([fl @ w, fr @ w], axis=1) / C_LIGHT
 
     G, _, nx = psi_bar.shape
     F = np.empty((G, nx + 1))
@@ -168,24 +166,24 @@ def compute_qd_factors(psi: np.ndarray, inc_left: np.ndarray, inc_right: np.ndar
 
 def transport_solve(psi_prev: np.ndarray, inc_left: np.ndarray, inc_right: np.ndarray,
                     opac: GroupOpacitySet, mesh: SpatialMesh, quad: AngularQuadrature,
-                    dt, constants: PhysicalConstants = CONST):
+                    dt):
     """One transport solve at fixed coefficients: sweep all groups with the
     absorption opacity and emission source sigma_B*B, then extract closures."""
     sigma = opac.sig_E.T.copy()          # (G, n_x)
     q = (opac.sig_B * opac.B).T.copy()
-    psi = sweep_all(psi_prev, inc_left, inc_right, sigma, q, mesh, quad, dt, constants)
+    psi = sweep_all(psi_prev, inc_left, inc_right, sigma, q, mesh, quad, dt)
     return psi, compute_qd_factors(psi, inc_left, inc_right, quad)
 
 
 def group_balance_residual(psi, psi_prev, inc_left, inc_right, sigma, q,
-                           mesh: SpatialMesh, quad: AngularQuadrature, dt,
-                           constants: PhysicalConstants = CONST) -> float:
+                           mesh: SpatialMesh, quad: AngularQuadrature,
+                           dt) -> float:
     """Largest relative defect of the group-wise cell energy balance implied
     by the swept intensity (diagnostic for the discretization)."""
-    c = constants.c
-    tau = _time_absorption(c, dt)
-    mom = compute_moments(psi, inc_left, inc_right, quad, constants)
-    mom_prev = compute_moments(psi_prev, inc_left, inc_right, quad, constants)
+    c = C_LIGHT
+    tau = _time_absorption(dt)
+    mom = compute_moments(psi, inc_left, inc_right, quad)
+    mom_prev = compute_moments(psi_prev, inc_left, inc_right, quad)
     dx = mesh.dx[None, :]
     terms = np.stack([
         c * tau * dx * (mom.E - mom_prev.E),

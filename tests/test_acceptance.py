@@ -19,7 +19,6 @@ from trtmg.cli import RunConfig, fc_problem
 from trtmg.cycles import (ConvergenceCriteria, initial_state, make_schedule,
                           per_cycle_cost, run_simulation)
 from trtmg.grids import build_fc_frequency_grid
-from trtmg.phys import CONST
 
 
 @contextmanager
@@ -121,8 +120,8 @@ def test_criterion_3_physics_fixed_points():
         # group-summed Planck emission recovers the T^4 law
         edges = build_fc_frequency_grid(64).edges
         for T in (0.1, 1.0, 3.0):
-            tot = phys.planck_groups(np.array([T]), edges, CONST).sum()
-            ref = 0.5 * CONST.c * CONST.a_R * T**4
+            tot = phys.planck_groups(np.array([T]), edges).sum()
+            ref = 0.5 * phys.C_LIGHT * phys.A_RAD * T**4
             assert abs(tot - ref) <= 1e-10 * ref
 
         # the initial isotropic field closes exactly
@@ -142,28 +141,26 @@ def test_criterion_4_consistency_oracles():
         st, hier, mesh, dt = res.state, prob.hierarchy, prob.mesh, 2e-2
 
         opac = phys.build_group_opacities(st.T, st.T_r, hier.fine.edges,
-                                          prob.sigma, CONST)
+                                          prob.sigma)
         coef1 = loqd.build_fine_coefficients(opac, st.closures, prob.E_in,
                                              prob.F_in, mesh)
-        sol1 = loqd.solve_moment_system(coef1, st.E, st.F, dt, mesh, CONST)
-        assert loqd.residual_norms(coef1, sol1, st.E, st.F, dt, mesh,
-                                   CONST) <= 1e-12
+        sol1 = loqd.solve_moment_system(coef1, st.E, st.F, dt, mesh)
+        assert loqd.residual_norms(coef1, sol1, st.E, st.F, dt, mesh) <= 1e-12
 
         # at fixed temperature the coarse and grey solves reproduce the
         # summed fine spectrum
-        coef2 = loqd.restrict_coefficients(coef1, sol1, hier, 1, CONST)
+        coef2 = loqd.restrict_coefficients(coef1, sol1, hier, 1)
         E_p = hier.restrict(st.E, 1, axis=0)
         F_p = hier.restrict(st.F, 1, axis=0)
-        sol2 = loqd.solve_moment_system(coef2, E_p, F_p, dt, mesh, CONST)
+        sol2 = loqd.solve_moment_system(coef2, E_p, F_p, dt, mesh)
         dE, dF = loqd.conservation_check(sol1, sol2, hier)
         assert dE <= 1e-9 and dF <= 1e-9
-        assert loqd.residual_norms(coef2, sol2, E_p, F_p, dt, mesh,
-                                   CONST) <= 1e-12
+        assert loqd.residual_norms(coef2, sol2, E_p, F_p, dt, mesh) <= 1e-12
 
-        gp = grey.form_grey(sol1, coef1, 2, CONST)
+        gp = grey.form_grey(sol1, coef1, 2)
         E_g = st.E.sum(axis=0, keepdims=True)
         F_g = st.F.sum(axis=0, keepdims=True)
-        solg = loqd.solve_moment_system(gp.coef, E_g, F_g, dt, mesh, CONST)
+        solg = loqd.solve_moment_system(gp.coef, E_g, F_g, dt, mesh)
         dE, dF = loqd.conservation_check(sol1, solg, hier)
         assert dE <= 1e-9 and dF <= 1e-9
 

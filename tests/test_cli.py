@@ -10,7 +10,6 @@ from trtmg import phys
 from trtmg.cli import (ConfigError, RunConfig, fc_problem, main, parse_config,
                        write_config, write_outputs)
 from trtmg.cycles import ConvergenceCriteria, make_schedule, run_simulation
-from trtmg.phys import CONST
 
 
 def _rows(path):
@@ -121,19 +120,18 @@ class TestFcProblem:
     def test_benchmark_wiring(self):
         cfg = RunConfig(groups=16, grids=(16, 4, 1))
         prob = fc_problem(cfg)
-        const = prob.constants
         assert prob.mesh.n_cells == 10
         assert prob.mesh.faces[-1] == 4.0
         assert prob.hierarchy.counts == (16, 4, 1)
-        assert prob.material.c_v == pytest.approx(0.5917 * const.a_R)
+        assert prob.material.c_v == pytest.approx(0.5917 * phys.A_RAD)
         assert prob.T_init == 1e-3
-        B_b = phys.planck_groups(np.array([1.0]), prob.hierarchy.fine.edges,
-                                 const)[0]
+        B_b = phys.planck_groups(np.array([1.0]),
+                                 prob.hierarchy.fine.edges)[0]
         pos = prob.quad.positive
         assert np.all(prob.inc_left[:, pos] == 0.5 * B_b[:, None])
         assert np.all(prob.inc_left[:, ~pos] == 0.0)
         assert np.all(prob.inc_right == 0.0)
-        assert np.array_equal(prob.E_in[:, 0], B_b / const.c)
+        assert np.array_equal(prob.E_in[:, 0], B_b / phys.C_LIGHT)
         assert np.array_equal(prob.F_in[:, 0], 0.5 * B_b)
         assert np.all(prob.E_in[:, 1] == 0.0) and np.all(prob.F_in[:, 1] == 0.0)
 
@@ -232,6 +230,13 @@ class TestMain:
         assert main(["--cycle", "Q", "--out", str(tmp_path)]) == 2
         assert "configuration error" in capsys.readouterr().err
         assert main(["--config", str(tmp_path / "nope.cfg")]) == 2
+
+    def test_visits_need_custom_cycle(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("cycle = W\ngroups = 16\ngrids = 16,4,1\n"
+                           "visits = 2\n")
+        assert main(["--config", str(cfgfile), "--out", str(tmp_path)]) == 2
+        assert "visit list" in capsys.readouterr().err
 
     def test_convergence_error_exit(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"

@@ -15,7 +15,7 @@ from trtmg.cycles import (ConvergenceCriteria, ConvergenceError,
                           run_simulation, run_time_step)
 from trtmg.grids import (SpatialMesh, build_fc_frequency_grid, build_hierarchy,
                          double_gauss_legendre)
-from trtmg.phys import CONST, FleckCummingsOpacity, MaterialModel
+from trtmg.phys import FleckCummingsOpacity, MaterialModel
 
 
 def _fc(groups=16, grids=None, cells=10):
@@ -39,21 +39,20 @@ def _assert_energy_balance(res, dt):
 def _equilibrium_problem(T0=1.0, groups=16, cells=4, grids=None):
     """Slab bathed in Planckian radiation at its own temperature from both
     sides; every field starts at its steady value."""
-    const = CONST
     fine = build_fc_frequency_grid(groups)
     hier = build_hierarchy(fine, grids or (groups, 1))
     mesh = SpatialMesh.uniform(cells, 2.0)
     quad = double_gauss_legendre(4)
-    B0 = phys.planck_groups(np.array([T0]), fine.edges, const)[0]
+    B0 = phys.planck_groups(np.array([T0]), fine.edges)[0]
     G, M = groups, quad.n_dirs
     inc_left = np.zeros((G, M))
     inc_left[:, quad.positive] = 0.5 * B0[:, None]
     inc_right = np.zeros((G, M))
     inc_right[:, ~quad.positive] = 0.5 * B0[:, None]
-    E_in = np.stack([B0 / const.c, B0 / const.c], axis=1)
+    E_in = np.stack([B0 / phys.C_LIGHT, B0 / phys.C_LIGHT], axis=1)
     F_in = np.stack([0.5 * B0, -0.5 * B0], axis=1)
     return Problem(mesh=mesh, quad=quad, hierarchy=hier,
-                   material=MaterialModel(c_v=0.1 * const.a_R),
+                   material=MaterialModel(c_v=0.1 * phys.A_RAD),
                    sigma=FleckCummingsOpacity(), inc_left=inc_left,
                    inc_right=inc_right, E_in=E_in, F_in=F_in, T_init=T0)
 
@@ -85,6 +84,7 @@ class TestMakeSchedule:
         ("custom", (16, 8, 1), (1,)),  # fine grid is not a visit target
         ("custom", (16, 8, 1), (3,)),  # neither is the grey grid
         ("Q", (16, 1), None),
+        ("W", (16, 8, 1), (2,)),       # only custom takes a visit list
     ])
     def test_rejects(self, kind, counts, visits):
         with pytest.raises(ScheduleError):
@@ -149,11 +149,10 @@ class TestInitialState:
     def test_fields(self):
         prob = _fc(16)
         st = initial_state(prob)
-        const = prob.constants
-        B0 = phys.planck_groups(st.T, prob.hierarchy.fine.edges, const)
+        B0 = phys.planck_groups(st.T, prob.hierarchy.fine.edges)
         assert st.t == 0.0
         assert np.all(st.T == 1e-3)
-        assert np.array_equal(st.E, 2.0 * B0.T / const.c)
+        assert np.array_equal(st.E, 2.0 * B0.T / phys.C_LIGHT)
         assert np.all(st.F == 0.0)
         # the radiation field starts isotropic at psi = B/2 per direction
         assert np.array_equal(st.psi[:, 0], st.psi[:, -1])

@@ -5,7 +5,7 @@ import pytest
 
 from trtmg import grey, loqd, phys, transport
 from trtmg.grids import SpatialMesh
-from trtmg.phys import CONST, MaterialModel
+from trtmg.phys import MaterialModel
 
 
 def _one_group_coef(mesh, rng):
@@ -51,14 +51,14 @@ def test_equilibrium_temperature_is_fixed_point():
     opac = phys.build_group_opacities(T, T, edges, phys.FleckCummingsOpacity())
     clo = transport.ClosureData.isotropic(G, nx)
     B = opac.B.T
-    E_in = np.column_stack([B[:, 0], B[:, -1]]) / CONST.c
+    E_in = np.column_stack([B[:, 0], B[:, -1]]) / phys.C_LIGHT
     F_in = np.column_stack([0.5 * B[:, 0], -0.5 * B[:, -1]])
     coef = loqd.build_fine_coefficients(opac, clo, E_in, F_in, mesh)
-    E_eq = 2.0 * B / CONST.c
+    E_eq = 2.0 * B / phys.C_LIGHT
     dt = 0.02
     sol = loqd.solve_moment_system(coef, E_eq, np.zeros((G, nx + 1)), dt, mesh)
     gp = grey.form_grey(sol, coef, level_out=1)
-    mat = MaterialModel(c_v=0.5917 * CONST.a_R)
+    mat = MaterialModel(c_v=0.5917 * phys.A_RAD)
     for demis in (None, np.full(nx, 0.3)):
         T_new, gsol = grey.solve_grey_meb(
             gp, np.zeros(nx), T, E_eq.sum(0, keepdims=True),
@@ -99,7 +99,7 @@ def test_frechet_update():
 
 def _manual_newton(gp, frechet, demis, T_prev, E_prev, F_prev, T_stage, dt,
                    mat, mesh):
-    c, a_R = CONST.c, CONST.a_R
+    c, a_R = phys.C_LIGHT, phys.A_RAD
     cv_dt = mat.c_v / dt
     sigE, sigB = gp.coef.sig_E[0], gp.coef.sig_B[0]
     slope = 4.0 * c * sigB * a_R * T_stage**3

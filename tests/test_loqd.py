@@ -11,7 +11,6 @@ import pytest
 
 from trtmg import loqd, phys, transport
 from trtmg.grids import SpatialMesh, build_fc_frequency_grid, build_hierarchy
-from trtmg.phys import CONST
 
 
 def _random_coefficients(G, mesh, rng, level=0, with_eta=False):
@@ -37,10 +36,9 @@ def _random_coefficients(G, mesh, rng, level=0, with_eta=False):
     return coef
 
 
-def _dense_oracle(coef, E_prev, F_prev, dt, mesh, constants=CONST,
-                  sig_E=None, source=None):
+def _dense_oracle(coef, E_prev, F_prev, dt, mesh, sig_E=None, source=None):
     """Full assembled solve of each interval's moment system."""
-    c = constants.c
+    c = phys.C_LIGHT
     P, nx = coef.sig_E.shape
     if sig_E is None:
         sig_E = coef.sig_E
@@ -104,14 +102,14 @@ def test_equilibrium_fixed_point():
     G = 16
     clo = transport.ClosureData.isotropic(G, 10)
     B = opac.B.T
-    E_in = np.column_stack([B[:, 0], B[:, -1]]) / CONST.c
+    E_in = np.column_stack([B[:, 0], B[:, -1]]) / phys.C_LIGHT
     F_in = np.column_stack([0.5 * B[:, 0], -0.5 * B[:, -1]])
     coef = loqd.build_fine_coefficients(opac, clo, E_in, F_in, mesh)
-    E_eq = 2.0 * B / CONST.c
+    E_eq = 2.0 * B / phys.C_LIGHT
     sol = loqd.solve_moment_system(coef, E_eq, np.zeros((G, 11)), 0.02, mesh)
     assert np.allclose(sol.E, E_eq, rtol=1e-12)
     assert np.allclose(sol.E_face, E_eq[:, [0, -1]], rtol=1e-12)
-    assert np.max(np.abs(sol.F)) <= 1e-12 * np.max(CONST.c * E_eq)
+    assert np.max(np.abs(sol.F)) <= 1e-12 * np.max(phys.C_LIGHT * E_eq)
 
 
 def test_solver_matches_dense_oracle():
@@ -195,7 +193,7 @@ def test_merge_consistency_fine_to_coarse_to_grey():
                                        hier.restrict(F_prev, level), dt, mesh)
         scale = np.max(np.abs(ref.E))
         assert np.max(np.abs(got.E - ref.E)) <= 1e-10 * scale
-        assert np.max(np.abs(got.F - ref.F)) <= 1e-10 * CONST.c * scale
+        assert np.max(np.abs(got.F - ref.F)) <= 1e-10 * phys.C_LIGHT * scale
         dE, dF = loqd.conservation_check(sol, got, hier)
         assert dE <= 1e-10 and dF <= 1e-10
 

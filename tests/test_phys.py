@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from trtmg import phys
-from trtmg.phys import CONST, FleckCummingsOpacity
+from trtmg.phys import FleckCummingsOpacity
 
 FC = FleckCummingsOpacity()
 
@@ -16,13 +16,13 @@ FC = FleckCummingsOpacity()
 def _one_group(T, T_r, band, sigma):
     """Group opacities of a single cell and a single group."""
     return phys.build_group_opacities(np.array([T]), np.array([T_r]),
-                                      np.asarray(band, float), sigma, CONST)
+                                      np.asarray(band, float), sigma)
 
 
 def test_planck_prefactor():
-    A = 15.0 * CONST.c * CONST.a_R / (2.0 * np.pi**4)
-    assert CONST.planck_prefactor == pytest.approx(A, rel=1e-15)
-    assert CONST.planck_prefactor == pytest.approx(0.031669532434484156,
+    A = 15.0 * phys.C_LIGHT * phys.A_RAD / (2.0 * np.pi**4)
+    assert phys.PLANCK_PREFACTOR == pytest.approx(A, rel=1e-15)
+    assert phys.PLANCK_PREFACTOR == pytest.approx(0.031669532434484156,
                                                    rel=1e-15)
 
 
@@ -32,7 +32,7 @@ def test_planck_pointwise():
     # Rayleigh-Jeans limit: B -> A nu^2 T
     nu = 1e-9
     assert phys.planck_B(nu, 2.0) == pytest.approx(
-        CONST.planck_prefactor * nu**2 * 2.0, rel=1e-8)
+        phys.PLANCK_PREFACTOR * nu**2 * 2.0, rel=1e-8)
     assert phys.planck_B(5e4, 1.0) == 0.0  # deep Wien tail underflows cleanly
 
 
@@ -45,8 +45,8 @@ def test_planck_total_is_stefan_boltzmann():
     # full-spectrum integral of B equals c a_R T^4 / 2
     edges = np.concatenate(([0.0], np.logspace(-4, 1, 255), [1e7]))
     for T in (1e-3, 0.31, 1.0, 3.7):
-        tot = phys.planck_groups(np.array([T]), edges, CONST).sum()
-        assert tot == pytest.approx(0.5 * CONST.c * CONST.a_R * T**4,
+        tot = phys.planck_groups(np.array([T]), edges).sum()
+        assert tot == pytest.approx(0.5 * phys.C_LIGHT * phys.A_RAD * T**4,
                                     rel=5e-14)
 
 
@@ -114,7 +114,7 @@ def test_build_group_opacities_matches_separate_averages():
     edges = np.concatenate(([0.0], np.logspace(-4, 1, 15), [1e7]))
     T = np.array([1e-3, 0.2, 0.9])
     T_r = np.array([0.5, 0.5, 1.2])
-    opac = phys.build_group_opacities(T, T_r, edges, FC, CONST)
+    opac = phys.build_group_opacities(T, T_r, edges, FC)
     assert opac.sig_B.shape == (3, 16)
     for i in range(3):
         for g in range(16):
@@ -124,7 +124,7 @@ def test_build_group_opacities_matches_separate_averages():
 
 
 def test_radiation_temperature():
-    E = CONST.a_R * 0.7**4
+    E = phys.A_RAD * 0.7**4
     assert phys.radiation_temperature(E) == pytest.approx(0.7, rel=1e-15)
     assert phys.radiation_temperature(0.0) == phys.T_FLOOR
     assert phys.radiation_temperature(-1e-9) == phys.T_FLOOR
@@ -133,7 +133,7 @@ def test_radiation_temperature():
 
 
 def test_material_energy():
-    mat = phys.MaterialModel(c_v=0.5917 * CONST.a_R)
+    mat = phys.MaterialModel(c_v=0.5917 * phys.A_RAD)
     T = np.array([1e-3, 0.5, 1.0])
     assert np.array_equal(mat.energy(T), mat.c_v * T)
     assert mat.energy(0.5) == mat.c_v * 0.5

@@ -9,7 +9,6 @@ import pytest
 
 from trtmg import phys, transport
 from trtmg.grids import AngularQuadrature, SpatialMesh, double_gauss_legendre
-from trtmg.phys import CONST
 
 
 def _two_dir_quad():
@@ -63,7 +62,7 @@ def test_equilibrium_intensity_is_fixed_point():
     edges = np.concatenate(([0.0], np.logspace(-4, 1, 15), [1e7]))
     G, M, nx = 16, quad.n_dirs, 10
     T = 0.7
-    B = phys.planck_groups(np.array([T]), edges, CONST)[0]
+    B = phys.planck_groups(np.array([T]), edges)[0]
     sigma = np.tile(np.linspace(0.5, 3.0, G)[:, None], (1, nx))
     q = sigma * B[:, None]
     psi_eq = np.broadcast_to(0.5 * B[:, None, None, None],
@@ -80,11 +79,11 @@ def test_equilibrium_intensity_is_fixed_point():
 
 
 def _dense_sweep_oracle(psi_prev, inc_left, inc_right, sigma, q, mesh, quad,
-                        dt, constants=CONST):
+                        dt):
     """Assemble every corner equation of one group/direction pair into a
     dense matrix and solve it outright."""
     G, M, nx, _ = psi_prev.shape
-    tau = 0.0 if dt is None else 1.0 / (constants.c * dt)
+    tau = 0.0 if dt is None else 1.0 / (phys.C_LIGHT * dt)
     dx = mesh.dx
     out = np.empty_like(psi_prev)
     for g in range(G):
@@ -175,8 +174,9 @@ def test_moments_of_isotropic_field():
     psi = np.broadcast_to(val[:, None, None, None], (G, M, nx, 2)).copy()
     inc = np.broadcast_to(val[:, None], (G, M)).copy()
     mom = transport.compute_moments(psi, inc, inc, quad)
-    assert np.allclose(mom.E, 2.0 * val[:, None] / CONST.c, rtol=1e-14)
-    assert np.allclose(mom.E_face, 2.0 * val[:, None] / CONST.c, rtol=1e-14)
+    assert np.allclose(mom.E, 2.0 * val[:, None] / phys.C_LIGHT, rtol=1e-14)
+    assert np.allclose(mom.E_face, 2.0 * val[:, None] / phys.C_LIGHT,
+                       rtol=1e-14)
     assert np.allclose(mom.F, 0.0, atol=1e-15)
 
 
@@ -187,8 +187,7 @@ def test_transport_solve_equilibrium_closures():
     mesh = SpatialMesh.uniform(10, 4.0)
     edges = np.concatenate(([0.0], np.logspace(-4, 1, 15), [1e7]))
     T = np.full(10, 0.7)
-    opac = phys.build_group_opacities(T, T, edges, phys.FleckCummingsOpacity(),
-                                      CONST)
+    opac = phys.build_group_opacities(T, T, edges, phys.FleckCummingsOpacity())
     B = opac.B.T  # (G, nx)
     G, M = 16, quad.n_dirs
     psi_prev = np.empty((G, M, 10, 2))
