@@ -3,8 +3,7 @@ quasidiffusion low-order system with multigrid cycles in photon frequency."""
 
 from .cycles import (ConvergenceCriteria, ConvergenceError, CycleSchedule,
                      Problem, ScheduleError, SimulationResult, initial_state,
-                     make_schedule, per_cycle_cost, run_simulation,
-                     run_time_step)
+                     make_schedule, run_simulation, run_time_step)
 from .grids import (AngularQuadrature, FrequencyGrid, FrequencyGridHierarchy,
                     GridError, SpatialMesh, build_fc_frequency_grid,
                     build_hierarchy, double_gauss_legendre)
@@ -18,7 +17,7 @@ __all__ = [
     "Problem", "ScheduleError", "SimulationResult", "SpatialMesh",
     "build_fc_frequency_grid", "build_group_opacities", "build_hierarchy",
     "double_gauss_legendre", "initial_state", "make_schedule",
-    "per_cycle_cost", "planck_groups", "run_simulation", "run_time_step",
+    "planck_groups", "run_simulation", "run_time_step",
 ]
 
 __version__ = "0.1.0"

@@ -34,7 +34,6 @@ DEFAULT_SNAPSHOTS = (0.2, 0.4, 0.6, 1.0, 2.0, 3.0)
 
 @dataclass(frozen=True)
 class RunConfig:
-    problem: str = "fc"
     groups: int = 256
     grids: tuple = ()            # empty means (groups, 1)
     cycle: str = "V"
@@ -67,7 +66,7 @@ def _parse_float_list(s):
 
 
 _PARSERS = {
-    "problem": str, "groups": int, "grids": _parse_int_list,
+    "groups": int, "grids": _parse_int_list,
     "cycle": str, "visits": _parse_int_list, "lmax": int,
     "cells": int, "length": float, "quad": int,
     "dt": float, "tend": float, "eps": float,
@@ -121,8 +120,6 @@ def parse_config(path=None, overrides=None) -> RunConfig:
 
 
 def _validate(cfg: RunConfig):
-    if cfg.problem != "fc":
-        raise ConfigError(f"unknown problem {cfg.problem!r} (only 'fc' exists)")
     if cfg.groups < 3:
         raise ConfigError("groups: the frequency grid needs at least 3 groups")
     for key, val in (("cells", cfg.cells), ("quad", cfg.quad),
@@ -139,9 +136,8 @@ def _validate(cfg: RunConfig):
             f"grids: first grid has {counts[0]} groups but groups={cfg.groups}")
     try:
         make_schedule(cfg.cycle, counts, cfg.lmax, cfg.visits or None)
-        build_hierarchy(build_fc_frequency_grid(cfg.groups), counts)
         ConvergenceCriteria(cfg.eps, cfg.eps_tilde, cfg.max_outer)
-    except (ScheduleError, GridError, ValueError) as e:
+    except ValueError as e:
         raise ConfigError(str(e)) from e
 
 

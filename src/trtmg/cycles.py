@@ -87,12 +87,6 @@ def make_schedule(kind: str, counts, l_max: int, visits=None) -> CycleSchedule:
     return CycleSchedule(kind=kind, counts=counts, visits=visits, l_max=l_max)
 
 
-def per_cycle_cost(schedule: CycleSchedule) -> int:
-    """Low-order solves performed by one cycle."""
-    coarse = sum(schedule.counts[g - 1] for g in schedule.visits)
-    return schedule.counts[0] + coarse + len(schedule.visits) + 1
-
-
 @dataclass(frozen=True)
 class ConvergenceCriteria:
     eps: float = 1e-6        # outer (transport) relative tolerance
@@ -266,9 +260,10 @@ def run_cycle(problem: Problem, prev: SimulationState, T_tilde, work: _StepWork,
         opk = phys.build_group_opacities(T_cur, work.T_r, edges, problem.sigma)
         c1k = loqd.build_fine_coefficients(opk, work.closures, problem.E_in,
                                            problem.F_in, mesh)
-        coefk = loqd.restrict_coefficients(c1k, sol1, hier, level)
-        E_pk = hier.restrict(prev.E, level, axis=0)
-        F_pk = hier.restrict(prev.F, level, axis=0)
+        coefk = loqd.merge_coefficients(c1k, sol1, hier.starts_fine[level],
+                                        level)
+        E_pk = hier.restrict(prev.E, level)
+        F_pk = hier.restrict(prev.F, level)
         solk = loqd.solve_moment_system(coefk, E_pk, F_pk, dt, mesh,
                                         tally=stats)
         T_cur = _grey_stage(problem, prev, coefk, solk, T_cur, dt, stats, work)

@@ -43,7 +43,7 @@ class GreyProblem:
 
 
 def form_grey(level_sol: loqd.MomentField, level_coef: loqd.LoqdCoefficients,
-              level_out: int = -1) -> GreyProblem:
+              level_out: int) -> GreyProblem:
     """Average a level's coefficients over its whole spectrum (weights from
     its moment solution) into a one-interval grey system."""
     starts = np.array([0, level_coef.n_intervals])
@@ -53,12 +53,10 @@ def form_grey(level_sol: loqd.MomentField, level_coef: loqd.LoqdCoefficients,
 
 def frechet_update(T_prev, sig_prev, T_cur, sig_cur) -> np.ndarray:
     """Per-cell divided difference of the grey absorption opacity between
-    consecutive temperature stages; zero where no prior stage exists or the
-    temperature moved less than 1e-12 relative."""
+    consecutive temperature stages; zero where the temperature moved less
+    than 1e-12 relative."""
     T_cur = np.asarray(T_cur, dtype=float)
     out = np.zeros_like(T_cur)
-    if T_prev is None:
-        return out
     dT = T_cur - T_prev
     ok = np.abs(dT) >= 1e-12 * np.maximum(T_cur, T_FLOOR)
     np.divide(sig_cur - sig_prev, dT, out=out, where=ok)

@@ -67,12 +67,11 @@ class FrequencyGridHierarchy:
     def n_levels(self) -> int:
         return len(self.counts)
 
-    def restrict(self, q: np.ndarray, level: int, axis: int = 0) -> np.ndarray:
-        """Sum a fine-grid (level 0) group-indexed array onto the given level."""
-        if level == 0:
-            return np.asarray(q)
+    def restrict(self, q: np.ndarray, level: int) -> np.ndarray:
+        """Sum a fine-grid (level 0) array, groups on axis 0, onto a coarser
+        level."""
         starts = self.starts_fine[level]
-        return np.add.reduceat(np.asarray(q), starts[:-1], axis=axis)
+        return np.add.reduceat(np.asarray(q), starts[:-1], axis=0)
 
 
 def build_hierarchy(fine: FrequencyGrid, counts) -> FrequencyGridHierarchy:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import FrequencyGridHierarchy, SpatialMesh
+from .grids import SpatialMesh
 from .phys import C_LIGHT, GroupOpacitySet
 from .transport import ClosureData
 
@@ -47,16 +47,11 @@ class LoqdCoefficients:
     def n_intervals(self) -> int:
         return self.sig_E.shape[0]
 
-    @property
-    def n_cells(self) -> int:
-        return self.sig_E.shape[1]
-
 
 @dataclass
 class MomentField:
     """Solution of one level's moment system."""
 
-    level: int
     E: np.ndarray        # (P, n_x)
     E_face: np.ndarray   # (P, 2)
     F: np.ndarray        # (P, n_x+1)
@@ -68,7 +63,6 @@ class MomentField:
 def face_rosseland(sig_cell: np.ndarray, mesh: SpatialMesh) -> np.ndarray:
     """Width-weighted interpolation of cell Rosseland opacities to faces;
     boundary faces copy the adjacent cell."""
-    sig_cell = np.atleast_2d(sig_cell)
     dx = mesh.dx
     out = np.empty((sig_cell.shape[0], mesh.n_cells + 1))
     out[:, 0] = sig_cell[:, 0]
@@ -100,27 +94,6 @@ def build_fine_coefficients(opac: GroupOpacitySet, closure: ClosureData,
         F_in=np.asarray(F_in, dtype=float).copy(),
         bc_offset=np.zeros((G, 2)),
     )
-
-
-def _face_weights(coef: LoqdCoefficients, dt: float, mesh: SpatialMesh):
-    """Per-face elimination coefficients: F = (R + c a1 u_left - c a2 u_right)/D.
-
-    eta carries units 1/cm and scales with the dual-cell width here, which is
-    exactly what makes the merged first-moment equation reproduce the summed
-    originals (the sigma_R spread term it compensates is width-weighted too).
-    """
-    tau = 1.0 / (C_LIGHT * dt)
-    dxd = mesh.dual_dx[None, :]
-    D = dxd * (tau + coef.sig_R_face)
-    a1 = np.empty_like(coef.sig_R_face)
-    a2 = np.empty_like(coef.sig_R_face)
-    a1[:, 0] = coef.f_face[:, 0]
-    a1[:, 1:] = coef.f
-    a1 += dxd * coef.eta_check
-    a2[:, -1] = coef.f_face[:, 1]
-    a2[:, :-1] = coef.f
-    a2 += dxd * coef.eta_hat
-    return tau, D, a1, a2
 
 
 def _thomas(lower, diag, upper, rhs):
@@ -155,8 +128,22 @@ def solve_moment_system(coef: LoqdCoefficients, E_prev: np.ndarray,
         sig_E = coef.sig_E
     if source is None:
         source = 2.0 * coef.sig_B * coef.B
-    tau, D, a1, a2 = _face_weights(coef, dt, mesh)
-    R = mesh.dual_dx[None, :] * tau * F_prev
+    # F = (R + c a1 u_left - c a2 u_right)/D on every face.  eta carries
+    # units 1/cm and scales with the dual-cell width here, which is exactly
+    # what makes the merged first-moment equation reproduce the summed
+    # originals (the sigma_R spread term it compensates is width-weighted too).
+    tau = 1.0 / (c * dt)
+    dxd = mesh.dual_dx[None, :]
+    D = dxd * (tau + coef.sig_R_face)
+    a1 = np.empty_like(coef.sig_R_face)
+    a2 = np.empty_like(coef.sig_R_face)
+    a1[:, 0] = coef.f_face[:, 0]
+    a1[:, 1:] = coef.f
+    a1 += dxd * coef.eta_check
+    a2[:, -1] = coef.f_face[:, 1]
+    a2[:, :-1] = coef.f
+    a2 += dxd * coef.eta_hat
+    R = dxd * tau * F_prev
 
     dx = mesh.dx[None, :]
     lower = np.zeros((P, nx + 2))
@@ -185,46 +172,7 @@ def solve_moment_system(coef: LoqdCoefficients, E_prev: np.ndarray,
     F = (R + c * a1 * u[:, :-1] - c * a2 * u[:, 1:]) / D
     if tally is not None:
         tally.add_low_order(P)
-    return MomentField(level=coef.level, E=u[:, 1:-1],
-                       E_face=u[:, [0, -1]], F=F)
-
-
-def residual_norms(coef: LoqdCoefficients, sol: MomentField, E_prev, F_prev,
-                   dt: float, mesh: SpatialMesh,
-                   sig_E=None, source=None) -> float:
-    """Largest relative defect over every assembled equation (balance,
-    first-moment, boundary conditions) at the given solution."""
-    c = C_LIGHT
-    if sig_E is None:
-        sig_E = coef.sig_E
-    if source is None:
-        source = 2.0 * coef.sig_B * coef.B
-    tau, D, a1, a2 = _face_weights(coef, dt, mesh)
-    dx = mesh.dx[None, :]
-    u = np.concatenate([sol.E_face[:, :1], sol.E, sol.E_face[:, 1:]], axis=1)
-
-    worst = 0.0
-    # first-moment equations on dual cells
-    terms = np.stack([D * sol.F, -mesh.dual_dx[None, :] * tau * F_prev,
-                      c * a2 * u[:, 1:], -c * a1 * u[:, :-1]])
-    worst = max(worst, _rel_defect(terms))
-    # cell balance
-    terms = np.stack([dx / dt * (sol.E - E_prev), sol.F[:, 1:] - sol.F[:, :-1],
-                      c * sig_E * dx * sol.E, -source * dx])
-    worst = max(worst, _rel_defect(terms))
-    # boundary conditions
-    for side, C in ((0, coef.C_minus), (1, coef.C_plus)):
-        fa = sol.F[:, 0] if side == 0 else sol.F[:, -1]
-        terms = np.stack([fa, -c * C * (sol.E_face[:, side] - coef.E_in[:, side]),
-                          -coef.F_in[:, side] - coef.bc_offset[:, side]])
-        worst = max(worst, _rel_defect(terms))
-    return worst
-
-
-def _rel_defect(terms: np.ndarray) -> float:
-    res = np.abs(terms.sum(axis=0))
-    scale = np.max(np.abs(terms), axis=0)
-    return float(np.max(res / np.maximum(scale, 1e-300)))
+    return MomentField(E=u[:, 1:-1], E_face=u[:, [0, -1]], F=F)
 
 
 def _segment_sum(q: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -305,31 +253,3 @@ def merge_coefficients(coef: LoqdCoefficients, sol: MomentField,
         sig_R_face=sig_R_face, eta_hat=eta_hat, eta_check=eta_check,
         C_minus=C_minus, C_plus=C_plus, E_in=E_in, F_in=F_in,
         bc_offset=bc_offset)
-
-
-def restrict_coefficients(fine_coef: LoqdCoefficients, fine_sol: MomentField,
-                          hierarchy: FrequencyGridHierarchy,
-                          level: int) -> LoqdCoefficients:
-    """Coefficients of coarse level built from the fine grid (level 0)."""
-    return merge_coefficients(fine_coef, fine_sol, hierarchy.starts_fine[level],
-                              level)
-
-
-def restrict_moments(sol: MomentField, hierarchy: FrequencyGridHierarchy,
-                     level: int) -> MomentField:
-    starts = hierarchy.starts_fine[level]
-    return MomentField(level=level, E=_segment_sum(sol.E, starts),
-                       E_face=_segment_sum(sol.E_face, starts),
-                       F=_segment_sum(sol.F, starts))
-
-
-def conservation_check(fine_sol: MomentField, coarse_sol: MomentField,
-                       hierarchy: FrequencyGridHierarchy):
-    """Max relative spectrum-conservation mismatch between a coarse solution
-    and the restriction of the fine one (energy densities and fluxes)."""
-    ref = restrict_moments(fine_sol, hierarchy, coarse_sol.level)
-    eE = np.concatenate([ref.E, ref.E_face], axis=1)
-    aE = np.concatenate([coarse_sol.E, coarse_sol.E_face], axis=1)
-    dE = np.max(np.abs(aE - eE)) / max(np.max(np.abs(eE)), 1e-300)
-    dF = np.max(np.abs(coarse_sol.F - ref.F)) / max(np.max(np.abs(ref.F)), 1e-300)
-    return float(dE), float(dF)

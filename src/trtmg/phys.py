@@ -101,9 +101,6 @@ def _planck_tail(x):
     sum_n exp(-n x)(x^3/n + 3x^2/n^2 + 6x/n^3 + 6/n^4) with 20 terms.  Both
     truncations sit at or below 1e-15 relative.
     """
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
     out = np.empty_like(x)
 
     small = x < 2.0
@@ -125,7 +122,7 @@ def _planck_tail(x):
             acc += e * (xb**3 / n + 3.0 * xb**2 / n**2 + 6.0 * xb / n**3
                         + 6.0 / n**4)
         out[big] = acc[big]
-    return float(out[0]) if scalar else out
+    return out
 
 
 def planck_groups(T, edges):

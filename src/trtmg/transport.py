@@ -40,21 +40,6 @@ class ClosureData:
         )
 
 
-@dataclass
-class TransportMoments:
-    """Angular moments of the sweep intensity (sweep normalization)."""
-
-    E: np.ndarray        # (G, n_x)
-    E_face: np.ndarray   # (G, 2)
-    F: np.ndarray        # (G, n_x + 1)
-
-
-def _time_absorption(dt) -> float:
-    if dt is None or not np.isfinite(dt):
-        return 0.0
-    return 1.0 / (C_LIGHT * dt)
-
-
 def sweep_all(psi_prev: np.ndarray, inc_left: np.ndarray, inc_right: np.ndarray,
               sigma: np.ndarray, q: np.ndarray, mesh: SpatialMesh,
               quad: AngularQuadrature, dt) -> np.ndarray:
@@ -63,10 +48,10 @@ def sweep_all(psi_prev: np.ndarray, inc_left: np.ndarray, inc_right: np.ndarray,
     Each half cell balances streaming through its faces against absorption
     (sigma plus the implicit time term) and the source q/2 + psi_prev/(c dt);
     the mid-cell face value is the average of the two corner values, cell
-    faces are upwinded.
+    faces are upwinded.  dt = inf gives the steady-state sweep.
     """
-    G, M, nx = psi_prev.shape[0], quad.n_dirs, mesh.n_cells
-    tau = _time_absorption(dt)
+    nx = mesh.n_cells
+    tau = 1.0 / (C_LIGHT * dt)
     dx = mesh.dx
     psi = np.empty_like(psi_prev)
 
@@ -114,27 +99,6 @@ def _face_intensities(psi, inc_left, inc_right, pos):
     return left, right
 
 
-def compute_moments(psi: np.ndarray, inc_left: np.ndarray, inc_right: np.ndarray,
-                    quad: AngularQuadrature) -> TransportMoments:
-    """Energy-density and flux moments of the sweep intensity; fluxes at cell
-    faces use the upwind corner values."""
-    w, mu, pos = quad.w, quad.mu, quad.positive
-    psi_bar = 0.5 * (psi[..., 0] + psi[..., 1])
-    E = np.einsum("m,gmi->gi", w, psi_bar) / C_LIGHT
-
-    fl, fr = _face_intensities(psi, inc_left, inc_right, pos)
-    E_face = np.stack([fl @ w, fr @ w], axis=1) / C_LIGHT
-
-    G, _, nx = psi_bar.shape
-    F = np.empty((G, nx + 1))
-    wmu_p, wmu_n = (w * mu)[pos], (w * mu)[~pos]
-    F[:, 0] = inc_left[:, pos] @ wmu_p + psi[:, ~pos, 0, 0] @ wmu_n
-    for f in range(1, nx):
-        F[:, f] = psi[:, pos, f - 1, 1] @ wmu_p + psi[:, ~pos, f, 0] @ wmu_n
-    F[:, nx] = psi[:, pos, nx - 1, 1] @ wmu_p + inc_right[:, ~pos] @ wmu_n
-    return TransportMoments(E=E, E_face=E_face, F=F)
-
-
 def _ratio(num, den, fallback):
     out = np.full_like(num, fallback)
     good = np.isfinite(den) & (den > 0.0)
@@ -173,24 +137,3 @@ def transport_solve(psi_prev: np.ndarray, inc_left: np.ndarray, inc_right: np.nd
     q = (opac.sig_B * opac.B).T.copy()
     psi = sweep_all(psi_prev, inc_left, inc_right, sigma, q, mesh, quad, dt)
     return psi, compute_qd_factors(psi, inc_left, inc_right, quad)
-
-
-def group_balance_residual(psi, psi_prev, inc_left, inc_right, sigma, q,
-                           mesh: SpatialMesh, quad: AngularQuadrature,
-                           dt) -> float:
-    """Largest relative defect of the group-wise cell energy balance implied
-    by the swept intensity (diagnostic for the discretization)."""
-    c = C_LIGHT
-    tau = _time_absorption(dt)
-    mom = compute_moments(psi, inc_left, inc_right, quad)
-    mom_prev = compute_moments(psi_prev, inc_left, inc_right, quad)
-    dx = mesh.dx[None, :]
-    terms = np.stack([
-        c * tau * dx * (mom.E - mom_prev.E),
-        mom.F[:, 1:] - mom.F[:, :-1],
-        c * sigma * dx * mom.E,
-        -q * dx,
-    ])
-    res = np.abs(terms.sum(axis=0))
-    scale = np.max(np.abs(terms), axis=0)
-    return float(np.max(res / np.maximum(scale, 1e-300)))

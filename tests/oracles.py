@@ -1,0 +1,219 @@
+"""Reference checks for the tests: dense solves of the sweep and of the
+moment system, assembled-equation residuals, cross-grid conservation and the
+paper's per-cycle cost.  No simulation runs any of this; each oracle is
+written out from the equations instead of calling the solver it checks.
+"""
+
+import numpy as np
+
+from trtmg import loqd, phys
+
+
+def per_cycle_cost(schedule) -> int:
+    """Low-order solves performed by one cycle: the fine multigroup solve,
+    each visited grid's groups, and one grey solve per temperature update."""
+    coarse = sum(schedule.counts[g - 1] for g in schedule.visits)
+    return schedule.counts[0] + coarse + len(schedule.visits) + 1
+
+
+def _rel_defect(terms: np.ndarray) -> float:
+    res = np.abs(terms.sum(axis=0))
+    scale = np.max(np.abs(terms), axis=0)
+    return float(np.max(res / np.maximum(scale, 1e-300)))
+
+
+def compute_moments(psi, inc_left, inc_right, quad):
+    """(E, E_face, F) of the sweep intensity; fluxes at cell faces use the
+    upwind corner values, boundary faces the incoming data where it enters."""
+    w, mu, pos = quad.w, quad.mu, quad.positive
+    psi_bar = 0.5 * (psi[..., 0] + psi[..., 1])
+    E = np.einsum("m,gmi->gi", w, psi_bar) / phys.C_LIGHT
+
+    fl = np.where(pos[None, :], inc_left, psi[:, :, 0, 0])
+    fr = np.where(pos[None, :], psi[:, :, -1, 1], inc_right)
+    E_face = np.stack([fl @ w, fr @ w], axis=1) / phys.C_LIGHT
+
+    G, _, nx = psi_bar.shape
+    F = np.empty((G, nx + 1))
+    wmu_p, wmu_n = (w * mu)[pos], (w * mu)[~pos]
+    F[:, 0] = inc_left[:, pos] @ wmu_p + psi[:, ~pos, 0, 0] @ wmu_n
+    for f in range(1, nx):
+        F[:, f] = psi[:, pos, f - 1, 1] @ wmu_p + psi[:, ~pos, f, 0] @ wmu_n
+    F[:, nx] = psi[:, pos, nx - 1, 1] @ wmu_p + inc_right[:, ~pos] @ wmu_n
+    return E, E_face, F
+
+
+def group_balance_residual(psi, psi_prev, inc_left, inc_right, sigma, q,
+                           mesh, quad, dt) -> float:
+    """Largest relative defect of the group-wise cell energy balance implied
+    by the swept intensity."""
+    c = phys.C_LIGHT
+    tau = 1.0 / (c * dt)
+    E, _, F = compute_moments(psi, inc_left, inc_right, quad)
+    E_prev, _, _ = compute_moments(psi_prev, inc_left, inc_right, quad)
+    dx = mesh.dx[None, :]
+    return _rel_defect(np.stack([c * tau * dx * (E - E_prev),
+                                 F[:, 1:] - F[:, :-1], c * sigma * dx * E,
+                                 -q * dx]))
+
+
+def dense_sweep_oracle(psi_prev, inc_left, inc_right, sigma, q, mesh, quad,
+                       dt):
+    """Assemble every corner equation of one group/direction pair into a
+    dense matrix and solve it outright."""
+    G, M, nx, _ = psi_prev.shape
+    tau = 1.0 / (phys.C_LIGHT * dt)
+    dx = mesh.dx
+    out = np.empty_like(psi_prev)
+    for g in range(G):
+        for m in range(M):
+            mu = quad.mu[m]
+            h = abs(mu) / 2.0
+            A = np.zeros((2 * nx, 2 * nx))
+            b = np.zeros(2 * nx)
+            for i in range(nx):
+                a = (sigma[g, i] + tau) * dx[i] / 2.0
+                bsrc = 0.5 * dx[i] * (0.5 * q[g, i]
+                                      + tau * psi_prev[g, m, i, :])
+                L, R = 2 * i, 2 * i + 1
+                if mu > 0:
+                    A[L, L], A[L, R] = h + a, h
+                    b[L] = bsrc[0]
+                    if i == 0:
+                        b[L] += mu * inc_left[g, m]
+                    else:
+                        A[L, R - 2] = -mu
+                    A[R, L], A[R, R] = -h, h + a
+                    b[R] = bsrc[1]
+                else:
+                    A[R, R], A[R, L] = h + a, h
+                    b[R] = bsrc[1]
+                    if i == nx - 1:
+                        b[R] += abs(mu) * inc_right[g, m]
+                    else:
+                        A[R, L + 2] = -abs(mu)
+                    A[L, R], A[L, L] = -h, h + a
+                    b[L] = bsrc[0]
+            out[g, m] = np.linalg.solve(A, b).reshape(nx, 2)
+    return out
+
+
+def random_coefficients(G, mesh, rng, with_eta=False):
+    nx = mesh.n_cells
+    f = 0.25 + 0.2 * rng.random((G, nx))  # first draw of the seed
+    return loqd.LoqdCoefficients(
+        level=0,
+        sig_E=0.5 + 2.0 * rng.random((G, nx)),
+        sig_B=0.5 + 2.0 * rng.random((G, nx)),
+        B=0.1 + rng.random((G, nx)),
+        f=f,
+        f_face=0.3 + 0.2 * rng.random((G, 2)),
+        sig_R_face=0.5 + 2.0 * rng.random((G, nx + 1)),
+        eta_hat=0.3 * rng.random((G, nx + 1)) if with_eta else np.zeros((G, nx + 1)),
+        eta_check=0.3 * rng.random((G, nx + 1)) if with_eta else np.zeros((G, nx + 1)),
+        C_minus=-0.3 - 0.4 * rng.random(G),
+        C_plus=0.3 + 0.4 * rng.random(G),
+        E_in=0.1 * rng.random((G, 2)),
+        F_in=np.column_stack([0.2 * rng.random(G), -0.2 * rng.random(G)]),
+        bc_offset=0.05 * rng.standard_normal((G, 2)) if with_eta
+        else np.zeros((G, 2)),
+    )
+
+
+def _first_moment_terms(coef, dt, mesh):
+    """tau and the per-face weights of F D = dxd tau F_prev + c a1 u_left
+    - c a2 u_right, where u is [E_left_face, E_cells..., E_right_face]."""
+    tau = 1.0 / (phys.C_LIGHT * dt)
+    dxd = mesh.dual_dx
+    D = dxd * (tau + coef.sig_R_face)
+    a1 = np.concatenate([coef.f_face[:, :1], coef.f], axis=1) \
+        + dxd * coef.eta_check
+    a2 = np.concatenate([coef.f, coef.f_face[:, 1:]], axis=1) \
+        + dxd * coef.eta_hat
+    return tau, D, a1, a2
+
+
+def dense_oracle(coef, E_prev, F_prev, dt, mesh, sig_E=None, source=None):
+    """Full assembled solve of each interval's moment system, with every
+    unknown (cell and face energies and all face fluxes) and every equation
+    written out."""
+    c = phys.C_LIGHT
+    P, nx = coef.sig_E.shape
+    sig_E = coef.sig_E if sig_E is None else sig_E
+    source = 2.0 * coef.sig_B * coef.B if source is None else source
+    tau, D, a1, a2 = _first_moment_terms(coef, dt, mesh)
+    dxd = mesh.dual_dx
+    dx = mesh.dx
+    E = np.empty((P, nx))
+    E_face = np.empty((P, 2))
+    F = np.empty((P, nx + 1))
+    for p in range(P):
+        n = 2 * nx + 3  # u (nx+2) then F (nx+1)
+        A = np.zeros((n, n))
+        b = np.zeros(n)
+        iF = nx + 2
+        for k in range(nx + 1):  # first-moment equation on each dual cell
+            A[k, iF + k] = D[p, k]
+            A[k, k] = -c * a1[p, k]
+            A[k, k + 1] = c * a2[p, k]
+            b[k] = dxd[k] * tau * F_prev[p, k]
+        for i in range(nx):  # cell balance
+            r = nx + 1 + i
+            A[r, i + 1] = dx[i] / dt + c * sig_E[p, i] * dx[i]
+            A[r, iF + i] = -1.0
+            A[r, iF + i + 1] = 1.0
+            b[r] = source[p, i] * dx[i] + dx[i] / dt * E_prev[p, i]
+        A[-2, iF] = 1.0
+        A[-2, 0] = -c * coef.C_minus[p]
+        b[-2] = (coef.F_in[p, 0] + coef.bc_offset[p, 0]
+                 - c * coef.C_minus[p] * coef.E_in[p, 0])
+        A[-1, iF + nx] = 1.0
+        A[-1, nx + 1] = -c * coef.C_plus[p]
+        b[-1] = (coef.F_in[p, 1] + coef.bc_offset[p, 1]
+                 - c * coef.C_plus[p] * coef.E_in[p, 1])
+        x = np.linalg.solve(A, b)
+        E_face[p] = x[[0, nx + 1]]
+        E[p] = x[1:nx + 1]
+        F[p] = x[iF:]
+    return loqd.MomentField(E=E, E_face=E_face, F=F)
+
+
+def residual_norms(coef, sol, E_prev, F_prev, dt, mesh, sig_E=None,
+                   source=None) -> float:
+    """Largest relative defect over every assembled equation (balance,
+    first-moment, boundary conditions) at the given solution."""
+    c = phys.C_LIGHT
+    sig_E = coef.sig_E if sig_E is None else sig_E
+    source = 2.0 * coef.sig_B * coef.B if source is None else source
+    tau, D, a1, a2 = _first_moment_terms(coef, dt, mesh)
+    dx = mesh.dx[None, :]
+    u = np.concatenate([sol.E_face[:, :1], sol.E, sol.E_face[:, 1:]], axis=1)
+
+    worst = 0.0
+    # first-moment equations on dual cells
+    terms = np.stack([D * sol.F, -mesh.dual_dx[None, :] * tau * F_prev,
+                      c * a2 * u[:, 1:], -c * a1 * u[:, :-1]])
+    worst = max(worst, _rel_defect(terms))
+    # cell balance
+    terms = np.stack([dx / dt * (sol.E - E_prev), sol.F[:, 1:] - sol.F[:, :-1],
+                      c * sig_E * dx * sol.E, -source * dx])
+    worst = max(worst, _rel_defect(terms))
+    # boundary conditions
+    for side, C, fa in ((0, coef.C_minus, sol.F[:, 0]),
+                        (1, coef.C_plus, sol.F[:, -1])):
+        terms = np.stack([fa, -c * C * (sol.E_face[:, side] - coef.E_in[:, side]),
+                          -coef.F_in[:, side] - coef.bc_offset[:, side]])
+        worst = max(worst, _rel_defect(terms))
+    return worst
+
+
+def conservation_check(fine_sol, coarse_sol, hierarchy, level):
+    """Max relative spectrum-conservation mismatch between a level's solution
+    and the restriction of the fine one (energy densities and fluxes)."""
+    want = np.concatenate([hierarchy.restrict(fine_sol.E, level),
+                           hierarchy.restrict(fine_sol.E_face, level)], axis=1)
+    got = np.concatenate([coarse_sol.E, coarse_sol.E_face], axis=1)
+    F = hierarchy.restrict(fine_sol.F, level)
+    dE = np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300)
+    dF = np.max(np.abs(coarse_sol.F - F)) / max(np.max(np.abs(F)), 1e-300)
+    return float(dE), float(dF)

@@ -12,12 +12,13 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from oracles import (conservation_check, dense_oracle, per_cycle_cost,
+                     random_coefficients, residual_norms)
 
-import test_loqd
 from trtmg import grey, loqd, phys
 from trtmg.cli import RunConfig, fc_problem
 from trtmg.cycles import (ConvergenceCriteria, initial_state, make_schedule,
-                          per_cycle_cost, run_simulation)
+                          run_simulation)
 from trtmg.grids import build_fc_frequency_grid
 
 
@@ -145,32 +146,32 @@ def test_criterion_4_consistency_oracles():
         coef1 = loqd.build_fine_coefficients(opac, st.closures, prob.E_in,
                                              prob.F_in, mesh)
         sol1 = loqd.solve_moment_system(coef1, st.E, st.F, dt, mesh)
-        assert loqd.residual_norms(coef1, sol1, st.E, st.F, dt, mesh) <= 1e-12
+        assert residual_norms(coef1, sol1, st.E, st.F, dt, mesh) <= 1e-12
 
         # at fixed temperature the coarse and grey solves reproduce the
         # summed fine spectrum
-        coef2 = loqd.restrict_coefficients(coef1, sol1, hier, 1)
-        E_p = hier.restrict(st.E, 1, axis=0)
-        F_p = hier.restrict(st.F, 1, axis=0)
+        coef2 = loqd.merge_coefficients(coef1, sol1, hier.starts_fine[1], 1)
+        E_p = hier.restrict(st.E, 1)
+        F_p = hier.restrict(st.F, 1)
         sol2 = loqd.solve_moment_system(coef2, E_p, F_p, dt, mesh)
-        dE, dF = loqd.conservation_check(sol1, sol2, hier)
+        dE, dF = conservation_check(sol1, sol2, hier, 1)
         assert dE <= 1e-9 and dF <= 1e-9
-        assert loqd.residual_norms(coef2, sol2, E_p, F_p, dt, mesh) <= 1e-12
+        assert residual_norms(coef2, sol2, E_p, F_p, dt, mesh) <= 1e-12
 
         gp = grey.form_grey(sol1, coef1, 2)
         E_g = st.E.sum(axis=0, keepdims=True)
         F_g = st.F.sum(axis=0, keepdims=True)
         solg = loqd.solve_moment_system(gp.coef, E_g, F_g, dt, mesh)
-        dE, dF = loqd.conservation_check(sol1, solg, hier)
+        dE, dF = conservation_check(sol1, solg, hier, 2)
         assert dE <= 1e-9 and dF <= 1e-9
 
         # brute-force dense solve of a tiny two-cell, two-group system
         mesh2 = loqd.SpatialMesh(np.array([0.0, 0.7, 2.0]))
         rng = np.random.default_rng(7)
-        coef = test_loqd._random_coefficients(2, mesh2, rng, with_eta=True)
+        coef = random_coefficients(2, mesh2, rng, with_eta=True)
         E_prev = rng.random((2, 2))
         F_prev = 0.1 * rng.standard_normal((2, 3))
-        want = test_loqd._dense_oracle(coef, E_prev, F_prev, 0.05, mesh2)
+        want = dense_oracle(coef, E_prev, F_prev, 0.05, mesh2)
         got = loqd.solve_moment_system(coef, E_prev, F_prev, 0.05, mesh2)
         assert np.allclose(got.E, want.E, rtol=1e-12, atol=0)
         assert np.allclose(got.E_face, want.E_face, rtol=1e-12, atol=0)

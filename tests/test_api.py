@@ -1,0 +1,47 @@
+"""Every top-level definition in the package is used by the package itself:
+reference checks and helpers that only tests call live in tests/oracles.py."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "trtmg"
+
+
+def _defined(node) -> set:
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, ast.Assign):
+        return {n.id for t in node.targets for n in ast.walk(t)
+                if isinstance(n, ast.Name)}
+    return set()
+
+
+def _referenced(node) -> set:
+    """Names a statement uses, other than the ones it defines itself."""
+    used = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            used.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            used.add(n.attr)
+    return used - _defined(node)
+
+
+def unused_definitions(paths) -> list:
+    """Top-level names no remaining code references, removed pass by pass
+    until none is left, in the order they were removed."""
+    stmts = [node for p in paths for node in ast.parse(p.read_text()).body]
+    removed = []
+    while True:
+        used = set().union(*(_referenced(s) for s in stmts))
+        dead = [s for s in stmts if _defined(s) and not _defined(s) & used]
+        if not dead:
+            return removed
+        removed += sorted(name for s in dead for name in _defined(s))
+        stmts = [s for s in stmts if s not in dead]
+
+
+def test_src_has_no_test_only_definitions():
+    paths = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert paths
+    assert unused_definitions(paths) == []

@@ -55,7 +55,7 @@ class TestParseConfig:
             parse_config(None, {"wavelength": "3"})
 
     @pytest.mark.parametrize("line", ["deterministic = true",
-                                      "n_newton = 1"])
+                                      "n_newton = 1", "problem = fc"])
     def test_removed_keys_rejected(self, tmp_path, capsys, line):
         # keys that configured nothing are unknown now, in a file as anywhere
         p = tmp_path / "old.cfg"

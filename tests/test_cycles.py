@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
+from oracles import per_cycle_cost
 
 from trtmg import phys
 from trtmg.cli import RunConfig, fc_problem
 from trtmg.cycles import (ConvergenceCriteria, ConvergenceError,
                           IterationStats, Problem, ScheduleError,
-                          initial_state, make_schedule, per_cycle_cost,
-                          run_simulation, run_time_step)
+                          initial_state, make_schedule, run_simulation,
+                          run_time_step)
 from trtmg.grids import (SpatialMesh, build_fc_frequency_grid, build_hierarchy,
                          double_gauss_legendre)
 from trtmg.phys import FleckCummingsOpacity, MaterialModel

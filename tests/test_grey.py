@@ -85,9 +85,6 @@ def test_zero_coupling_returns_previous_temperature():
 
 
 def test_frechet_update():
-    assert np.array_equal(
-        grey.frechet_update(None, None, np.array([0.5]), np.array([1.0])),
-        np.array([0.0]))
     got = grey.frechet_update(np.array([0.1]), np.array([1.0]),
                               np.array([0.2]), np.array([1.2]))
     assert got[0] == pytest.approx(2.0, rel=1e-13)

@@ -54,9 +54,10 @@ class TestHierarchy:
         got = hier.restrict(q, 1)
         assert got.tolist() == [0 + 1, 2 + 3, 4 + 5 + 6, 7 + 8 + 9]
         assert hier.restrict(q, 2).tolist() == [45.0]
-        # restriction along a non-leading axis
-        q2 = np.arange(20.0).reshape(2, 10)
-        assert hier.restrict(q2, 1, axis=1).shape == (2, 4)
+        # a per-cell array restricts each cell's spectrum
+        q2 = np.arange(20.0).reshape(10, 2)
+        assert hier.restrict(q2, 1)[:, 1].tolist() == \
+            hier.restrict(q2[:, 1], 1).tolist()
 
     def test_validation(self):
         fine = build_fc_frequency_grid(16)

@@ -1,89 +1,14 @@
-"""Low-order moment systems: direct solves, assembled residuals, and the
-solution-weighted merge onto coarser spectral grids.
-
-The dense oracle writes out every unknown (cell and face energies plus all
-face fluxes) and every equation of one interval's system, then solves the
-whole thing with numpy.linalg.solve.
-"""
+"""Low-order moment systems: direct solves against the dense oracle and the
+assembled residuals, and the solution-weighted merge onto coarser spectral
+grids."""
 
 import numpy as np
 import pytest
+from oracles import (conservation_check, dense_oracle, random_coefficients,
+                     residual_norms)
 
 from trtmg import loqd, phys, transport
 from trtmg.grids import SpatialMesh, build_fc_frequency_grid, build_hierarchy
-
-
-def _random_coefficients(G, mesh, rng, level=0, with_eta=False):
-    nx = mesh.n_cells
-    f = 0.25 + 0.2 * rng.random((G, nx))
-    coef = loqd.LoqdCoefficients(
-        level=level,
-        sig_E=0.5 + 2.0 * rng.random((G, nx)),
-        sig_B=0.5 + 2.0 * rng.random((G, nx)),
-        B=0.1 + rng.random((G, nx)),
-        f=f,
-        f_face=0.3 + 0.2 * rng.random((G, 2)),
-        sig_R_face=0.5 + 2.0 * rng.random((G, nx + 1)),
-        eta_hat=0.3 * rng.random((G, nx + 1)) if with_eta else np.zeros((G, nx + 1)),
-        eta_check=0.3 * rng.random((G, nx + 1)) if with_eta else np.zeros((G, nx + 1)),
-        C_minus=-0.3 - 0.4 * rng.random(G),
-        C_plus=0.3 + 0.4 * rng.random(G),
-        E_in=0.1 * rng.random((G, 2)),
-        F_in=np.column_stack([0.2 * rng.random(G), -0.2 * rng.random(G)]),
-        bc_offset=0.05 * rng.standard_normal((G, 2)) if with_eta
-        else np.zeros((G, 2)),
-    )
-    return coef
-
-
-def _dense_oracle(coef, E_prev, F_prev, dt, mesh, sig_E=None, source=None):
-    """Full assembled solve of each interval's moment system."""
-    c = phys.C_LIGHT
-    P, nx = coef.sig_E.shape
-    if sig_E is None:
-        sig_E = coef.sig_E
-    if source is None:
-        source = 2.0 * coef.sig_B * coef.B
-    tau = 1.0 / (c * dt)
-    dxd = mesh.dual_dx
-    dx = mesh.dx
-    E = np.empty((P, nx))
-    E_face = np.empty((P, 2))
-    F = np.empty((P, nx + 1))
-    for p in range(P):
-        D = dxd * (tau + coef.sig_R_face[p])
-        a1 = np.concatenate(([coef.f_face[p, 0]], coef.f[p])) \
-            + dxd * coef.eta_check[p]
-        a2 = np.concatenate((coef.f[p], [coef.f_face[p, 1]])) \
-            + dxd * coef.eta_hat[p]
-        n = 2 * nx + 3  # u (nx+2) then F (nx+1)
-        A = np.zeros((n, n))
-        b = np.zeros(n)
-        iF = nx + 2
-        for k in range(nx + 1):  # first-moment equation on each dual cell
-            A[k, iF + k] = D[k]
-            A[k, k] = -c * a1[k]
-            A[k, k + 1] = c * a2[k]
-            b[k] = dxd[k] * tau * F_prev[p, k]
-        for i in range(nx):  # cell balance
-            r = nx + 1 + i
-            A[r, i + 1] = dx[i] / dt + c * sig_E[p, i] * dx[i]
-            A[r, iF + i] = -1.0
-            A[r, iF + i + 1] = 1.0
-            b[r] = source[p, i] * dx[i] + dx[i] / dt * E_prev[p, i]
-        A[-2, iF] = 1.0
-        A[-2, 0] = -c * coef.C_minus[p]
-        b[-2] = (coef.F_in[p, 0] + coef.bc_offset[p, 0]
-                 - c * coef.C_minus[p] * coef.E_in[p, 0])
-        A[-1, iF + nx] = 1.0
-        A[-1, nx + 1] = -c * coef.C_plus[p]
-        b[-1] = (coef.F_in[p, 1] + coef.bc_offset[p, 1]
-                 - c * coef.C_plus[p] * coef.E_in[p, 1])
-        x = np.linalg.solve(A, b)
-        E_face[p] = x[[0, nx + 1]]
-        E[p] = x[1:nx + 1]
-        F[p] = x[iF:]
-    return loqd.MomentField(level=coef.level, E=E, E_face=E_face, F=F)
 
 
 def test_face_rosseland():
@@ -115,32 +40,32 @@ def test_equilibrium_fixed_point():
 def test_solver_matches_dense_oracle():
     mesh = SpatialMesh(np.array([0.0, 0.8, 2.0]))
     rng = np.random.default_rng(23)
-    coef = _random_coefficients(2, mesh, rng, with_eta=True)
+    coef = random_coefficients(2, mesh, rng, with_eta=True)
     E_prev = 0.1 + rng.random((2, 2))
     F_prev = 0.1 * rng.standard_normal((2, 3))
     dt = 0.04
     got = loqd.solve_moment_system(coef, E_prev, F_prev, dt, mesh)
-    ref = _dense_oracle(coef, E_prev, F_prev, dt, mesh)
+    ref = dense_oracle(coef, E_prev, F_prev, dt, mesh)
     assert np.allclose(got.E, ref.E, rtol=1e-12)
     assert np.allclose(got.E_face, ref.E_face, rtol=1e-12)
     assert np.allclose(got.F, ref.F, rtol=1e-12, atol=1e-14)
-    assert loqd.residual_norms(coef, got, E_prev, F_prev, dt, mesh) <= 1e-12
+    assert residual_norms(coef, got, E_prev, F_prev, dt, mesh) <= 1e-12
 
 
 def test_solver_override_paths():
     mesh = SpatialMesh.uniform(3, 1.5)
     rng = np.random.default_rng(5)
-    coef = _random_coefficients(2, mesh, rng)
+    coef = random_coefficients(2, mesh, rng)
     E_prev = rng.random((2, 3))
     F_prev = 0.1 * rng.standard_normal((2, 4))
     sig = 0.5 + rng.random((2, 3))
     src = rng.random((2, 3))
     got = loqd.solve_moment_system(coef, E_prev, F_prev, 0.1, mesh,
                                    sig_E=sig, source=src)
-    ref = _dense_oracle(coef, E_prev, F_prev, 0.1, mesh, sig_E=sig, source=src)
+    ref = dense_oracle(coef, E_prev, F_prev, 0.1, mesh, sig_E=sig, source=src)
     assert np.allclose(got.E, ref.E, rtol=1e-12)
-    assert loqd.residual_norms(coef, got, E_prev, F_prev, 0.1, mesh,
-                               sig_E=sig, source=src) <= 1e-12
+    assert residual_norms(coef, got, E_prev, F_prev, 0.1, mesh,
+                          sig_E=sig, source=src) <= 1e-12
     # default source is the emission integral
     a = loqd.solve_moment_system(coef, E_prev, F_prev, 0.1, mesh)
     b = loqd.solve_moment_system(coef, E_prev, F_prev, 0.1, mesh,
@@ -151,12 +76,12 @@ def test_solver_override_paths():
 def test_merge_weighted_means():
     mesh = SpatialMesh.uniform(1, 1.0)
     rng = np.random.default_rng(1)
-    coef = _random_coefficients(2, mesh, rng)
+    coef = random_coefficients(2, mesh, rng)
     coef.sig_E[:, 0] = [2.0, 4.0]
     coef.sig_B[:, 0] = [2.0, 4.0]
     coef.B[:, 0] = [1.0, 3.0]
     coef.sig_R_face[:] = [[1.0], [3.0]] * np.ones((2, 2))
-    sol = loqd.MomentField(level=0, E=np.array([[1.0], [3.0]]),
+    sol = loqd.MomentField(E=np.array([[1.0], [3.0]]),
                            E_face=np.array([[1.0, 2.0], [3.0, 2.0]]),
                            F=np.array([[2.0, 2.0], [4.0, 4.0]]))
     got = loqd.merge_coefficients(coef, sol, np.array([0, 2]), level_out=1)
@@ -180,25 +105,27 @@ def test_merge_consistency_fine_to_coarse_to_grey():
     fine = build_fc_frequency_grid(4)
     hier = build_hierarchy(fine, (4, 2, 1))
     rng = np.random.default_rng(77)
-    coef = _random_coefficients(4, mesh, rng)
+    coef = random_coefficients(4, mesh, rng)
     E_prev = 0.2 + rng.random((4, 3))
     F_prev = 0.05 * rng.standard_normal((4, 4))
     dt = 0.03
     sol = loqd.solve_moment_system(coef, E_prev, F_prev, dt, mesh)
 
     for level in (1, 2):
-        merged = loqd.restrict_coefficients(coef, sol, hier, level)
-        ref = loqd.restrict_moments(sol, hier, level)
+        merged = loqd.merge_coefficients(coef, sol, hier.starts_fine[level],
+                                         level)
+        ref_E = hier.restrict(sol.E, level)
         got = loqd.solve_moment_system(merged, hier.restrict(E_prev, level),
                                        hier.restrict(F_prev, level), dt, mesh)
-        scale = np.max(np.abs(ref.E))
-        assert np.max(np.abs(got.E - ref.E)) <= 1e-10 * scale
-        assert np.max(np.abs(got.F - ref.F)) <= 1e-10 * phys.C_LIGHT * scale
-        dE, dF = loqd.conservation_check(sol, got, hier)
+        scale = np.max(np.abs(ref_E))
+        assert np.max(np.abs(got.E - ref_E)) <= 1e-10 * scale
+        assert np.max(np.abs(got.F - hier.restrict(sol.F, level))) \
+            <= 1e-10 * phys.C_LIGHT * scale
+        dE, dF = conservation_check(sol, got, hier, level)
         assert dE <= 1e-10 and dF <= 1e-10
 
     # second hop: coarse level merged again down to grey, eta terms folded
-    c_coef = loqd.restrict_coefficients(coef, sol, hier, 1)
+    c_coef = loqd.merge_coefficients(coef, sol, hier.starts_fine[1], 1)
     c_sol = loqd.solve_moment_system(c_coef, hier.restrict(E_prev, 1),
                                      hier.restrict(F_prev, 1), dt, mesh)
     g_coef = loqd.merge_coefficients(c_coef, c_sol, np.array([0, 2]), 2)
@@ -213,7 +140,7 @@ def test_merge_consistency_fine_to_coarse_to_grey():
 def test_merge_eta_sign_split():
     mesh = SpatialMesh.uniform(4, 2.0)
     rng = np.random.default_rng(13)
-    coef = _random_coefficients(6, mesh, rng)
+    coef = random_coefficients(6, mesh, rng)
     E_prev = 0.2 + rng.random((6, 4))
     F_prev = 0.05 * rng.standard_normal((6, 5))
     sol = loqd.solve_moment_system(coef, E_prev, F_prev, 0.05, mesh)
@@ -227,7 +154,7 @@ def test_merge_eta_sign_split():
 def test_merge_eta_vanishes_for_uniform_rosseland():
     mesh = SpatialMesh.uniform(3, 1.0)
     rng = np.random.default_rng(29)
-    coef = _random_coefficients(4, mesh, rng)
+    coef = random_coefficients(4, mesh, rng)
     coef.sig_R_face[:] = 1.7  # no spread between groups
     E_prev = 0.2 + rng.random((4, 3))
     F_prev = 0.05 * rng.standard_normal((4, 4))
@@ -239,14 +166,15 @@ def test_merge_eta_vanishes_for_uniform_rosseland():
 
 def test_conservation_check_flags_mismatch():
     hier = build_hierarchy(build_fc_frequency_grid(4), (4, 1))
-    sol = loqd.MomentField(level=0, E=np.ones((4, 2)),
-                           E_face=np.ones((4, 2)), F=np.ones((4, 3)))
-    good = loqd.restrict_moments(sol, hier, 1)
-    dE, dF = loqd.conservation_check(sol, good, hier)
+    sol = loqd.MomentField(E=np.ones((4, 2)), E_face=np.ones((4, 2)),
+                           F=np.ones((4, 3)))
+    good = loqd.MomentField(E=hier.restrict(sol.E, 1),
+                            E_face=hier.restrict(sol.E_face, 1),
+                            F=hier.restrict(sol.F, 1))
+    dE, dF = conservation_check(sol, good, hier, 1)
     assert dE == 0.0 and dF == 0.0
-    bad = loqd.MomentField(level=1, E=good.E * 1.01, E_face=good.E_face,
-                           F=good.F)
-    dE, _ = loqd.conservation_check(sol, bad, hier)
+    bad = loqd.MomentField(E=good.E * 1.01, E_face=good.E_face, F=good.F)
+    dE, _ = conservation_check(sol, bad, hier, 1)
     assert dE >= 1e-3
 
 
@@ -259,7 +187,7 @@ def test_low_order_tally():
 
     mesh = SpatialMesh.uniform(2, 1.0)
     rng = np.random.default_rng(0)
-    coef = _random_coefficients(3, mesh, rng)
+    coef = random_coefficients(3, mesh, rng)
     t = Tally()
     loqd.solve_moment_system(coef, np.ones((3, 2)), np.zeros((3, 3)), 0.1,
                              mesh, tally=t)

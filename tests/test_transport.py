@@ -1,11 +1,9 @@
-"""Corner-balance sweep and angular-moment closures.
-
-The dense-solve check rebuilds the per-direction corner equations as one
-linear system and cross-checks the sweep against numpy.linalg.solve.
-"""
+"""Corner-balance sweep and angular-moment closures; the sweep is checked
+against a dense solve of its corner equations and a group energy balance."""
 
 import numpy as np
 import pytest
+from oracles import compute_moments, dense_sweep_oracle, group_balance_residual
 
 from trtmg import phys, transport
 from trtmg.grids import AngularQuadrature, SpatialMesh, double_gauss_legendre
@@ -26,13 +24,13 @@ def test_hand_corner_values():
     sigma = np.full((1, 1), 2.0)
     q = np.zeros((1, 1))
     psi = transport.sweep_all(psi_prev, inc_left, inc_right, sigma, q, mesh,
-                              quad, None)
+                              quad, np.inf)
     assert psi[0, 1, 0, 0] == pytest.approx(0.6, rel=1e-14)
     assert psi[0, 1, 0, 1] == pytest.approx(0.2, rel=1e-14)
     # mirrored problem: unit inflow from the right into mu = -1
     psi = transport.sweep_all(psi_prev, np.zeros((1, 2)),
                               np.array([[1.0, 0.0]]), sigma, q, mesh, quad,
-                              None)
+                              np.inf)
     assert psi[0, 0, 0, 1] == pytest.approx(0.6, rel=1e-14)
     assert psi[0, 0, 0, 0] == pytest.approx(0.2, rel=1e-14)
 
@@ -46,7 +44,7 @@ def test_free_streaming():
     inc_right = rng.random((G, M))
     psi = transport.sweep_all(np.zeros((G, M, nx, 2)), inc_left, inc_right,
                               np.zeros((G, nx)), np.zeros((G, nx)), mesh,
-                              quad, None)
+                              quad, np.inf)
     pos = quad.positive
     for m in np.flatnonzero(pos):
         assert np.allclose(psi[:, m], inc_left[:, m, None, None], rtol=1e-13)
@@ -68,7 +66,7 @@ def test_equilibrium_intensity_is_fixed_point():
     psi_eq = np.broadcast_to(0.5 * B[:, None, None, None],
                              (G, M, nx, 2)).copy()
     inc = np.broadcast_to(0.5 * B[:, None], (G, M)).copy()
-    for dt in (None, 0.02):
+    for dt in (np.inf, 0.02):
         psi = transport.sweep_all(psi_eq, inc, inc, sigma, q, mesh, quad, dt)
         assert np.allclose(psi, psi_eq, rtol=1e-13)
     clo = transport.compute_qd_factors(psi_eq, inc, inc, quad)
@@ -76,47 +74,6 @@ def test_equilibrium_intensity_is_fixed_point():
     assert np.allclose(clo.f_face, 1.0 / 3.0, rtol=1e-14)
     assert np.allclose(clo.C_minus, -0.5, rtol=1e-14)
     assert np.allclose(clo.C_plus, 0.5, rtol=1e-14)
-
-
-def _dense_sweep_oracle(psi_prev, inc_left, inc_right, sigma, q, mesh, quad,
-                        dt):
-    """Assemble every corner equation of one group/direction pair into a
-    dense matrix and solve it outright."""
-    G, M, nx, _ = psi_prev.shape
-    tau = 0.0 if dt is None else 1.0 / (phys.C_LIGHT * dt)
-    dx = mesh.dx
-    out = np.empty_like(psi_prev)
-    for g in range(G):
-        for m in range(M):
-            mu = quad.mu[m]
-            h = abs(mu) / 2.0
-            A = np.zeros((2 * nx, 2 * nx))
-            b = np.zeros(2 * nx)
-            for i in range(nx):
-                a = (sigma[g, i] + tau) * dx[i] / 2.0
-                bsrc = 0.5 * dx[i] * (0.5 * q[g, i]
-                                      + tau * psi_prev[g, m, i, :])
-                L, R = 2 * i, 2 * i + 1
-                if mu > 0:
-                    A[L, L], A[L, R] = h + a, h
-                    b[L] = bsrc[0]
-                    if i == 0:
-                        b[L] += mu * inc_left[g, m]
-                    else:
-                        A[L, R - 2] = -mu
-                    A[R, L], A[R, R] = -h, h + a
-                    b[R] = bsrc[1]
-                else:
-                    A[R, R], A[R, L] = h + a, h
-                    b[R] = bsrc[1]
-                    if i == nx - 1:
-                        b[R] += abs(mu) * inc_right[g, m]
-                    else:
-                        A[R, L + 2] = -abs(mu)
-                    A[L, R], A[L, L] = -h, h + a
-                    b[L] = bsrc[0]
-            out[g, m] = np.linalg.solve(A, b).reshape(nx, 2)
-    return out
 
 
 def test_sweep_matches_dense_solve():
@@ -129,11 +86,11 @@ def test_sweep_matches_dense_solve():
     inc_right = rng.random((G, M))
     sigma = 0.1 + 3.0 * rng.random((G, nx))
     q = rng.random((G, nx))
-    for dt in (None, 0.05):
+    for dt in (np.inf, 0.05):
         got = transport.sweep_all(psi_prev, inc_left, inc_right, sigma, q,
                                   mesh, quad, dt)
-        ref = _dense_sweep_oracle(psi_prev, inc_left, inc_right, sigma, q,
-                                  mesh, quad, dt)
+        ref = dense_sweep_oracle(psi_prev, inc_left, inc_right, sigma, q,
+                                 mesh, quad, dt)
         assert np.allclose(got, ref, rtol=1e-12, atol=1e-14)
 
 
@@ -149,8 +106,8 @@ def test_group_balance_residual_small():
     q = rng.random((G, nx))
     psi = transport.sweep_all(psi_prev, inc_left, inc_right, sigma, q, mesh,
                               quad, 0.1)
-    res = transport.group_balance_residual(psi, psi_prev, inc_left, inc_right,
-                                           sigma, q, mesh, quad, 0.1)
+    res = group_balance_residual(psi, psi_prev, inc_left, inc_right, sigma, q,
+                                 mesh, quad, 0.1)
     assert res <= 1e-12
 
 
@@ -173,11 +130,10 @@ def test_moments_of_isotropic_field():
     val = np.array([3.0, 5.0])
     psi = np.broadcast_to(val[:, None, None, None], (G, M, nx, 2)).copy()
     inc = np.broadcast_to(val[:, None], (G, M)).copy()
-    mom = transport.compute_moments(psi, inc, inc, quad)
-    assert np.allclose(mom.E, 2.0 * val[:, None] / phys.C_LIGHT, rtol=1e-14)
-    assert np.allclose(mom.E_face, 2.0 * val[:, None] / phys.C_LIGHT,
-                       rtol=1e-14)
-    assert np.allclose(mom.F, 0.0, atol=1e-15)
+    E, E_face, F = compute_moments(psi, inc, inc, quad)
+    assert np.allclose(E, 2.0 * val[:, None] / phys.C_LIGHT, rtol=1e-14)
+    assert np.allclose(E_face, 2.0 * val[:, None] / phys.C_LIGHT, rtol=1e-14)
+    assert np.allclose(F, 0.0, atol=1e-15)
 
 
 def test_transport_solve_equilibrium_closures():
