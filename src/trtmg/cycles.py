@@ -190,6 +190,16 @@ class _StepWork:
     # divided-difference stage history (T, sigma_E, emission); starts empty
     # each time step and persists across the step's transport iterations
     hist: tuple = None
+    # opacity weights of T_r, built on first use and kept until T_r changes
+    rad: phys.RadiationWeights = None
+
+
+def _opacities(problem: Problem, work: _StepWork, T) -> phys.GroupOpacitySet:
+    """Group opacities at cell temperatures T and the current work.T_r."""
+    edges = problem.hierarchy.fine.edges
+    if work.rad is None:
+        work.rad = phys.radiation_weights(work.T_r, edges)
+    return phys.build_group_opacities(T, work.rad, edges, problem.sigma)
 
 
 def _dinf(new, old) -> float:
@@ -236,28 +246,31 @@ def _grey_stage(problem: Problem, prev: SimulationState, coef_src, sol_src,
 
 
 def run_cycle(problem: Problem, prev: SimulationState, T_tilde, work: _StepWork,
-              schedule: CycleSchedule, dt: float, stats: IterationStats):
+              schedule: CycleSchedule, dt: float, stats: IterationStats,
+              opac: phys.GroupOpacitySet = None):
     """One inner cycle: fine-grid spectrum, grey temperature update, then the
-    scheduled coarse grids (each followed by a grey update).  Returns the new
+    scheduled coarse grids (each followed by a grey update).  opac, when
+    given, holds the opacities at (T_tilde, work.T_r).  Returns the new
     temperature iterate."""
     hier = problem.hierarchy
     mesh = problem.mesh
-    edges = hier.fine.edges
 
-    opac = phys.build_group_opacities(T_tilde, work.T_r, edges, problem.sigma)
+    if opac is None:
+        opac = _opacities(problem, work, T_tilde)
     coef1 = loqd.build_fine_coefficients(opac, work.closures, problem.E_in,
                                          problem.F_in, mesh)
     sol1 = loqd.solve_moment_system(coef1, prev.E, prev.F, dt, mesh,
                                     tally=stats)
     work.fine_sol = sol1
     work.T_r = phys.radiation_temperature(sol1.total_E())
+    work.rad = None  # the weights of the old T_r
 
     T_cur = _grey_stage(problem, prev, coef1, sol1, T_tilde, dt, stats, work)
     for gnum in schedule.visits:
         level = gnum - 1
         # spectral coefficients refresh at the newest temperature, weighted
         # with this cycle's fine solution
-        opk = phys.build_group_opacities(T_cur, work.T_r, edges, problem.sigma)
+        opk = _opacities(problem, work, T_cur)
         c1k = loqd.build_fine_coefficients(opk, work.closures, problem.E_in,
                                            problem.F_in, mesh)
         coefk = loqd.merge_coefficients(c1k, sol1, hier.starts_fine[level],
@@ -277,10 +290,13 @@ def run_transport_iteration(problem: Problem, prev: SimulationState,
                             stats: IterationStats, conv=None, step_index=0):
     """One outer iteration: sweep (for s > 0) then inner cycles to tolerance
     or l_max.  Returns the outer relative changes (dT, dE)."""
+    opac = None
     if s > 0:
-        opac = phys.build_group_opacities(work.T, work.T_r,
-                                          problem.hierarchy.fine.edges,
-                                          problem.sigma)
+        # the first cycle below starts from the same T and T_r, so it takes
+        # these opacities; the first fine solve moves T_r, so the weights go
+        # now, before the sweep's large temporaries
+        opac = _opacities(problem, work, work.T)
+        work.rad = None
         work.psi, work.closures = transport.transport_solve(
             prev.psi, problem.inc_left, problem.inc_right, opac, problem.mesh,
             problem.quad, dt)
@@ -290,7 +306,9 @@ def run_transport_iteration(problem: Problem, prev: SimulationState,
     E_entry = work.E_mon
     T_tilde = work.T
     for ell in range(1, schedule.l_max + 1):
-        T_new = run_cycle(problem, prev, T_tilde, work, schedule, dt, stats)
+        T_new = run_cycle(problem, prev, T_tilde, work, schedule, dt, stats,
+                          opac)
+        opac = None
         E_new = work.fine_sol.total_E()
         dT = _dinf(T_new, T_tilde)
         dE = _dinf(E_new, work.E_mon)

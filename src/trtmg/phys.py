@@ -56,30 +56,6 @@ class FleckCummingsOpacity:
 OpacityFunction = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def planck_B(nu, T):
-    """Spectral emission density B(nu, T); zero at nu = 0 and in deep Wien tail."""
-    nu = np.asarray(nu, dtype=float)
-    T = np.asarray(T, dtype=float)
-    x = np.divide(nu, T, out=np.zeros(np.broadcast(nu, T).shape), where=T > 0)
-    denom = -np.expm1(-x)
-    out = np.zeros_like(denom)
-    np.divide(PLANCK_PREFACTOR * nu**3 * np.exp(-x), denom,
-              out=out, where=denom > 0)
-    return out if out.ndim else float(out)
-
-
-def planck_dB_dT(nu, T):
-    """Temperature derivative of planck_B at fixed nu."""
-    nu = np.asarray(nu, dtype=float)
-    T = np.asarray(T, dtype=float)
-    x = nu / T
-    denom = np.expm1(-x) ** 2
-    out = np.zeros_like(denom)
-    np.divide(PLANCK_PREFACTOR * nu**4 / T**2 * np.exp(-x), denom,
-              out=out, where=denom > 0)
-    return out if out.ndim else float(out)
-
-
 # Bernoulli-series coefficients of integral_0^x t^3/(e^t - 1) dt
 # = x^3/3 - x^4/8 + sum_k _BERN_C[k] x^(2k+5), from B_{2k+2}/((2k+5)(2k+2)!)
 _BERN_C = np.array([
@@ -97,36 +73,35 @@ def _planck_tail(x):
     """Integral of t^3/(e^t - 1) over [x, inf).
 
     Below x = 2 the complement is integrated by the Bernoulli power series
-    of the integrand; above, the exponential series
+    of the integrand; from 2 on, the exponential series
     sum_n exp(-n x)(x^3/n + 3x^2/n^2 + 6x/n^3 + 6/n^4) with 20 terms.  Both
-    truncations sit at or below 1e-15 relative.
+    truncations sit at or below 1e-15 relative.  Each series runs on its own
+    entries only; from x = 746 on every exp(-n x) underflows to 0, so the
+    tail there is exactly 0 (a NaN stays NaN).
     """
-    out = np.empty_like(x)
+    out = np.zeros_like(x)
 
     small = x < 2.0
-    if np.any(small):
-        xs = np.where(small, x, 0.0)
-        x2 = xs * xs
-        acc = np.zeros_like(xs)
-        for c in _BERN_C[::-1]:
-            acc = (acc + c) * x2
-        head = xs**3 * (1.0 / 3.0 - xs / 8.0 + acc)
-        out[small] = (_PI4_15 - head)[small]
+    xs = x[small]
+    x2 = xs * xs
+    acc = np.zeros_like(xs)
+    for c in _BERN_C[::-1]:
+        acc = (acc + c) * x2
+    out[small] = _PI4_15 - xs**3 * (1.0 / 3.0 - xs / 8.0 + acc)
 
-    big = ~small
-    if np.any(big):
-        xb = np.where(big, x, 2.0)
-        acc = np.zeros_like(xb)
-        for n in range(20, 0, -1):
-            e = np.exp(-n * xb)
-            acc += e * (xb**3 / n + 3.0 * xb**2 / n**2 + 6.0 * xb / n**3
-                        + 6.0 / n**4)
-        out[big] = acc[big]
+    big = ~small & ~(x >= 746.0)
+    xb = x[big]
+    c3, c2, c1 = xb**3, 3.0 * xb**2, 6.0 * xb
+    acc = np.zeros_like(xb)
+    for n in range(20, 0, -1):
+        e = np.exp(-n * xb)
+        acc += e * (c3 / n + c2 / n**2 + c1 / n**3 + 6.0 / n**4)
+    out[big] = acc
     return out
 
 
 def planck_groups(T, edges):
-    """Group integrals of planck_B for all groups at each temperature.
+    """Group integrals of B(nu, T) for all groups at each temperature.
 
     T has shape (n,), edges (G+1,); returns (n, G).  Any edge at or beyond
     the exp underflow point acts as infinity, so a huge top edge closes the
@@ -140,20 +115,91 @@ def planck_groups(T, edges):
     return pref[:, None] * (tails[:, :-1] - tails[:, 1:])
 
 
-def _log_nodes(edges):
-    """16-point Gauss-Legendre nodes/weights in log(nu) for every group.
+@dataclass(frozen=True)
+class LogRule:
+    """16-point Gauss-Legendre rule in log(nu) for every group of one grid.
 
     A zero lower edge is clamped to 1e-12 of the upper edge; the omitted
     sliver carries a vanishing share of any Planck-weighted integral.
     """
+
+    nu: np.ndarray    # (G, 16) nodes
+    w: np.ndarray     # (G, 16) weights, dnu = nu d(log nu) included
+    mid: np.ndarray   # (G,) geometric midpoint of the (clamped) group
+    p3: np.ndarray    # (G, 16) PLANCK_PREFACTOR * nu^3
+    p4: np.ndarray    # (G, 16) PLANCK_PREFACTOR * nu^4
+
+
+def _log_rule(edges) -> LogRule:
     lo = np.maximum(edges[:-1], edges[1:] * 1e-12)
     hi = edges[1:]
     u0 = np.log(lo)
     half = 0.5 * (np.log(hi) - u0)
     u = u0[:, None] + half[:, None] * (_GL_NODES[None, :] + 1.0)
     nu = np.exp(u)
-    w = half[:, None] * _GL_WEIGHTS[None, :] * nu  # includes dnu = nu d(log nu)
-    return nu, w
+    return LogRule(nu=nu, w=half[:, None] * _GL_WEIGHTS[None, :] * nu,
+                   mid=np.sqrt(lo * hi), p3=PLANCK_PREFACTOR * nu**3,
+                   p4=PLANCK_PREFACTOR * nu**4)
+
+
+def _positive_div(num, den):
+    """num / den where den > 0, else 0, written into num."""
+    ok = den > 0
+    np.divide(num, den, out=num, where=ok)
+    np.copyto(num, 0.0, where=~ok)
+    return num
+
+
+def _planck_weights(rule: LogRule, T, rosseland=False):
+    """B(nu, T) w at every node of rule for cell temperatures T > 0 of shape
+    (n,), as an (n, G, 16) array; with rosseland, the pair of it and
+    dB/dT(nu, T) w.
+
+    B = p3 e^-x / (1 - e^-x) and dB/dT = p4 / T^2 e^-x / (1 - e^-x)^2 with
+    x = nu/T share one exp(-x) and one expm1(-x).  Each is 0 where its
+    denominator is not positive, and in the deep Wien tail, where e^-x
+    underflows.  The arithmetic runs in place: this is the hot path of every
+    build, and fresh (n, G, 16) temporaries cost as much as the math.
+    """
+    Tc = T[:, None, None]
+    e = np.divide(rule.nu, -Tc)  # -x
+    d = np.expm1(e)
+    np.exp(e, out=e)             # e^-x
+    np.negative(d, out=d)        # 1 - e^-x
+    w_B = _positive_div(rule.p3 * e, d)
+    w_B *= rule.w
+    if not rosseland:
+        return w_B
+    w_dB = np.divide(rule.p4, Tc**2)
+    w_dB *= e
+    _positive_div(w_dB, np.multiply(d, d, out=d))
+    w_dB *= rule.w
+    return w_B, w_dB
+
+
+@dataclass(frozen=True)
+class RadiationWeights:
+    """The T_r side of build_group_opacities, built once per radiation
+    temperature by radiation_weights: the grid's log-frequency rule, the
+    emission weights B(nu, T_r) w and Rosseland weights dB/dT(nu, T_r) w at
+    its nodes, and their group sums."""
+
+    rule: LogRule
+    w_rad: np.ndarray    # (n_x, G, 16)
+    w_ros: np.ndarray    # (n_x, G, 16)
+    rad_sum: np.ndarray  # (n_x, G)
+    ros_sum: np.ndarray  # (n_x, G)
+
+
+def radiation_weights(T_r, edges) -> RadiationWeights:
+    """Weight bundle of cell radiation temperatures T_r > 0 on the grid
+    edges (G+1,)."""
+    rule = _log_rule(np.asarray(edges, dtype=float))
+    w_rad, w_ros = _planck_weights(rule, np.asarray(T_r, dtype=float),
+                                   rosseland=True)
+    return RadiationWeights(rule=rule, w_rad=w_rad, w_ros=w_ros,
+                            rad_sum=w_rad.sum(axis=2),
+                            ros_sum=w_ros.sum(axis=2))
 
 
 @dataclass
@@ -166,29 +212,25 @@ class GroupOpacitySet:
     B: np.ndarray       # (n_x, G) group-integrated emission density at T
 
 
-def build_group_opacities(T, T_r, edges,
+def build_group_opacities(T, rad: RadiationWeights, edges,
                           sigma: OpacityFunction) -> GroupOpacitySet:
-    """Evaluate all group opacities and emission integrals for cell arrays T, T_r.
+    """Evaluate all group opacities and emission integrals for cell arrays
+    T and T_r, where rad = radiation_weights(T_r, edges).
 
-    Each group mean uses the 16-point log-frequency rule of _log_nodes:
-    sig_B weights sigma(nu, T) with B(nu, T), sig_E with B(nu, T_r), and
-    sig_R is the dB/dT(nu, T_r)-weighted harmonic mean (Rosseland).  Groups
-    whose weight integral underflows (deep Wien tail) use sigma at the
-    geometric midpoint of the (clamped) group.  The frequency nodes and the
-    sigma(nu, T) samples are shared by the three averages, since this sits
-    on the hot path of every cycle.
+    Each group mean uses the 16-point log-frequency rule of rad: sig_B
+    weights sigma(nu, T) with B(nu, T), sig_E with B(nu, T_r), and sig_R is
+    the dB/dT(nu, T_r)-weighted harmonic mean (Rosseland).  Groups whose
+    weight integral underflows (deep Wien tail) use sigma at the geometric
+    midpoint of the (clamped) group.  The sigma(nu, T) samples are shared by
+    the three averages, and the T_r weights by every build at one T_r, since
+    this sits on the hot path of every cycle.
     """
     T = np.asarray(T, dtype=float)
-    T_r = np.asarray(T_r, dtype=float)
-    edges = np.asarray(edges, dtype=float)
-    nu, w = _log_nodes(edges)
-    sig = sigma(nu[None, :, :], T[:, None, None])
-    lo = np.maximum(edges[:-1], edges[1:] * 1e-12)
-    mid = np.sqrt(lo * edges[1:])
-    fallback = sigma(mid[None, :], T[:, None])
+    rule = rad.rule
+    sig = sigma(rule.nu[None, :, :], T[:, None, None])
+    fallback = sigma(rule.mid[None, :], T[:, None])
 
-    def avg(wgt, harmonic):
-        den_w = wgt.sum(axis=2)
+    def avg(wgt, den_w, harmonic):
         if harmonic:
             num, den = den_w, (wgt / sig).sum(axis=2)
         else:
@@ -196,13 +238,11 @@ def build_group_opacities(T, T_r, edges,
         empty = den_w < _WIEN_FLOOR
         return np.where(empty, fallback, num / np.where(empty, 1.0, den))
 
-    w_loc = planck_B(nu[None, :, :], T[:, None, None]) * w[None, :, :]
-    w_rad = planck_B(nu[None, :, :], T_r[:, None, None]) * w[None, :, :]
-    w_ros = planck_dB_dT(nu[None, :, :], T_r[:, None, None]) * w[None, :, :]
+    w_loc = _planck_weights(rule, T)
     return GroupOpacitySet(
-        sig_B=avg(w_loc, False),
-        sig_E=avg(w_rad, False),
-        sig_R=avg(w_ros, True),
+        sig_B=avg(w_loc, w_loc.sum(axis=2), False),
+        sig_E=avg(rad.w_rad, rad.rad_sum, False),
+        sig_R=avg(rad.w_ros, rad.ros_sum, True),
         B=planck_groups(T, edges),
     )
 

@@ -1,10 +1,12 @@
-"""Reference checks for the tests: dense solves of the sweep and of the
-moment system, assembled-equation residuals, cross-grid conservation and the
+"""Reference checks for the tests: pointwise Planck functions and a
+one-pass group-opacity build, dense solves of the sweep and of the moment
+system, assembled-equation residuals, cross-grid conservation and the
 paper's per-cycle cost.  No simulation runs any of this; each oracle is
 written out from the equations instead of calling the solver it checks.
 """
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from trtmg import loqd, phys
 
@@ -217,3 +219,88 @@ def conservation_check(fine_sol, coarse_sol, hierarchy, level):
     dE = np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300)
     dF = np.max(np.abs(coarse_sol.F - F)) / max(np.max(np.abs(F)), 1e-300)
     return float(dE), float(dF)
+
+
+def planck_B(nu, T):
+    """Spectral emission density B(nu, T); zero at nu = 0 and in deep Wien tail."""
+    nu = np.asarray(nu, dtype=float)
+    T = np.asarray(T, dtype=float)
+    x = np.divide(nu, T, out=np.zeros(np.broadcast(nu, T).shape), where=T > 0)
+    denom = -np.expm1(-x)
+    out = np.zeros_like(denom)
+    np.divide(phys.PLANCK_PREFACTOR * nu**3 * np.exp(-x), denom,
+              out=out, where=denom > 0)
+    return out if out.ndim else float(out)
+
+
+def planck_dB_dT(nu, T):
+    """Temperature derivative of planck_B at fixed nu."""
+    nu = np.asarray(nu, dtype=float)
+    T = np.asarray(T, dtype=float)
+    x = nu / T
+    denom = np.expm1(-x) ** 2
+    out = np.zeros_like(denom)
+    np.divide(phys.PLANCK_PREFACTOR * nu**4 / T**2 * np.exp(-x), denom,
+              out=out, where=denom > 0)
+    return out if out.ndim else float(out)
+
+
+def planck_tail(x):
+    """Integral of t^3/(e^t - 1) over [x, inf): each series evaluated on the
+    whole array and masked to its branch (Bernoulli below 2, 20 exponential
+    terms from 2 on)."""
+    out = np.empty_like(x)
+    small = x < 2.0
+    xs = np.where(small, x, 0.0)
+    x2 = xs * xs
+    acc = np.zeros_like(xs)
+    for c in phys._BERN_C[::-1]:
+        acc = (acc + c) * x2
+    head = xs**3 * (1.0 / 3.0 - xs / 8.0 + acc)
+    out[small] = (phys._PI4_15 - head)[small]
+    big = ~small
+    xb = np.where(big, x, 2.0)
+    acc = np.zeros_like(xb)
+    for n in range(20, 0, -1):
+        e = np.exp(-n * xb)
+        acc += e * (xb**3 / n + 3.0 * xb**2 / n**2 + 6.0 * xb / n**3
+                    + 6.0 / n**4)
+    out[big] = acc[big]
+    return out
+
+
+def build_group_opacities(T, T_r, edges, sigma) -> phys.GroupOpacitySet:
+    """Every group average evaluated from scratch: nodes, pointwise Planck
+    weights at T and T_r and the Planck group integrals, with nothing
+    shared between builds."""
+    T = np.asarray(T, dtype=float)
+    T_r = np.asarray(T_r, dtype=float)
+    edges = np.asarray(edges, dtype=float)
+    gl_nodes, gl_weights = leggauss(16)
+    lo = np.maximum(edges[:-1], edges[1:] * 1e-12)
+    u0 = np.log(lo)
+    half = 0.5 * (np.log(edges[1:]) - u0)
+    nu = np.exp(u0[:, None] + half[:, None] * (gl_nodes[None, :] + 1.0))
+    w = half[:, None] * gl_weights[None, :] * nu
+    sig = sigma(nu[None, :, :], T[:, None, None])
+    fallback = sigma(np.sqrt(lo * edges[1:])[None, :], T[:, None])
+
+    def avg(wgt, harmonic):
+        den_w = wgt.sum(axis=2)
+        if harmonic:
+            num, den = den_w, (wgt / sig).sum(axis=2)
+        else:
+            num, den = (wgt * sig).sum(axis=2), den_w
+        empty = den_w < 1e-300
+        return np.where(empty, fallback, num / np.where(empty, 1.0, den))
+
+    x = edges[None, :] / T[:, None]
+    tails = np.where(x <= 0.0, phys._PI4_15, planck_tail(np.maximum(x, 0.0)))
+    pref = phys.PLANCK_PREFACTOR * T**4
+    B = pref[:, None] * (tails[:, :-1] - tails[:, 1:])
+    w_loc = planck_B(nu[None, :, :], T[:, None, None]) * w[None, :, :]
+    w_rad = planck_B(nu[None, :, :], T_r[:, None, None]) * w[None, :, :]
+    w_ros = planck_dB_dT(nu[None, :, :], T_r[:, None, None]) * w[None, :, :]
+    return phys.GroupOpacitySet(sig_B=avg(w_loc, False),
+                                sig_E=avg(w_rad, False),
+                                sig_R=avg(w_ros, True), B=B)

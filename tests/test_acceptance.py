@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from oracles import (conservation_check, dense_oracle, per_cycle_cost,
                      random_coefficients, residual_norms)
+from problems import equilibrium_problem
 
 from trtmg import grey, loqd, phys
 from trtmg.cli import RunConfig, fc_problem
@@ -109,11 +110,9 @@ def test_criterion_2_benchmark_iteration_totals(full_v2, full_v4, full_w2,
 
 
 def test_criterion_3_physics_fixed_points():
-    from test_cycles import _equilibrium_problem
-
     with _criterion("criterion 3: physics fixed points"):
         # an equilibrated slab stays put for ten steps
-        prob = _equilibrium_problem(T0=1.0)
+        prob = equilibrium_problem(T0=1.0)
         res = run_simulation(prob, make_schedule("V", (16, 1), 4),
                              ConvergenceCriteria(), 2e-2, 0.2)
         assert np.max(np.abs(res.state.T - 1.0)) <= 1e-10
@@ -141,8 +140,9 @@ def test_criterion_4_consistency_oracles():
                              ConvergenceCriteria(), 2e-2, 0.1)
         st, hier, mesh, dt = res.state, prob.hierarchy, prob.mesh, 2e-2
 
-        opac = phys.build_group_opacities(st.T, st.T_r, hier.fine.edges,
-                                          prob.sigma)
+        edges = hier.fine.edges
+        opac = phys.build_group_opacities(
+            st.T, phys.radiation_weights(st.T_r, edges), edges, prob.sigma)
         coef1 = loqd.build_fine_coefficients(opac, st.closures, prob.E_in,
                                              prob.F_in, mesh)
         sol1 = loqd.solve_moment_system(coef1, st.E, st.F, dt, mesh)

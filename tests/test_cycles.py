@@ -7,16 +7,13 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from oracles import per_cycle_cost
+from problems import equilibrium_problem
 
 from trtmg import phys
 from trtmg.cli import RunConfig, fc_problem
 from trtmg.cycles import (ConvergenceCriteria, ConvergenceError,
-                          IterationStats, Problem, ScheduleError,
-                          initial_state, make_schedule, run_simulation,
-                          run_time_step)
-from trtmg.grids import (SpatialMesh, build_fc_frequency_grid, build_hierarchy,
-                         double_gauss_legendre)
-from trtmg.phys import FleckCummingsOpacity, MaterialModel
+                          IterationStats, ScheduleError, initial_state,
+                          make_schedule, run_simulation, run_time_step)
 
 
 def _fc(groups=16, grids=None, cells=10):
@@ -35,27 +32,6 @@ def _assert_energy_balance(res, dt):
         scale = rec.material_energy + rec.radiation_energy
         assert abs(lhs - rhs) <= 1e-12 * scale, rec.step
         prev = rec
-
-
-def _equilibrium_problem(T0=1.0, groups=16, cells=4, grids=None):
-    """Slab bathed in Planckian radiation at its own temperature from both
-    sides; every field starts at its steady value."""
-    fine = build_fc_frequency_grid(groups)
-    hier = build_hierarchy(fine, grids or (groups, 1))
-    mesh = SpatialMesh.uniform(cells, 2.0)
-    quad = double_gauss_legendre(4)
-    B0 = phys.planck_groups(np.array([T0]), fine.edges)[0]
-    G, M = groups, quad.n_dirs
-    inc_left = np.zeros((G, M))
-    inc_left[:, quad.positive] = 0.5 * B0[:, None]
-    inc_right = np.zeros((G, M))
-    inc_right[:, ~quad.positive] = 0.5 * B0[:, None]
-    E_in = np.stack([B0 / phys.C_LIGHT, B0 / phys.C_LIGHT], axis=1)
-    F_in = np.stack([0.5 * B0, -0.5 * B0], axis=1)
-    return Problem(mesh=mesh, quad=quad, hierarchy=hier,
-                   material=MaterialModel(c_v=0.1 * phys.A_RAD),
-                   sigma=FleckCummingsOpacity(), inc_left=inc_left,
-                   inc_right=inc_right, E_in=E_in, F_in=F_in, T_init=T0)
 
 
 class TestMakeSchedule:
@@ -166,7 +142,7 @@ class TestInitialState:
 
 class TestEquilibrium:
     def test_fixed_point_over_ten_steps(self):
-        prob = _equilibrium_problem(T0=1.0)
+        prob = equilibrium_problem(T0=1.0)
         sched = make_schedule("V", (16, 1), 4)
         res = run_simulation(prob, sched, ConvergenceCriteria(), 2e-2, 0.2)
         assert np.max(np.abs(res.state.T - 1.0)) <= 1e-12
@@ -181,7 +157,7 @@ class TestEquilibrium:
         # may not amplify a temperature error from step to step, whatever
         # the round-off of the first step happens to be
         T_start = 1.0 + 1e-10
-        prob = replace(_equilibrium_problem(T0=1.0), T_init=T_start)
+        prob = replace(equilibrium_problem(T0=1.0), T_init=T_start)
         sched = make_schedule("V", (16, 1), 4)
         res = run_simulation(prob, sched, ConvergenceCriteria(), 2e-2, 0.2)
         assert np.max(np.abs(res.state.T - 1.0)) <= T_start - 1.0
@@ -196,7 +172,7 @@ def test_multigrid_fixed_point_and_energy_balance(kind, counts, lmax):
     # the schedules with coarse visits too, not only for V
     sched = make_schedule(kind, counts, lmax)
     dt = 2e-2
-    res = run_simulation(_equilibrium_problem(T0=1.0, grids=counts), sched,
+    res = run_simulation(equilibrium_problem(T0=1.0, grids=counts), sched,
                          ConvergenceCriteria(), dt, 0.2)
     assert np.max(np.abs(res.state.T - 1.0)) <= 1e-12
 
@@ -288,6 +264,47 @@ class TestAccounting:
         res = run_simulation(prob, sched, crit, 2e-2, 0.06)
         n_outer = res.stats.n_ti + len(res.steps)
         assert res.stats.n_c == 3 * n_outer
+
+    @pytest.mark.parametrize("kind,counts", [("V", (16, 1)),
+                                             ("F", (16, 8, 4, 1))])
+    def test_opacity_work(self, monkeypatch, kind, counts):
+        # a cycle builds opacities once per grid it solves, the first cycle
+        # after a sweep taking the sweep's build; the T_r weights are built
+        # at most once per cycle plus once per step, and every build sees
+        # the weights of the latest radiation temperature
+        build, weights, temperature = (phys.build_group_opacities,
+                                       phys.radiation_weights,
+                                       phys.radiation_temperature)
+        calls = {"build": 0, "weights": 0}
+        latest = {}
+
+        def radiation_temperature(E_total):
+            latest["T_r"] = temperature(E_total)
+            return latest["T_r"]
+
+        def radiation_weights(T_r, edges):
+            calls["weights"] += 1
+            return weights(T_r, edges)
+
+        def build_group_opacities(T, rad, edges, sigma):
+            calls["build"] += 1
+            fresh = weights(latest["T_r"], edges)
+            assert np.array_equal(rad.w_rad, fresh.w_rad)
+            assert np.array_equal(rad.w_ros, fresh.w_ros)
+            return build(T, rad, edges, sigma)
+
+        for name, fn in (("radiation_temperature", radiation_temperature),
+                         ("radiation_weights", radiation_weights),
+                         ("build_group_opacities", build_group_opacities)):
+            monkeypatch.setattr(phys, name, fn)
+        sched = make_schedule(kind, counts, 2)
+        n_steps = 3
+        res = run_simulation(_fc(16, counts), sched, ConvergenceCriteria(),
+                             2e-2, n_steps * 2e-2)
+        n_c = res.stats.n_c
+        assert res.stats.n_ti > 0 and n_c > res.stats.n_ti + n_steps
+        assert calls["build"] == n_c * (1 + len(sched.visits))
+        assert 0 < calls["weights"] <= n_c + n_steps
 
 
 class TestConvergenceRecords:

@@ -48,7 +48,8 @@ def test_equilibrium_temperature_is_fixed_point():
     edges = np.concatenate(([0.0], np.logspace(-4, 1, 15), [1e7]))
     nx, G = 10, 16
     T = np.full(nx, 0.5)
-    opac = phys.build_group_opacities(T, T, edges, phys.FleckCummingsOpacity())
+    opac = phys.build_group_opacities(T, phys.radiation_weights(T, edges),
+                                      edges, phys.FleckCummingsOpacity())
     clo = transport.ClosureData.isotropic(G, nx)
     B = opac.B.T
     E_in = np.column_stack([B[:, 0], B[:, -1]]) / phys.C_LIGHT

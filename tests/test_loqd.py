@@ -23,7 +23,8 @@ def test_equilibrium_fixed_point():
     mesh = SpatialMesh.uniform(10, 4.0)
     edges = np.concatenate(([0.0], np.logspace(-4, 1, 15), [1e7]))
     T = np.full(10, 0.5)
-    opac = phys.build_group_opacities(T, T, edges, phys.FleckCummingsOpacity())
+    opac = phys.build_group_opacities(T, phys.radiation_weights(T, edges),
+                                      edges, phys.FleckCummingsOpacity())
     G = 16
     clo = transport.ClosureData.isotropic(G, 10)
     B = opac.B.T

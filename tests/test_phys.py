@@ -2,10 +2,15 @@
 
 Reference values were frozen from 40-digit mpmath quadrature of the same
 integrands (prefactor A = 15 c a_R / (2 pi^4), B = A nu^3/(e^(nu/T)-1)).
+The pointwise Planck functions are the references in oracles.py; the build
+equals their one-pass composition bit for bit.
 """
 
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trtmg import phys
 from trtmg.phys import FleckCummingsOpacity
@@ -15,8 +20,10 @@ FC = FleckCummingsOpacity()
 
 def _one_group(T, T_r, band, sigma):
     """Group opacities of a single cell and a single group."""
-    return phys.build_group_opacities(np.array([T]), np.array([T_r]),
-                                      np.asarray(band, float), sigma)
+    band = np.asarray(band, float)
+    return phys.build_group_opacities(
+        np.array([T]), phys.radiation_weights(np.array([T_r]), band), band,
+        sigma)
 
 
 def test_planck_prefactor():
@@ -27,13 +34,13 @@ def test_planck_prefactor():
 
 
 def test_planck_pointwise():
-    assert phys.planck_B(1.0, 1.0) == pytest.approx(0.018430930194312411,
-                                                    rel=5e-15)
+    assert oracles.planck_B(1.0, 1.0) == pytest.approx(
+        0.018430930194312411, rel=5e-15)
     # Rayleigh-Jeans limit: B -> A nu^2 T
     nu = 1e-9
-    assert phys.planck_B(nu, 2.0) == pytest.approx(
+    assert oracles.planck_B(nu, 2.0) == pytest.approx(
         phys.PLANCK_PREFACTOR * nu**2 * 2.0, rel=1e-8)
-    assert phys.planck_B(5e4, 1.0) == 0.0  # deep Wien tail underflows cleanly
+    assert oracles.planck_B(5e4, 1.0) == 0.0  # deep Wien tail underflows
 
 
 def test_planck_band_integral():
@@ -55,9 +62,10 @@ def test_planck_dT_matches_divided_difference():
     # Rayleigh-Jeans side through the peak to a deep-Wien nu where both are 0
     T, h = 0.8, 1e-5
     for nu in (0.05, 1.0, 4.0, 4e4):
-        num = (phys.planck_B(nu, T + h) - phys.planck_B(nu, T - h)) / (2.0 * h)
-        assert phys.planck_dB_dT(nu, T) == pytest.approx(num, rel=1e-8)
-    assert phys.planck_dB_dT(4e4, T) == 0.0
+        num = (oracles.planck_B(nu, T + h)
+               - oracles.planck_B(nu, T - h)) / (2.0 * h)
+        assert oracles.planck_dB_dT(nu, T) == pytest.approx(num, rel=1e-8)
+    assert oracles.planck_dB_dT(4e4, T) == 0.0
 
 
 def test_planck_tail_branches():
@@ -69,6 +77,21 @@ def test_planck_tail_branches():
     lo = phys._planck_tail(np.array([np.nextafter(2.0, 0.0)]))[0]
     hi = phys._planck_tail(np.array([2.0]))[0]
     assert lo == pytest.approx(hi, rel=1e-14)
+
+
+def test_planck_tail_matches_dense_branches():
+    # each series on its own entries gives the masked whole-array values
+    # bit for bit, at the branch points, across the underflow point 746
+    # and far beyond it, alone and inside one array
+    x = np.array([0.0, np.nextafter(2.0, 0.0), 2.0, 745.0, 746.0, 747.0,
+                  1e13])
+    for xi in x:
+        one = np.array([xi])
+        assert np.array_equal(phys._planck_tail(one), oracles.planck_tail(one))
+    assert np.array_equal(phys._planck_tail(x), oracles.planck_tail(x))
+    dense = np.concatenate([np.linspace(0.0, 4.0, 401),
+                            np.linspace(740.0, 750.0, 101)]).reshape(2, -1)
+    assert np.array_equal(phys._planck_tail(dense), oracles.planck_tail(dense))
 
 
 def test_fc_opacity_shape_and_values():
@@ -114,13 +137,42 @@ def test_build_group_opacities_matches_separate_averages():
     edges = np.concatenate(([0.0], np.logspace(-4, 1, 15), [1e7]))
     T = np.array([1e-3, 0.2, 0.9])
     T_r = np.array([0.5, 0.5, 1.2])
-    opac = phys.build_group_opacities(T, T_r, edges, FC)
+    opac = phys.build_group_opacities(T, phys.radiation_weights(T_r, edges),
+                                      edges, FC)
     assert opac.sig_B.shape == (3, 16)
     for i in range(3):
         for g in range(16):
             one = _one_group(T[i], T_r[i], edges[g:g + 2], FC)
             for name in ("sig_B", "sig_E", "sig_R", "B"):
                 assert getattr(opac, name)[i, g] == getattr(one, name)[0, 0]
+
+
+_temperatures = st.lists(st.floats(-6.0, 1.0), min_size=1, max_size=4)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(log_T=_temperatures, log_T_r=_temperatures,
+       log_edges=st.lists(st.floats(-4.0, 6.0), min_size=1, max_size=12,
+                          unique=True))
+def test_build_matches_one_pass_reference(log_T, log_T_r, log_edges):
+    # T and T_r in [1e-6, 10] keV; edges from a zero lower edge to a 1e7
+    # top edge with a deep-Wien group [1e6, 1e7] whose weights underflow
+    n = min(len(log_T), len(log_T_r))
+    T = 10.0 ** np.array(log_T[:n])
+    T_r = 10.0 ** np.array(log_T_r[:n])
+    edges = np.concatenate(([0.0], np.unique(10.0 ** np.array(log_edges)),
+                            [1e6, 1e7]))
+    edges = np.unique(edges)
+    rad = phys.radiation_weights(T_r, edges)
+    got = phys.build_group_opacities(T, rad, edges, FC)
+    want = oracles.build_group_opacities(T, T_r, edges, FC)
+    for name in ("sig_B", "sig_E", "sig_R", "B"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    nu, w = rad.rule.nu[None, :, :], rad.rule.w[None, :, :]
+    assert np.array_equal(rad.w_rad,
+                          oracles.planck_B(nu, T_r[:, None, None]) * w)
+    assert np.array_equal(rad.w_ros,
+                          oracles.planck_dB_dT(nu, T_r[:, None, None]) * w)
 
 
 def test_radiation_temperature():

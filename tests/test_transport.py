@@ -143,7 +143,8 @@ def test_transport_solve_equilibrium_closures():
     mesh = SpatialMesh.uniform(10, 4.0)
     edges = np.concatenate(([0.0], np.logspace(-4, 1, 15), [1e7]))
     T = np.full(10, 0.7)
-    opac = phys.build_group_opacities(T, T, edges, phys.FleckCummingsOpacity())
+    opac = phys.build_group_opacities(T, phys.radiation_weights(T, edges),
+                                      edges, phys.FleckCummingsOpacity())
     B = opac.B.T  # (G, nx)
     G, M = 16, quad.n_dirs
     psi_prev = np.empty((G, M, 10, 2))
