@@ -19,7 +19,7 @@ import numpy as np
 from . import phys
 from .cycles import (ConvergenceCriteria, ConvergenceError, Problem,
                      ScheduleError, SimulationResult, make_schedule,
-                     run_simulation)
+                     run_simulation, step_count)
 from .grids import (GridError, SpatialMesh, build_fc_frequency_grid,
                     build_hierarchy, double_gauss_legendre)
 from .phys import A_RAD, C_LIGHT, FleckCummingsOpacity, MaterialModel
@@ -137,6 +137,7 @@ def _validate(cfg: RunConfig):
     try:
         make_schedule(cfg.cycle, counts, cfg.lmax, cfg.visits or None)
         ConvergenceCriteria(cfg.eps, cfg.eps_tilde, cfg.max_outer)
+        step_count(cfg.tend, cfg.dt)
     except ValueError as e:
         raise ConfigError(str(e)) from e
 

@@ -343,6 +343,9 @@ def run_time_step(problem: Problem, state: SimulationState,
     it a fixed point of the step: re-evaluating the stiff emission at an
     older iterate would amplify any temperature error.
     """
+    if schedule.counts != problem.hierarchy.counts:
+        raise ScheduleError(f"schedule grids {schedule.counts} differ from "
+                            f"the problem's {problem.hierarchy.counts}")
     if stats is None:
         stats = IterationStats()
     work = _StepWork(
@@ -400,14 +403,21 @@ def _energy_record(problem, state, step, m_ti=0, m_c=0, m_lo=0) -> StepRecord:
         flux_left=float(F_tot[0]), flux_right=float(F_tot[-1]))
 
 
+def step_count(t_end: float, dt: float) -> int:
+    """Number of fixed steps of size dt that reach t_end; ValueError unless
+    t_end is a positive multiple of dt."""
+    n_steps = int(round(t_end / dt))
+    if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-9 * max(t_end, dt):
+        raise ValueError(f"t_end={t_end} is not a positive multiple of dt={dt}")
+    return n_steps
+
+
 def run_simulation(problem: Problem, schedule: CycleSchedule,
                    criteria: ConvergenceCriteria, dt: float, t_end: float,
                    snapshot_times=()) -> SimulationResult:
     """Fixed-step time loop with per-step iteration counts, energy tallies,
     and field snapshots at the requested times."""
-    n_steps = int(round(t_end / dt))
-    if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-9 * max(t_end, dt):
-        raise ValueError(f"t_end={t_end} is not a positive multiple of dt={dt}")
+    n_steps = step_count(t_end, dt)
     snap_times = sorted(float(t) for t in snapshot_times)
 
     state = initial_state(problem)

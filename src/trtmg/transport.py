@@ -7,7 +7,9 @@ moment solver (Eddington factors and boundary flux ratios) are ratios of
 angular moments and do not depend on that normalization.
 
 psi is stored as (n_groups, n_dirs, n_cells, 2); the trailing axis holds the
-left/right corner value within each cell.
+left/right corner value within each cell.  Directions run in ascending mu,
+so the mu < 0 half range comes first.  Its sweep is the mu > 0 sweep of the
+mirrored slab: cells and corners reversed and |mu| as the cosine.
 """
 
 from __future__ import annotations
@@ -40,6 +42,22 @@ class ClosureData:
         )
 
 
+def _sweep_rightward(psi, b, a, mu, inflow):
+    """Corner-balance sweep of one half range from the left face to the
+    right: psi and b (G, m, n_x, 2), a (G, 1, n_x), mu (m,) > 0, inflow
+    (G, m) entering the left face."""
+    half = 0.5 * mu
+    half_a = half[None, :, None] + a             # (G, m, n_x)
+    det = half_a**2 + (half**2)[None, :, None]
+    for i in range(psi.shape[2]):
+        sL = b[:, :, i, 0] + mu * inflow
+        bR = b[:, :, i, 1]
+        ha = half_a[:, :, i]
+        psi[:, :, i, 0] = (sL * ha - half * bR) / det[:, :, i]
+        psi[:, :, i, 1] = (ha * bR + half * sL) / det[:, :, i]
+        inflow = psi[:, :, i, 1]
+
+
 def sweep_all(psi_prev: np.ndarray, inc_left: np.ndarray, inc_right: np.ndarray,
               sigma: np.ndarray, q: np.ndarray, mesh: SpatialMesh,
               quad: AngularQuadrature, dt) -> np.ndarray:
@@ -50,44 +68,15 @@ def sweep_all(psi_prev: np.ndarray, inc_left: np.ndarray, inc_right: np.ndarray,
     the mid-cell face value is the average of the two corner values, cell
     faces are upwinded.  dt = inf gives the steady-state sweep.
     """
-    nx = mesh.n_cells
     tau = 1.0 / (C_LIGHT * dt)
-    dx = mesh.dx
+    hdx = 0.5 * mesh.dx
+    a = (sigma[:, None, :] + tau) * hdx             # (G, 1, n_x)
+    b = hdx[:, None] * (0.5 * q[:, None, :, None] + tau * psi_prev)
     psi = np.empty_like(psi_prev)
-
-    pos = quad.positive
-    mu_p = quad.mu[pos][None, :, None]          # (1, Mp, 1)
-    mu_n = -quad.mu[~pos][None, :, None]
-
-    a = (sigma[:, None, :] + tau) * (0.5 * dx)[None, None, :]   # (G, 1, nx)
-    b = (0.5 * dx)[None, None, :] * (0.5 * q[:, None, None, :]
-                                     + tau * psi_prev.transpose(0, 1, 3, 2))
-    # b has shape (G, M, 2, nx): b[..., 0, :] left corner, b[..., 1, :] right
-
-    half = 0.5 * mu_p
-    det_p = (half + a) ** 2 + half**2
-    inflow = inc_left[:, pos]                    # (G, Mp)
-    for i in range(nx):
-        ai = a[:, :, i]
-        sL = b[:, pos, 0, i] + mu_p[:, :, 0] * inflow
-        bR = b[:, pos, 1, i]
-        hp = half[:, :, 0]
-        psi[:, pos, i, 0] = (sL * (hp + ai) - hp * bR) / det_p[:, :, i]
-        psi[:, pos, i, 1] = ((hp + ai) * bR + hp * sL) / det_p[:, :, i]
-        inflow = psi[:, pos, i, 1]
-
-    half = 0.5 * mu_n
-    det_n = (half + a) ** 2 + half**2
-    inflow = inc_right[:, ~pos]
-    for i in range(nx - 1, -1, -1):
-        ai = a[:, :, i]
-        sR = b[:, ~pos, 1, i] + mu_n[:, :, 0] * inflow
-        bL = b[:, ~pos, 0, i]
-        hn = half[:, :, 0]
-        psi[:, ~pos, i, 1] = (sR * (hn + ai) - hn * bL) / det_n[:, :, i]
-        psi[:, ~pos, i, 0] = ((hn + ai) * bL + hn * sR) / det_n[:, :, i]
-        inflow = psi[:, ~pos, i, 0]
-
+    n = int(np.searchsorted(quad.mu, 0.0))       # directions with mu < 0
+    _sweep_rightward(psi[:, n:], b[:, n:], a, quad.mu[n:], inc_left[:, n:])
+    _sweep_rightward(psi[:, :n, ::-1, ::-1], b[:, :n, ::-1, ::-1],
+                     a[:, :, ::-1], -quad.mu[:n], inc_right[:, :n])
     return psi
 
 

@@ -1,8 +1,9 @@
 """Reference checks for the tests: pointwise Planck functions and a
-one-pass group-opacity build, dense solves of the sweep and of the moment
-system, assembled-equation residuals, cross-grid conservation and the
-paper's per-cycle cost.  No simulation runs any of this; each oracle is
-written out from the equations instead of calling the solver it checks.
+one-pass group-opacity build, a two-loop sweep, dense solves of the sweep
+and of the moment system, assembled-equation residuals, cross-grid
+conservation and the paper's per-cycle cost.  No simulation runs any of
+this; each oracle is written out from the equations instead of calling the
+solver it checks.
 """
 
 import numpy as np
@@ -98,6 +99,51 @@ def dense_sweep_oracle(psi_prev, inc_left, inc_right, sigma, q, mesh, quad,
                     b[L] = bsrc[0]
             out[g, m] = np.linalg.solve(A, b).reshape(nx, 2)
     return out
+
+
+def sweep_all(psi_prev, inc_left, inc_right, sigma, q, mesh, quad, dt):
+    """The corner-balance sweep with one cell loop per half range, each
+    gathering its directions through the mu > 0 mask: the bitwise reference
+    for transport.sweep_all."""
+    nx = mesh.n_cells
+    tau = 1.0 / (phys.C_LIGHT * dt)
+    dx = mesh.dx
+    psi = np.empty_like(psi_prev)
+
+    pos = quad.positive
+    mu_p = quad.mu[pos][None, :, None]          # (1, Mp, 1)
+    mu_n = -quad.mu[~pos][None, :, None]
+
+    a = (sigma[:, None, :] + tau) * (0.5 * dx)[None, None, :]   # (G, 1, nx)
+    b = (0.5 * dx)[None, None, :] * (0.5 * q[:, None, None, :]
+                                     + tau * psi_prev.transpose(0, 1, 3, 2))
+    # b has shape (G, M, 2, nx): b[..., 0, :] left corner, b[..., 1, :] right
+
+    half = 0.5 * mu_p
+    det_p = (half + a) ** 2 + half**2
+    inflow = inc_left[:, pos]                    # (G, Mp)
+    for i in range(nx):
+        ai = a[:, :, i]
+        sL = b[:, pos, 0, i] + mu_p[:, :, 0] * inflow
+        bR = b[:, pos, 1, i]
+        hp = half[:, :, 0]
+        psi[:, pos, i, 0] = (sL * (hp + ai) - hp * bR) / det_p[:, :, i]
+        psi[:, pos, i, 1] = ((hp + ai) * bR + hp * sL) / det_p[:, :, i]
+        inflow = psi[:, pos, i, 1]
+
+    half = 0.5 * mu_n
+    det_n = (half + a) ** 2 + half**2
+    inflow = inc_right[:, ~pos]
+    for i in range(nx - 1, -1, -1):
+        ai = a[:, :, i]
+        sR = b[:, ~pos, 1, i] + mu_n[:, :, 0] * inflow
+        bL = b[:, ~pos, 0, i]
+        hn = half[:, :, 0]
+        psi[:, ~pos, i, 1] = (sR * (hn + ai) - hn * bL) / det_n[:, :, i]
+        psi[:, ~pos, i, 0] = ((hn + ai) * bL + hn * sR) / det_n[:, :, i]
+        inflow = psi[:, ~pos, i, 0]
+
+    return psi
 
 
 def random_coefficients(G, mesh, rng, with_eta=False):

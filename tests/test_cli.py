@@ -90,6 +90,7 @@ class TestParseConfig:
         {"problem": "marshak2d"},
         {"groups": "2"},
         {"eps": "1e-8", "eps_tilde": "1e-6"},
+        {"dt": "0.02", "tend": "0.05"},      # tend must be a multiple of dt
     ])
     def test_validation(self, overrides):
         with pytest.raises(ConfigError):
@@ -230,6 +231,12 @@ class TestMain:
         assert main(["--cycle", "Q", "--out", str(tmp_path)]) == 2
         assert "configuration error" in capsys.readouterr().err
         assert main(["--config", str(tmp_path / "nope.cfg")]) == 2
+
+    def test_tend_not_multiple_of_dt_exit(self, tmp_path, capsys):
+        assert main(["--groups", "16", "--dt", "0.02", "--tend", "0.05",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "multiple of dt" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_visits_need_custom_cycle(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"

@@ -361,6 +361,19 @@ class TestRunSimulation:
         with pytest.raises(ValueError):
             run_simulation(prob, sched, ConvergenceCriteria(), 2e-2, t_end)
 
+    @pytest.mark.parametrize("grids, kind, counts", [
+        ((16, 1), "F", (16, 8, 4, 1)),   # grids the problem lacks
+        ((16, 1), "V", (32, 1)),         # another fine grid
+        ((16, 8, 1), "W", (16, 4, 1)),   # another coarse grid
+    ])
+    def test_schedule_must_match_hierarchy(self, grids, kind, counts):
+        prob = _fc(16, grids)
+        sched = make_schedule(kind, counts, 2)
+        with pytest.raises(ScheduleError) as err:
+            run_simulation(prob, sched, ConvergenceCriteria(), 2e-2, 0.02)
+        assert str(counts) in str(err.value)
+        assert str(grids) in str(err.value)
+
     def test_deterministic_repeat(self):
         prob = _fc(16, (16, 4, 1))
         sched = make_schedule("W", (16, 4, 1), 2)

@@ -1,8 +1,12 @@
 """Corner-balance sweep and angular-moment closures; the sweep is checked
-against a dense solve of its corner equations and a group energy balance."""
+against a dense solve of its corner equations, a group energy balance and,
+bit for bit, the two-loop sweep in oracles.py."""
 
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import compute_moments, dense_sweep_oracle, group_balance_residual
 
 from trtmg import phys, transport
@@ -11,6 +15,19 @@ from trtmg.grids import AngularQuadrature, SpatialMesh, double_gauss_legendre
 
 def _two_dir_quad():
     return AngularQuadrature(mu=np.array([-1.0, 1.0]), w=np.array([1.0, 1.0]))
+
+
+# half ranges of unequal size: two directions with mu < 0, three with mu > 0
+UNEVEN = AngularQuadrature(mu=np.array([-0.8, -0.3, 0.2, 0.5, 0.9]),
+                           w=np.array([0.5, 0.5, 0.3, 0.4, 0.3]))
+QUADRATURES = {
+    "symmetric": double_gauss_legendre(2),
+    "uneven": UNEVEN,
+    "positive": AngularQuadrature(mu=np.array([0.3, 0.7]),
+                                  w=np.array([1.0, 1.0])),
+    "negative": AngularQuadrature(mu=np.array([-0.9, -0.1]),
+                                  w=np.array([1.0, 1.0])),
+}
 
 
 def test_hand_corner_values():
@@ -77,21 +94,38 @@ def test_equilibrium_intensity_is_fixed_point():
 
 
 def test_sweep_matches_dense_solve():
-    quad = double_gauss_legendre(2)
     mesh = SpatialMesh(np.array([0.0, 0.3, 1.0, 1.4, 2.5]))
-    G, M, nx = 2, quad.n_dirs, 4
-    rng = np.random.default_rng(7)
-    psi_prev = rng.random((G, M, nx, 2))
-    inc_left = rng.random((G, M))
-    inc_right = rng.random((G, M))
-    sigma = 0.1 + 3.0 * rng.random((G, nx))
-    q = rng.random((G, nx))
-    for dt in (np.inf, 0.05):
-        got = transport.sweep_all(psi_prev, inc_left, inc_right, sigma, q,
-                                  mesh, quad, dt)
-        ref = dense_sweep_oracle(psi_prev, inc_left, inc_right, sigma, q,
-                                 mesh, quad, dt)
-        assert np.allclose(got, ref, rtol=1e-12, atol=1e-14)
+    for quad in (double_gauss_legendre(2), UNEVEN):
+        G, M, nx = 2, quad.n_dirs, 4
+        rng = np.random.default_rng(7)
+        psi_prev = rng.random((G, M, nx, 2))
+        inc_left = rng.random((G, M))
+        inc_right = rng.random((G, M))
+        sigma = 0.1 + 3.0 * rng.random((G, nx))
+        q = rng.random((G, nx))
+        for dt in (np.inf, 0.05):
+            got = transport.sweep_all(psi_prev, inc_left, inc_right, sigma, q,
+                                      mesh, quad, dt)
+            ref = dense_sweep_oracle(psi_prev, inc_left, inc_right, sigma, q,
+                                     mesh, quad, dt)
+            assert np.allclose(got, ref, rtol=1e-12, atol=1e-14)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(G=st.integers(1, 3),
+       dx=st.lists(st.floats(0.01, 2.0), min_size=1, max_size=6),
+       quad=st.sampled_from(sorted(QUADRATURES)),
+       dt=st.sampled_from([np.inf, 0.05]),
+       seed=st.integers(0, 2**32 - 1))
+def test_sweep_matches_two_loop_reference(G, dx, quad, dt, seed):
+    quad = QUADRATURES[quad]
+    mesh = SpatialMesh(np.concatenate(([0.0], np.cumsum(dx))))
+    M, nx = quad.n_dirs, len(dx)
+    rng = np.random.default_rng(seed)
+    args = (rng.random((G, M, nx, 2)), rng.random((G, M)), rng.random((G, M)),
+            0.1 + 5.0 * rng.random((G, nx)), rng.random((G, nx)), mesh, quad,
+            dt)
+    assert np.array_equal(transport.sweep_all(*args), oracles.sweep_all(*args))
 
 
 def test_group_balance_residual_small():

@@ -1,0 +1,101 @@
+"""Byte-identity gate: do this checkout's sources write the same output files
+as the sources of git revision REV?
+
+    python tools/same_outputs.py [REV]        # REV defaults to HEAD
+
+Extracts `src` of REV with `git archive` into a temporary directory, then
+runs each case below with both source trees through the command-line driver:
+the three perfbench workloads at 0.6 ns (configs from
+perfbench/harness.py) and the V2, V4, W2 and F2 benchmark runs at 3 ns.
+Compares profiles.csv, stats.csv, totals.csv and conv_hist.csv byte for
+byte, prints one line per file, and exits 1 if any file differs or is
+missing (2 if REV is not a revision).  Everything is written under the
+temporary directory.
+"""
+
+from __future__ import annotations
+
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.dont_write_bytecode = True
+sys.path.insert(0, str(ROOT / "perfbench"))
+import harness  # noqa: E402
+
+FILES = ("profiles.csv", "stats.csv", "totals.csv", "conv_hist.csv")
+FULL = {
+    "V2": {"cycle": "V", "grids": "256,1", "lmax": 4, "dt": 0.02},
+    "V4": {"cycle": "V", "grids": "256,1", "lmax": 6, "dt": 0.04},
+    "W2": {"cycle": "W", "grids": "256,32,1", "lmax": 2, "dt": 0.02},
+    "F2": {"cycle": "F", "grids": "256,128,32,16,8,4,1", "lmax": 1,
+           "dt": 0.02},
+}
+CASES = {**{name: harness.workload_config(name) for name in harness.WORKLOADS},
+         **{name: dict(cfg, tend=3.0) for name, cfg in FULL.items()}}
+RUN = "import sys; from trtmg.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def extract_src(rev: str, dest: Path) -> Path:
+    tar = subprocess.run(["git", "archive", "--format=tar", rev, "src"],
+                         cwd=ROOT, check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
+        tf.extractall(dest, filter="data")
+    return dest / "src"
+
+
+def start(src: Path, config: dict, out: Path) -> subprocess.Popen:
+    out.mkdir(parents=True)
+    cfg = out / "config.in"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items())
+                   + f"out = {out}\n")
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.Popen([sys.executable, "-c", RUN, "--config", str(cfg)],
+                            env=env, stdout=subprocess.DEVNULL)
+
+
+def totals(path: Path) -> str:
+    row = path.read_text().splitlines()[1].split(",")
+    return "/".join(row[4:7])
+
+
+def main(argv) -> int:
+    if len(argv) > 1:
+        print("usage: same_outputs.py [REV]", file=sys.stderr)
+        return 2
+    rev = argv[0] if argv else "HEAD"
+    differ = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        try:
+            trees = {"rev": extract_src(rev, tmp / "rev"), "here": ROOT / "src"}
+        except subprocess.CalledProcessError as e:
+            print(e.stderr.decode().strip(), file=sys.stderr)
+            return 2
+        for case, config in CASES.items():
+            runs = {side: start(src, config, tmp / case / side)
+                    for side, src in trees.items()}
+            codes = {side: p.wait() for side, p in runs.items()}
+            for name in FILES:
+                a, b = (tmp / case / side / name for side in trees)
+                if not (a.exists() and b.exists()):
+                    status, note = "MISSING", f"exit codes {codes}"
+                elif a.read_bytes() != b.read_bytes():
+                    status, note = "DIFFERS", ""
+                else:
+                    status = "same"
+                    note = totals(a) if name == "totals.csv" else ""
+                differ += status != "same"
+                print(f"{status:8} {case:8} {name:14} {note}".rstrip(),
+                      flush=True)
+    print(f"{differ} of {len(CASES) * len(FILES)} files differ from {rev}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
