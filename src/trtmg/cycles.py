@@ -22,13 +22,10 @@ import numpy as np
 from . import grey, loqd, phys, transport
 from .grids import AngularQuadrature, FrequencyGridHierarchy, SpatialMesh
 from .phys import A_RAD, C_LIGHT, MaterialModel
+from .transport import ConvergenceError
 
 
 class ScheduleError(ValueError):
-    pass
-
-
-class ConvergenceError(RuntimeError):
     pass
 
 
@@ -150,7 +147,7 @@ class SimulationState:
     t: float
     T: np.ndarray            # (n_x,)
     T_r: np.ndarray          # (n_x,) radiation temperature for opacity weights
-    psi: np.ndarray          # (G, M, n_x, 2) corner intensities
+    psi: np.ndarray          # (n_x, 2, G, M) corner intensities
     E: np.ndarray            # (G, n_x) committed fine moments
     F: np.ndarray            # (G, n_x+1)
     closures: transport.ClosureData
@@ -164,8 +161,8 @@ def initial_state(problem: Problem) -> SimulationState:
     T0 = np.broadcast_to(np.asarray(problem.T_init, dtype=float),
                          (nx,)).astype(float)
     B0 = phys.planck_groups(T0, problem.hierarchy.fine.edges)  # (nx, G)
-    psi = np.empty((G, M, nx, 2))
-    psi[:] = (0.5 * B0.T)[:, None, :, None]
+    psi = np.empty((nx, 2, G, M))
+    psi[:] = (0.5 * B0)[:, None, :, None]
     E = 2.0 * B0.T / C_LIGHT
     F = np.zeros((G, nx + 1))
     return SimulationState(

@@ -137,7 +137,8 @@ class SpatialMesh:
 
 @dataclass(frozen=True)
 class AngularQuadrature:
-    """Direction cosines and weights, ascending in mu, weights summing to 2."""
+    """Direction cosines and weights, ascending in mu; the weights are
+    positive and sum to 2 (to 1e-12 relative)."""
 
     mu: np.ndarray
     w: np.ndarray
@@ -151,6 +152,9 @@ class AngularQuadrature:
             raise GridError("quadrature nodes and weights must align")
         if np.any(np.diff(mu) <= 0) or np.any(mu == 0.0):
             raise GridError("direction cosines must be ascending and nonzero")
+        if not (np.all(w > 0.0) and abs(w.sum() - 2.0) <= 2.0 * 1e-12):
+            raise GridError(f"quadrature weights must be positive and sum to "
+                            f"2, got {w.tolist()}")
 
     @property
     def n_dirs(self) -> int:

@@ -67,6 +67,8 @@ _BERN_C = np.array([
     +2.20360113134409181e-19, -5.16832025400463853e-21,
     +1.21886449642395423e-22, -2.88823142807662809e-24,
     +6.87258318890207039e-26])
+# term numbers of the exponential series, largest first, as a column
+_TAIL_N = np.arange(20.0, 0.0, -1.0)[:, None]
 
 
 def _planck_tail(x):
@@ -92,11 +94,12 @@ def _planck_tail(x):
     big = ~small & ~(x >= 746.0)
     xb = x[big]
     c3, c2, c1 = xb**3, 3.0 * xb**2, 6.0 * xb
-    acc = np.zeros_like(xb)
-    for n in range(20, 0, -1):
-        e = np.exp(-n * xb)
-        acc += e * (c3 / n + c2 / n**2 + c1 / n**3 + 6.0 / n**4)
-    out[big] = acc
+    n = _TAIL_N
+    terms = np.exp(-n * xb)                       # (20, len(xb))
+    terms *= ((c3 / n + c2 / n**2) + c1 / n**3) + 6.0 / n**4
+    # an axis-0 reduce of a C-ordered block adds whole rows one after
+    # another, n = 20 first, so the smallest terms are summed first
+    out[big] = terms.sum(axis=0)
     return out
 
 

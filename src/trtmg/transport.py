@@ -6,9 +6,11 @@ has psi = B_g/2 in every direction.  The closure quantities handed to the
 moment solver (Eddington factors and boundary flux ratios) are ratios of
 angular moments and do not depend on that normalization.
 
-psi is stored as (n_groups, n_dirs, n_cells, 2); the trailing axis holds the
-left/right corner value within each cell.  Directions run in ascending mu,
-so the mu < 0 half range comes first.  Its sweep is the mu > 0 sweep of the
+psi is stored cells-leading as (n_cells, 2, n_groups, n_dirs): axis 1 holds
+the left/right corner of each cell, so one corner of one cell is a
+contiguous (n_groups, n_dirs) block and each step of the sweep's cell loop
+reads and writes whole blocks.  Directions run in ascending mu, so the
+mu < 0 half range comes first.  Its sweep is the mu > 0 sweep of the
 mirrored slab: cells and corners reversed and |mu| as the cosine.
 """
 
@@ -20,6 +22,11 @@ import numpy as np
 
 from .grids import AngularQuadrature, SpatialMesh
 from .phys import C_LIGHT, GroupOpacitySet
+
+
+class ConvergenceError(RuntimeError):
+    """A time step cannot finish: a non-finite sweep or outer change, or the
+    outer iteration cap."""
 
 
 @dataclass
@@ -42,20 +49,28 @@ class ClosureData:
         )
 
 
-def _sweep_rightward(psi, b, a, mu, inflow):
+def _sweep_rightward(psi, psi_prev, sigma, q, hdx, tau, mu, inflow):
     """Corner-balance sweep of one half range from the left face to the
-    right: psi and b (G, m, n_x, 2), a (G, 1, n_x), mu (m,) > 0, inflow
-    (G, m) entering the left face."""
+    right: psi and psi_prev (n_x, 2, G, m), sigma and q (n_x, G), hdx
+    (n_x, 1) half cell widths, mu (m,) > 0, inflow (G, m) entering the left
+    face."""
+    a = ((sigma + tau) * hdx)[:, :, None]        # (n_x, G, 1)
+    # b = hdx (q/2 + tau psi_prev), built in place as a contiguous block of
+    # this half range; addition and multiplication commute, so each element
+    # rounds exactly as in that formula
+    b = tau * psi_prev
+    b += 0.5 * q[:, None, :, None]
+    b *= hdx[:, None, :, None]
     half = 0.5 * mu
-    half_a = half[None, :, None] + a             # (G, m, n_x)
-    det = half_a**2 + (half**2)[None, :, None]
-    for i in range(psi.shape[2]):
-        sL = b[:, :, i, 0] + mu * inflow
-        bR = b[:, :, i, 1]
-        ha = half_a[:, :, i]
-        psi[:, :, i, 0] = (sL * ha - half * bR) / det[:, :, i]
-        psi[:, :, i, 1] = (ha * bR + half * sL) / det[:, :, i]
-        inflow = psi[:, :, i, 1]
+    half_a = half + a                            # (n_x, G, m)
+    det = half_a**2 + half**2
+    for i in range(psi.shape[0]):
+        sL = b[i, 0] + mu * inflow
+        bR = b[i, 1]
+        ha = half_a[i]
+        psi[i, 0] = (sL * ha - half * bR) / det[i]
+        psi[i, 1] = (ha * bR + half * sL) / det[i]
+        inflow = psi[i, 1]
 
 
 def sweep_all(psi_prev: np.ndarray, inc_left: np.ndarray, inc_right: np.ndarray,
@@ -66,25 +81,26 @@ def sweep_all(psi_prev: np.ndarray, inc_left: np.ndarray, inc_right: np.ndarray,
     Each half cell balances streaming through its faces against absorption
     (sigma plus the implicit time term) and the source q/2 + psi_prev/(c dt);
     the mid-cell face value is the average of the two corner values, cell
-    faces are upwinded.  dt = inf gives the steady-state sweep.
+    faces are upwinded.  dt = inf gives the steady-state sweep.  sigma and q
+    are (n_x, G), psi_prev and the result (n_x, 2, G, M).
     """
     tau = 1.0 / (C_LIGHT * dt)
-    hdx = 0.5 * mesh.dx
-    a = (sigma[:, None, :] + tau) * hdx             # (G, 1, n_x)
-    b = hdx[:, None] * (0.5 * q[:, None, :, None] + tau * psi_prev)
+    hdx = 0.5 * mesh.dx[:, None]
     psi = np.empty_like(psi_prev)
     n = int(np.searchsorted(quad.mu, 0.0))       # directions with mu < 0
-    _sweep_rightward(psi[:, n:], b[:, n:], a, quad.mu[n:], inc_left[:, n:])
-    _sweep_rightward(psi[:, :n, ::-1, ::-1], b[:, :n, ::-1, ::-1],
-                     a[:, :, ::-1], -quad.mu[:n], inc_right[:, :n])
+    _sweep_rightward(psi[..., n:], psi_prev[..., n:], sigma, q, hdx, tau,
+                     quad.mu[n:], inc_left[:, n:])
+    _sweep_rightward(psi[::-1, ::-1, :, :n], psi_prev[::-1, ::-1, :, :n],
+                     sigma[::-1], q[::-1], hdx[::-1], tau, -quad.mu[:n],
+                     inc_right[:, :n])
     return psi
 
 
 def _face_intensities(psi, inc_left, inc_right, pos):
     """Boundary-face angular intensities: incoming data on the entering half
     range, exit-corner values on the leaving half range."""
-    left = np.where(pos[None, :], inc_left, psi[:, :, 0, 0])
-    right = np.where(pos[None, :], psi[:, :, -1, 1], inc_right)
+    left = np.where(pos[None, :], inc_left, psi[0, 0])
+    right = np.where(pos[None, :], psi[-1, 1], inc_right)
     return left, right
 
 
@@ -98,20 +114,38 @@ def _ratio(num, den, fallback):
 def compute_qd_factors(psi: np.ndarray, inc_left: np.ndarray, inc_right: np.ndarray,
                        quad: AngularQuadrature) -> ClosureData:
     """Eddington factors per cell and boundary face, and boundary flux ratios
-    C^- (x=0) and C^+ (x=X) from the exit-corner intensities."""
+    C^- (x=0) and C^+ (x=X) from the exit-corner intensities.
+
+    Raises ConvergenceError if a zeroth angular moment of the cell-average
+    intensity is not finite.
+    """
     w, mu, pos = quad.w, quad.mu, quad.positive
     wmu2 = w * mu * mu
-    psi_bar = 0.5 * (psi[..., 0] + psi[..., 1])
+    # summed straight into (G, M, n_x) order: the einsums then add up the
+    # directions in the order of the groups-leading closure reference, and
+    # the output bytes depend on that order
+    psi_bar = np.empty(psi.shape[2:] + psi.shape[:1])
+    np.add(psi[:, 0].transpose(1, 2, 0), psi[:, 1].transpose(1, 2, 0),
+           out=psi_bar)
+    psi_bar *= 0.5
 
-    f = _ratio(np.einsum("m,gmi->gi", wmu2, psi_bar),
-               np.einsum("m,gmi->gi", w, psi_bar), 1.0 / 3.0)
+    moment0 = np.einsum("m,gmi->gi", w, psi_bar)
+    bad = ~np.isfinite(moment0)
+    if bad.any():
+        g, i = np.argwhere(bad)[0]
+        raise ConvergenceError(
+            f"transport sweep: non-finite zeroth angular moment in group {g}, "
+            f"cell {i}")
+    f = _ratio(np.einsum("m,gmi->gi", wmu2, psi_bar), moment0, 1.0 / 3.0)
 
     fl, fr = _face_intensities(psi, inc_left, inc_right, pos)
     f_face = np.stack([_ratio(fl @ wmu2, fl @ w, 1.0 / 3.0),
                        _ratio(fr @ wmu2, fr @ w, 1.0 / 3.0)], axis=1)
 
-    exit_l = psi[:, ~pos, 0, 0]
-    exit_r = psi[:, pos, -1, 1]
+    # Fortran order, the order of the groups-leading reference's gathers;
+    # the matrix-vector products sum in an order set by the layout
+    exit_l = np.asfortranarray(psi[0, 0][:, ~pos])
+    exit_r = np.asfortranarray(psi[-1, 1][:, pos])
     C_minus = _ratio(exit_l @ (w * mu)[~pos], exit_l @ w[~pos], -0.5)
     C_plus = _ratio(exit_r @ (w * mu)[pos], exit_r @ w[pos], 0.5)
     return ClosureData(f=f, f_face=f_face, C_minus=C_minus, C_plus=C_plus)
@@ -122,7 +156,6 @@ def transport_solve(psi_prev: np.ndarray, inc_left: np.ndarray, inc_right: np.nd
                     dt):
     """One transport solve at fixed coefficients: sweep all groups with the
     absorption opacity and emission source sigma_B*B, then extract closures."""
-    sigma = opac.sig_E.T.copy()          # (G, n_x)
-    q = (opac.sig_B * opac.B).T.copy()
-    psi = sweep_all(psi_prev, inc_left, inc_right, sigma, q, mesh, quad, dt)
+    psi = sweep_all(psi_prev, inc_left, inc_right, opac.sig_E,
+                    opac.sig_B * opac.B, mesh, quad, dt)
     return psi, compute_qd_factors(psi, inc_left, inc_right, quad)

@@ -1,15 +1,15 @@
 """Reference checks for the tests: pointwise Planck functions and a
-one-pass group-opacity build, a two-loop sweep, dense solves of the sweep
-and of the moment system, assembled-equation residuals, cross-grid
-conservation and the paper's per-cycle cost.  No simulation runs any of
-this; each oracle is written out from the equations instead of calling the
-solver it checks.
+one-pass group-opacity build, a two-loop sweep and its closures on a
+groups-leading intensity, dense solves of the sweep and of the moment
+system, assembled-equation residuals, cross-grid conservation and the
+paper's per-cycle cost.  No simulation runs any of this; each oracle is
+written out from the equations instead of calling the solver it checks.
 """
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from trtmg import loqd, phys
+from trtmg import loqd, phys, transport
 
 
 def per_cycle_cost(schedule) -> int:
@@ -26,45 +26,47 @@ def _rel_defect(terms: np.ndarray) -> float:
 
 
 def compute_moments(psi, inc_left, inc_right, quad):
-    """(E, E_face, F) of the sweep intensity; fluxes at cell faces use the
-    upwind corner values, boundary faces the incoming data where it enters."""
+    """(E, E_face, F) of the sweep intensity psi (n_x, 2, G, M); fluxes at
+    cell faces use the upwind corner values, boundary faces the incoming data
+    where it enters."""
     w, mu, pos = quad.w, quad.mu, quad.positive
-    psi_bar = 0.5 * (psi[..., 0] + psi[..., 1])
-    E = np.einsum("m,gmi->gi", w, psi_bar) / phys.C_LIGHT
+    psi_bar = 0.5 * (psi[:, 0] + psi[:, 1])
+    E = np.einsum("m,igm->gi", w, psi_bar) / phys.C_LIGHT
 
-    fl = np.where(pos[None, :], inc_left, psi[:, :, 0, 0])
-    fr = np.where(pos[None, :], psi[:, :, -1, 1], inc_right)
+    fl = np.where(pos[None, :], inc_left, psi[0, 0])
+    fr = np.where(pos[None, :], psi[-1, 1], inc_right)
     E_face = np.stack([fl @ w, fr @ w], axis=1) / phys.C_LIGHT
 
-    G, _, nx = psi_bar.shape
+    nx, G, _ = psi_bar.shape
     F = np.empty((G, nx + 1))
     wmu_p, wmu_n = (w * mu)[pos], (w * mu)[~pos]
-    F[:, 0] = inc_left[:, pos] @ wmu_p + psi[:, ~pos, 0, 0] @ wmu_n
+    F[:, 0] = inc_left[:, pos] @ wmu_p + psi[0, 0][:, ~pos] @ wmu_n
     for f in range(1, nx):
-        F[:, f] = psi[:, pos, f - 1, 1] @ wmu_p + psi[:, ~pos, f, 0] @ wmu_n
-    F[:, nx] = psi[:, pos, nx - 1, 1] @ wmu_p + inc_right[:, ~pos] @ wmu_n
+        F[:, f] = psi[f - 1, 1][:, pos] @ wmu_p + psi[f, 0][:, ~pos] @ wmu_n
+    F[:, nx] = psi[nx - 1, 1][:, pos] @ wmu_p + inc_right[:, ~pos] @ wmu_n
     return E, E_face, F
 
 
 def group_balance_residual(psi, psi_prev, inc_left, inc_right, sigma, q,
                            mesh, quad, dt) -> float:
     """Largest relative defect of the group-wise cell energy balance implied
-    by the swept intensity."""
+    by the swept intensity; arguments as for transport.sweep_all."""
     c = phys.C_LIGHT
     tau = 1.0 / (c * dt)
     E, _, F = compute_moments(psi, inc_left, inc_right, quad)
     E_prev, _, _ = compute_moments(psi_prev, inc_left, inc_right, quad)
     dx = mesh.dx[None, :]
     return _rel_defect(np.stack([c * tau * dx * (E - E_prev),
-                                 F[:, 1:] - F[:, :-1], c * sigma * dx * E,
-                                 -q * dx]))
+                                 F[:, 1:] - F[:, :-1], c * sigma.T * dx * E,
+                                 -q.T * dx]))
 
 
 def dense_sweep_oracle(psi_prev, inc_left, inc_right, sigma, q, mesh, quad,
                        dt):
     """Assemble every corner equation of one group/direction pair into a
-    dense matrix and solve it outright."""
-    G, M, nx, _ = psi_prev.shape
+    dense matrix and solve it outright; arguments and result laid out as for
+    transport.sweep_all."""
+    nx, _, G, M = psi_prev.shape
     tau = 1.0 / (phys.C_LIGHT * dt)
     dx = mesh.dx
     out = np.empty_like(psi_prev)
@@ -75,9 +77,9 @@ def dense_sweep_oracle(psi_prev, inc_left, inc_right, sigma, q, mesh, quad,
             A = np.zeros((2 * nx, 2 * nx))
             b = np.zeros(2 * nx)
             for i in range(nx):
-                a = (sigma[g, i] + tau) * dx[i] / 2.0
-                bsrc = 0.5 * dx[i] * (0.5 * q[g, i]
-                                      + tau * psi_prev[g, m, i, :])
+                a = (sigma[i, g] + tau) * dx[i] / 2.0
+                bsrc = 0.5 * dx[i] * (0.5 * q[i, g]
+                                      + tau * psi_prev[i, :, g, m])
                 L, R = 2 * i, 2 * i + 1
                 if mu > 0:
                     A[L, L], A[L, R] = h + a, h
@@ -97,14 +99,15 @@ def dense_sweep_oracle(psi_prev, inc_left, inc_right, sigma, q, mesh, quad,
                         A[R, L + 2] = -abs(mu)
                     A[L, R], A[L, L] = -h, h + a
                     b[L] = bsrc[0]
-            out[g, m] = np.linalg.solve(A, b).reshape(nx, 2)
+            out[:, :, g, m] = np.linalg.solve(A, b).reshape(nx, 2)
     return out
 
 
 def sweep_all(psi_prev, inc_left, inc_right, sigma, q, mesh, quad, dt):
     """The corner-balance sweep with one cell loop per half range, each
-    gathering its directions through the mu > 0 mask: the bitwise reference
-    for transport.sweep_all."""
+    gathering its directions through the mu > 0 mask, on a groups-leading
+    layout: psi_prev and the result (G, M, n_x, 2), sigma and q (G, n_x).
+    The bitwise reference for transport.sweep_all."""
     nx = mesh.n_cells
     tau = 1.0 / (phys.C_LIGHT * dt)
     dx = mesh.dx
@@ -144,6 +147,37 @@ def sweep_all(psi_prev, inc_left, inc_right, sigma, q, mesh, quad, dt):
         inflow = psi[:, ~pos, i, 0]
 
     return psi
+
+
+def _ratio(num, den, fallback):
+    out = np.full_like(num, fallback)
+    good = np.isfinite(den) & (den > 0.0)
+    np.divide(num, den, out=out, where=good)
+    return out
+
+
+def compute_qd_factors(psi, inc_left, inc_right, quad):
+    """Closures of a groups-leading psi (G, M, n_x, 2), gathering the exit
+    corners through the mu > 0 mask: the bitwise reference for
+    transport.compute_qd_factors."""
+    w, mu, pos = quad.w, quad.mu, quad.positive
+    wmu2 = w * mu * mu
+    psi_bar = 0.5 * (psi[..., 0] + psi[..., 1])
+
+    f = _ratio(np.einsum("m,gmi->gi", wmu2, psi_bar),
+               np.einsum("m,gmi->gi", w, psi_bar), 1.0 / 3.0)
+
+    fl = np.where(pos[None, :], inc_left, psi[:, :, 0, 0])
+    fr = np.where(pos[None, :], psi[:, :, -1, 1], inc_right)
+    f_face = np.stack([_ratio(fl @ wmu2, fl @ w, 1.0 / 3.0),
+                       _ratio(fr @ wmu2, fr @ w, 1.0 / 3.0)], axis=1)
+
+    exit_l = psi[:, ~pos, 0, 0]
+    exit_r = psi[:, pos, -1, 1]
+    C_minus = _ratio(exit_l @ (w * mu)[~pos], exit_l @ w[~pos], -0.5)
+    C_plus = _ratio(exit_r @ (w * mu)[pos], exit_r @ w[pos], 0.5)
+    return transport.ClosureData(f=f, f_face=f_face, C_minus=C_minus,
+                                 C_plus=C_plus)
 
 
 def random_coefficients(G, mesh, rng, with_eta=False):

@@ -132,8 +132,8 @@ class TestInitialState:
         assert np.array_equal(st.E, 2.0 * B0.T / phys.C_LIGHT)
         assert np.all(st.F == 0.0)
         # the radiation field starts isotropic at psi = B/2 per direction
-        assert np.array_equal(st.psi[:, 0], st.psi[:, -1])
-        assert np.all(st.psi[..., 0] == 0.5 * B0.T[:, None, :])
+        assert np.array_equal(st.psi[..., 0], st.psi[..., -1])
+        assert np.all(st.psi[:, 0] == 0.5 * B0[:, :, None])
         assert np.all(st.closures.f == 1.0 / 3.0)
         assert np.all(st.closures.f_face == 1.0 / 3.0)
         assert np.all(st.closures.C_minus == -0.5)
@@ -340,6 +340,22 @@ class TestConvergenceRecords:
                           ConvergenceCriteria(), 2e-2, stats, step_index=3)
         assert stats.n_ti <= 1
         assert stats.n_c <= sched.l_max
+
+    def test_nan_inflow_fails_at_first_sweep(self):
+        # a NaN entering through the left face fails the first sweep and
+        # names the layer, group and cell, instead of turning that group's
+        # closures into the isotropic fallbacks
+        prob = _fc(16)
+        inc_left = prob.inc_left.copy()
+        inc_left[5, -1] = np.nan              # the last direction enters
+        prob = replace(prob, inc_left=inc_left)
+        sched = make_schedule("V", (16, 1), 4)
+        stats = IterationStats()
+        with pytest.raises(ConvergenceError,
+                           match=r"transport sweep: .* group 5, cell 0"):
+            run_time_step(prob, initial_state(prob), sched,
+                          ConvergenceCriteria(), 2e-2, stats)
+        assert stats.n_ti == 0
 
 
 class TestRunSimulation:

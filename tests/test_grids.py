@@ -107,3 +107,9 @@ class TestQuadrature:
         with pytest.raises(GridError):
             AngularQuadrature(mu=np.array([0.0, 0.5]),
                               w=np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("w", [[5.0, -1.0], [2.5, -0.5], [1.0, 0.5],
+                                   [1.0, 1.0 + 1e-9], [np.nan, 1.0]])
+    def test_weights_positive_and_summing_to_two(self, w):
+        with pytest.raises(GridError, match="weights"):
+            AngularQuadrature(mu=np.array([-0.5, 0.5]), w=np.array(w))

@@ -1,6 +1,7 @@
 """Corner-balance sweep and angular-moment closures; the sweep is checked
 against a dense solve of its corner equations, a group energy balance and,
-bit for bit, the two-loop sweep in oracles.py."""
+bit for bit, the two-loop sweep in oracles.py, and the closures bit for bit
+against that sweep's closure extraction."""
 
 import numpy as np
 import oracles
@@ -30,25 +31,32 @@ QUADRATURES = {
 }
 
 
+def _relayout(psi):
+    """Between the groups-leading (G, M, n_x, 2) layout of the oracles and
+    the cells-leading (n_x, 2, G, M) one of transport; the transpose is its
+    own inverse."""
+    return np.ascontiguousarray(psi.transpose(2, 3, 0, 1))
+
+
 def test_hand_corner_values():
     # one cell, mu = 1, sigma dx = 2, steady, unit inflow, no source:
     # (h+a) L + h R = mu, -h L + (h+a) R = 0 with h = 1/2, a = 1
     quad = _two_dir_quad()
     mesh = SpatialMesh.uniform(1, 1.0)
-    psi_prev = np.zeros((1, 2, 1, 2))
+    psi_prev = np.zeros((1, 2, 1, 2))      # (n_x, 2, G, M)
     inc_left = np.array([[0.0, 1.0]])
     inc_right = np.zeros((1, 2))
     sigma = np.full((1, 1), 2.0)
     q = np.zeros((1, 1))
     psi = transport.sweep_all(psi_prev, inc_left, inc_right, sigma, q, mesh,
                               quad, np.inf)
-    assert psi[0, 1, 0, 0] == pytest.approx(0.6, rel=1e-14)
+    assert psi[0, 0, 0, 1] == pytest.approx(0.6, rel=1e-14)
     assert psi[0, 1, 0, 1] == pytest.approx(0.2, rel=1e-14)
     # mirrored problem: unit inflow from the right into mu = -1
     psi = transport.sweep_all(psi_prev, np.zeros((1, 2)),
                               np.array([[1.0, 0.0]]), sigma, q, mesh, quad,
                               np.inf)
-    assert psi[0, 0, 0, 1] == pytest.approx(0.6, rel=1e-14)
+    assert psi[0, 1, 0, 0] == pytest.approx(0.6, rel=1e-14)
     assert psi[0, 0, 0, 0] == pytest.approx(0.2, rel=1e-14)
 
 
@@ -59,14 +67,14 @@ def test_free_streaming():
     rng = np.random.default_rng(11)
     inc_left = rng.random((G, M))
     inc_right = rng.random((G, M))
-    psi = transport.sweep_all(np.zeros((G, M, nx, 2)), inc_left, inc_right,
-                              np.zeros((G, nx)), np.zeros((G, nx)), mesh,
+    psi = transport.sweep_all(np.zeros((nx, 2, G, M)), inc_left, inc_right,
+                              np.zeros((nx, G)), np.zeros((nx, G)), mesh,
                               quad, np.inf)
     pos = quad.positive
     for m in np.flatnonzero(pos):
-        assert np.allclose(psi[:, m], inc_left[:, m, None, None], rtol=1e-13)
+        assert np.allclose(psi[..., m], inc_left[:, m], rtol=1e-13)
     for m in np.flatnonzero(~pos):
-        assert np.allclose(psi[:, m], inc_right[:, m, None, None], rtol=1e-13)
+        assert np.allclose(psi[..., m], inc_right[:, m], rtol=1e-13)
 
 
 def test_equilibrium_intensity_is_fixed_point():
@@ -78,10 +86,9 @@ def test_equilibrium_intensity_is_fixed_point():
     G, M, nx = 16, quad.n_dirs, 10
     T = 0.7
     B = phys.planck_groups(np.array([T]), edges)[0]
-    sigma = np.tile(np.linspace(0.5, 3.0, G)[:, None], (1, nx))
-    q = sigma * B[:, None]
-    psi_eq = np.broadcast_to(0.5 * B[:, None, None, None],
-                             (G, M, nx, 2)).copy()
+    sigma = np.tile(np.linspace(0.5, 3.0, G), (nx, 1))
+    q = sigma * B
+    psi_eq = np.broadcast_to(0.5 * B[:, None], (nx, 2, G, M)).copy()
     inc = np.broadcast_to(0.5 * B[:, None], (G, M)).copy()
     for dt in (np.inf, 0.02):
         psi = transport.sweep_all(psi_eq, inc, inc, sigma, q, mesh, quad, dt)
@@ -98,11 +105,11 @@ def test_sweep_matches_dense_solve():
     for quad in (double_gauss_legendre(2), UNEVEN):
         G, M, nx = 2, quad.n_dirs, 4
         rng = np.random.default_rng(7)
-        psi_prev = rng.random((G, M, nx, 2))
+        psi_prev = rng.random((nx, 2, G, M))
         inc_left = rng.random((G, M))
         inc_right = rng.random((G, M))
-        sigma = 0.1 + 3.0 * rng.random((G, nx))
-        q = rng.random((G, nx))
+        sigma = 0.1 + 3.0 * rng.random((nx, G))
+        q = rng.random((nx, G))
         for dt in (np.inf, 0.05):
             got = transport.sweep_all(psi_prev, inc_left, inc_right, sigma, q,
                                       mesh, quad, dt)
@@ -122,10 +129,32 @@ def test_sweep_matches_two_loop_reference(G, dx, quad, dt, seed):
     mesh = SpatialMesh(np.concatenate(([0.0], np.cumsum(dx))))
     M, nx = quad.n_dirs, len(dx)
     rng = np.random.default_rng(seed)
-    args = (rng.random((G, M, nx, 2)), rng.random((G, M)), rng.random((G, M)),
-            0.1 + 5.0 * rng.random((G, nx)), rng.random((G, nx)), mesh, quad,
-            dt)
-    assert np.array_equal(transport.sweep_all(*args), oracles.sweep_all(*args))
+    psi_prev, inc_left, inc_right = (rng.random((G, M, nx, 2)),
+                                     rng.random((G, M)), rng.random((G, M)))
+    sigma, q = 0.1 + 5.0 * rng.random((G, nx)), rng.random((G, nx))
+    ref = oracles.sweep_all(psi_prev, inc_left, inc_right, sigma, q, mesh,
+                            quad, dt)
+    got = transport.sweep_all(_relayout(psi_prev), inc_left, inc_right,
+                              sigma.T.copy(), q.T.copy(), mesh, quad, dt)
+    assert np.array_equal(got, _relayout(ref))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(G=st.integers(1, 3), nx=st.integers(1, 6),
+       quad=st.sampled_from(sorted(QUADRATURES)),
+       seed=st.integers(0, 2**32 - 1))
+def test_closures_match_groups_leading_reference(G, nx, quad, seed):
+    quad = QUADRATURES[quad]
+    M = quad.n_dirs
+    rng = np.random.default_rng(seed)
+    psi = rng.random((nx, 2, G, M))
+    psi[:, :, rng.random(G) < 0.3] = 0.0      # empty groups take the fallbacks
+    inc_left, inc_right = rng.random((G, M)), rng.random((G, M))
+    got = transport.compute_qd_factors(psi, inc_left, inc_right, quad)
+    ref = oracles.compute_qd_factors(_relayout(psi), inc_left, inc_right,
+                                     quad)
+    for name in ("f", "f_face", "C_minus", "C_plus"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
 
 
 def test_group_balance_residual_small():
@@ -133,11 +162,11 @@ def test_group_balance_residual_small():
     mesh = SpatialMesh.uniform(5, 2.0)
     G, M, nx = 3, quad.n_dirs, 5
     rng = np.random.default_rng(3)
-    psi_prev = rng.random((G, M, nx, 2))
+    psi_prev = rng.random((nx, 2, G, M))
     inc_left = rng.random((G, M))
     inc_right = rng.random((G, M))
-    sigma = 0.2 + rng.random((G, nx))
-    q = rng.random((G, nx))
+    sigma = 0.2 + rng.random((nx, G))
+    q = rng.random((nx, G))
     psi = transport.sweep_all(psi_prev, inc_left, inc_right, sigma, q, mesh,
                               quad, 0.1)
     res = group_balance_residual(psi, psi_prev, inc_left, inc_right, sigma, q,
@@ -152,8 +181,8 @@ def test_nonnegative_from_nonnegative_data():
     rng = np.random.default_rng(19)
     for _ in range(5):
         psi = transport.sweep_all(
-            rng.random((G, M, nx, 2)), rng.random((G, M)), rng.random((G, M)),
-            5.0 * rng.random((G, nx)), rng.random((G, nx)), mesh, quad,
+            rng.random((nx, 2, G, M)), rng.random((G, M)), rng.random((G, M)),
+            5.0 * rng.random((nx, G)), rng.random((nx, G)), mesh, quad,
             rng.uniform(0.01, 1.0))
         assert psi.min() >= -1e-15
 
@@ -162,7 +191,7 @@ def test_moments_of_isotropic_field():
     quad = double_gauss_legendre(8)
     G, M, nx = 2, quad.n_dirs, 4
     val = np.array([3.0, 5.0])
-    psi = np.broadcast_to(val[:, None, None, None], (G, M, nx, 2)).copy()
+    psi = np.broadcast_to(val[:, None], (nx, 2, G, M)).copy()
     inc = np.broadcast_to(val[:, None], (G, M)).copy()
     E, E_face, F = compute_moments(psi, inc, inc, quad)
     assert np.allclose(E, 2.0 * val[:, None] / phys.C_LIGHT, rtol=1e-14)
@@ -179,11 +208,11 @@ def test_transport_solve_equilibrium_closures():
     T = np.full(10, 0.7)
     opac = phys.build_group_opacities(T, phys.radiation_weights(T, edges),
                                       edges, phys.FleckCummingsOpacity())
-    B = opac.B.T  # (G, nx)
+    B = opac.B  # (nx, G)
     G, M = 16, quad.n_dirs
-    psi_prev = np.empty((G, M, 10, 2))
+    psi_prev = np.empty((10, 2, G, M))
     psi_prev[:] = 0.5 * B[:, None, :, None]
-    inc = 0.5 * B[:, :1] * np.ones((G, M))
+    inc = 0.5 * B[0, :, None] * np.ones((G, M))
     psi, clo = transport.transport_solve(psi_prev, inc, inc, opac, mesh, quad,
                                          0.02)
     assert np.allclose(psi, psi_prev, rtol=1e-12)
