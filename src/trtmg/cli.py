@@ -123,7 +123,7 @@ def _validate(cfg: RunConfig):
     if cfg.groups < 3:
         raise ConfigError("groups: the frequency grid needs at least 3 groups")
     for key, val in (("cells", cfg.cells), ("quad", cfg.quad),
-                     ("lmax", cfg.lmax), ("max_outer", cfg.max_outer)):
+                     ("lmax", cfg.lmax)):
         if val < 1:
             raise ConfigError(f"{key} must be >= 1, got {val}")
     for key, val in (("length", cfg.length), ("dt", cfg.dt),

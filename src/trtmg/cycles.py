@@ -8,9 +8,10 @@ the fine grid, evaluates temperature through the grey problem, and then
 walks the scheduled coarse grids, re-evaluating spectral coefficients at
 each fresh temperature but weighing them with this cycle's fine solution.
 
-Iteration accounting: a "low-order solve" is one single-interval moment
-solve on any grid (the grey solve counts one), so a cycle with K scheduled
-coarse visits costs n_fine + sum of coarse group counts + (K + 1).
+Iteration accounting, counted here where each solve is called: a
+"low-order solve" is one single-interval moment solve on any grid (the grey
+solve counts one), so a cycle with K scheduled coarse visits costs
+n_fine + sum of coarse group counts + (K + 1).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import grey, loqd, phys, transport
 from .grids import AngularQuadrature, FrequencyGridHierarchy, SpatialMesh
-from .phys import A_RAD, C_LIGHT, MaterialModel
+from .phys import C_LIGHT, MaterialModel
 from .transport import ConvergenceError
 
 
@@ -93,6 +94,8 @@ class ConvergenceCriteria:
     def __post_init__(self):
         if not 0.0 < self.eps_tilde <= self.eps < 1.0:
             raise ValueError("need 0 < eps_tilde <= eps < 1")
+        if self.max_outer < 1:
+            raise ValueError(f"max_outer must be >= 1, got {self.max_outer}")
 
 
 @dataclass
@@ -100,9 +103,6 @@ class IterationStats:
     n_ti: int = 0
     n_c: int = 0
     n_lo: int = 0
-
-    def add_low_order(self, n: int):
-        self.n_lo += int(n)
 
 
 @dataclass(frozen=True)
@@ -184,9 +184,9 @@ class _StepWork:
     fine_sol: loqd.MomentField = None
     # moments of the latest grey Newton solve, which produced work.T
     grey_sol: loqd.MomentField = None
-    # divided-difference stage history (T, sigma_E, emission); starts empty
+    # the latest grey Newton stage (see grey.solve_grey_meb); starts empty
     # each time step and persists across the step's transport iterations
-    hist: tuple = None
+    stage: tuple = None
     # opacity weights of T_r, built on first use and kept until T_r changes
     rad: phys.RadiationWeights = None
 
@@ -222,42 +222,30 @@ def _match_sum(parts, total):
 
 def _grey_stage(problem: Problem, prev: SimulationState, coef_src, sol_src,
                 T_stage, dt, stats, work):
-    """Grey Newton update from one level's solution; advances the Frechet
-    stage history in work.hist and returns the new temperature."""
-    gp = grey.form_grey(sol_src, coef_src, problem.hierarchy.n_levels - 1)
-    sig_grey = gp.coef.sig_E[0].copy()
-    T_stage = np.asarray(T_stage, dtype=float)
-    emis_stage = C_LIGHT * gp.coef.sig_B[0] * A_RAD * T_stage**4
-    hist = work.hist
-    if hist is None:
-        dsig = np.zeros_like(work.T)
-        demis = None
-    else:
-        dsig = grey.frechet_update(hist[0], hist[1], T_stage, sig_grey)
-        demis = grey.frechet_update(hist[0], hist[2], T_stage, emis_stage)
-    T_new, work.grey_sol = grey.solve_grey_meb(
-        gp, dsig, prev.T, work.grey_E_prev, work.grey_F_prev, T_stage, dt,
-        problem.material, problem.mesh, demis=demis, tally=stats)
-    work.hist = (T_stage.copy(), sig_grey, emis_stage)
+    """Grey Newton update from one level's solution; advances the stage
+    history in work.stage and returns the new temperature."""
+    coef = grey.form_grey(sol_src, coef_src, problem.hierarchy.n_levels - 1)
+    T_new, work.grey_sol, work.stage = grey.solve_grey_meb(
+        coef, sol_src.E.sum(axis=0), work.stage, prev.T, work.grey_E_prev,
+        work.grey_F_prev, T_stage, dt, problem.material, problem.mesh)
+    stats.n_lo += 1
     return T_new
 
 
 def run_cycle(problem: Problem, prev: SimulationState, T_tilde, work: _StepWork,
               schedule: CycleSchedule, dt: float, stats: IterationStats,
-              opac: phys.GroupOpacitySet = None):
+              opac: phys.GroupOpacitySet):
     """One inner cycle: fine-grid spectrum, grey temperature update, then the
-    scheduled coarse grids (each followed by a grey update).  opac, when
-    given, holds the opacities at (T_tilde, work.T_r).  Returns the new
-    temperature iterate."""
+    scheduled coarse grids (each followed by a grey update).  opac holds the
+    opacities at (T_tilde, work.T_r).  Returns the new temperature
+    iterate."""
     hier = problem.hierarchy
     mesh = problem.mesh
 
-    if opac is None:
-        opac = _opacities(problem, work, T_tilde)
     coef1 = loqd.build_fine_coefficients(opac, work.closures, problem.E_in,
                                          problem.F_in, mesh)
-    sol1 = loqd.solve_moment_system(coef1, prev.E, prev.F, dt, mesh,
-                                    tally=stats)
+    sol1 = loqd.solve_moment_system(coef1, prev.E, prev.F, dt, mesh)
+    stats.n_lo += coef1.n_intervals
     work.fine_sol = sol1
     work.T_r = phys.radiation_temperature(sol1.total_E())
     work.rad = None  # the weights of the old T_r
@@ -274,8 +262,8 @@ def run_cycle(problem: Problem, prev: SimulationState, T_tilde, work: _StepWork,
                                         level)
         E_pk = hier.restrict(prev.E, level)
         F_pk = hier.restrict(prev.F, level)
-        solk = loqd.solve_moment_system(coefk, E_pk, F_pk, dt, mesh,
-                                        tally=stats)
+        solk = loqd.solve_moment_system(coefk, E_pk, F_pk, dt, mesh)
+        stats.n_lo += coefk.n_intervals
         T_cur = _grey_stage(problem, prev, coefk, solk, T_cur, dt, stats, work)
     stats.n_c += 1
     return T_cur
@@ -287,25 +275,22 @@ def run_transport_iteration(problem: Problem, prev: SimulationState,
                             stats: IterationStats, conv=None, step_index=0):
     """One outer iteration: sweep (for s > 0) then inner cycles to tolerance
     or l_max.  Returns the outer relative changes (dT, dE)."""
-    opac = None
-    if s > 0:
-        # the first cycle below starts from the same T and T_r, so it takes
-        # these opacities; the first fine solve moves T_r, so the weights go
-        # now, before the sweep's large temporaries
-        opac = _opacities(problem, work, work.T)
-        work.rad = None
-        work.psi, work.closures = transport.transport_solve(
-            prev.psi, problem.inc_left, problem.inc_right, opac, problem.mesh,
-            problem.quad, dt)
-        stats.n_ti += 1
-
     T_entry = work.T
     E_entry = work.E_mon
     T_tilde = work.T
     for ell in range(1, schedule.l_max + 1):
+        opac = _opacities(problem, work, T_tilde)
+        if ell == 1 and s > 0:
+            # the sweep shares the first cycle's opacities; that cycle's fine
+            # solve moves T_r, so the weights go now, before the sweep's
+            # large temporaries
+            work.rad = None
+            work.psi, work.closures = transport.transport_solve(
+                prev.psi, problem.inc_left, problem.inc_right, opac,
+                problem.mesh, problem.quad, dt)
+            stats.n_ti += 1
         T_new = run_cycle(problem, prev, T_tilde, work, schedule, dt, stats,
                           opac)
-        opac = None
         E_new = work.fine_sol.total_E()
         dT = _dinf(T_new, T_tilde)
         dE = _dinf(E_new, work.E_mon)
@@ -402,8 +387,13 @@ def _energy_record(problem, state, step, m_ti=0, m_c=0, m_lo=0) -> StepRecord:
 
 def step_count(t_end: float, dt: float) -> int:
     """Number of fixed steps of size dt that reach t_end; ValueError unless
-    t_end is a positive multiple of dt."""
-    n_steps = int(round(t_end / dt))
+    dt is positive and t_end a positive multiple of it."""
+    if not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    ratio = t_end / dt
+    if not np.isfinite(ratio):
+        raise ValueError(f"t_end={t_end} is not a finite multiple of dt={dt}")
+    n_steps = int(round(ratio))
     if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-9 * max(t_end, dt):
         raise ValueError(f"t_end={t_end} is not a positive multiple of dt={dt}")
     return n_steps

@@ -14,15 +14,15 @@ The emission secant matters: for opacities with strong inverse temperature
 dependence the product sigma_B(T) T^4 can grow far slower than T^4 itself,
 and a quartic-only slope overdamps the update badly.  Where no emission
 secant is available (first stage) or it is nonpositive, the quartic slope at
-frozen sigma_B is used instead.  Eliminating the temperature update
-cell-locally leaves one ordinary moment solve with an effective absorption
-opacity and emission source.
+frozen sigma_B is used instead.  Each Newton step takes the previous stage
+and returns its own, so the stage history lives with the step that uses it.
+Eliminating the temperature update cell-locally leaves one ordinary moment
+solve with an effective absorption opacity and emission source.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,22 +33,12 @@ from .phys import A_RAD, C_LIGHT, T_FLOOR, MaterialModel
 log = logging.getLogger(__name__)
 
 
-@dataclass
-class GreyProblem:
-    """Single-interval grey coefficients plus the spectrum-summed energy of
-    the solution they were averaged with (the Frechet coupling weight)."""
-
-    coef: loqd.LoqdCoefficients
-    E_star: np.ndarray  # (n_x,)
-
-
 def form_grey(level_sol: loqd.MomentField, level_coef: loqd.LoqdCoefficients,
-              level_out: int) -> GreyProblem:
+              level_out: int) -> loqd.LoqdCoefficients:
     """Average a level's coefficients over its whole spectrum (weights from
-    its moment solution) into a one-interval grey system."""
+    its moment solution) into one-interval grey coefficients."""
     starts = np.array([0, level_coef.n_intervals])
-    coef = loqd.merge_coefficients(level_coef, level_sol, starts, level_out)
-    return GreyProblem(coef=coef, E_star=level_sol.E.sum(axis=0))
+    return loqd.merge_coefficients(level_coef, level_sol, starts, level_out)
 
 
 def frechet_update(T_prev, sig_prev, T_cur, sig_cur) -> np.ndarray:
@@ -63,46 +53,55 @@ def frechet_update(T_prev, sig_prev, T_cur, sig_cur) -> np.ndarray:
     return out
 
 
-def solve_grey_meb(grey: GreyProblem, frechet: np.ndarray,
-                   T_prev_time: np.ndarray, E_prev: np.ndarray,
-                   F_prev: np.ndarray, T_stage: np.ndarray, dt: float,
-                   material: MaterialModel, mesh: SpatialMesh,
-                   demis=None, tally=None):
+def solve_grey_meb(coef: loqd.LoqdCoefficients, E_star: np.ndarray,
+                   stage: tuple | None, T_prev_time: np.ndarray,
+                   E_prev: np.ndarray, F_prev: np.ndarray,
+                   T_stage: np.ndarray, dt: float, material: MaterialModel,
+                   mesh: SpatialMesh):
     """One Newton step of the grey moment + material energy balance system.
 
-    Returns (T_new, grey MomentField).  E_prev/F_prev are the grey
-    (spectrum-summed) moments at the previous time step; T_stage is the
-    temperature the grey coefficients were built at, about which the
-    balance is linearized.  frechet is the divided-difference slope of
-    sigma_E, demis that of the emission rate c sigma_B a_R T^4 (None or
-    nonpositive entries fall back to the quartic slope at frozen sigma_B).
+    coef holds one-interval grey coefficients built at T_stage, the
+    temperature the balance is linearized about, and E_star the
+    spectrum-summed energy of the solution they were averaged with (the
+    Frechet coupling weight).  stage is the previous stage's (T, sigma_E,
+    emission rate c sigma_B a_R T^4) within this time step, None at its
+    first stage; the divided differences to it give the slopes of sigma_E
+    and of the emission rate (no stage, or nonpositive emission entries,
+    fall back to the quartic slope at frozen sigma_B).  E_prev/F_prev are
+    the grey (spectrum-summed) moments at the previous time step.
+
+    Returns (T_new, grey MomentField, this stage).
     """
     c, a_R = C_LIGHT, A_RAD
     cv_dt = material.c_v / dt
-    sigE = grey.coef.sig_E[0]
-    sigB = grey.coef.sig_B[0]
+    sigE = coef.sig_E[0]
+    sigB = coef.sig_B[0]
     T_stage = np.asarray(T_stage, dtype=float)
+    emis = c * sigB * a_R * T_stage**4
 
     slope = 4.0 * c * sigB * a_R * T_stage**3
-    if demis is not None:
+    frechet = np.zeros_like(T_stage)
+    if stage is not None:
+        T_old, sigE_old, emis_old = stage
+        frechet = frechet_update(T_old, sigE_old, T_stage, sigE)
+        demis = frechet_update(T_old, emis_old, T_stage, emis)
         slope = np.where(demis > 0.0, demis, slope)
-    beta = slope - c * frechet * grey.E_star
+    beta = slope - c * frechet * E_star
     chi = cv_dt + beta
     bad = chi <= 0.0
     if np.any(bad):
         # runaway Frechet slope; drop it for those cells (plain Newton)
         beta = np.where(bad, slope, beta)
         chi = cv_dt + beta
-    emis = c * sigB * a_R * T_stage**4
     r = emis + cv_dt * (T_stage - T_prev_time)
     sig_eff = sigE * cv_dt / chi
     S_eff = emis - beta * r / chi
-    sol = loqd.solve_moment_system(grey.coef, np.atleast_2d(E_prev),
+    sol = loqd.solve_moment_system(coef, np.atleast_2d(E_prev),
                                    np.atleast_2d(F_prev), dt, mesh,
-                                   sig_E=sig_eff[None], source=S_eff[None],
-                                   tally=tally)
+                                   sig_E=sig_eff[None], source=S_eff[None])
     T_new = T_stage + (c * sigE * sol.E[0] - r) / chi
     if np.any(T_new < 0.0):
         log.warning("negative temperature after grey update in %d cells; "
                     "flooring", int(np.sum(T_new < 0.0)))
-    return np.maximum(T_new, T_FLOOR), sol
+    return (np.maximum(T_new, T_FLOOR), sol,
+            (T_stage.copy(), sigE.copy(), emis))

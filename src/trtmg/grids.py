@@ -12,9 +12,15 @@ class GridError(ValueError):
     pass
 
 
+def _finite_increasing(x: np.ndarray) -> bool:
+    """Every entry finite and each one above the last (False on any NaN)."""
+    return bool(np.all(np.isfinite(x)) and np.all(np.diff(x) > 0))
+
+
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Photon-frequency group edges in keV, ascending, edges[0] >= 0."""
+    """Photon-frequency group edges in keV, finite and ascending,
+    edges[0] >= 0."""
 
     edges: np.ndarray
 
@@ -23,8 +29,9 @@ class FrequencyGrid:
         object.__setattr__(self, "edges", edges)
         if edges.ndim != 1 or edges.size < 2:
             raise GridError("frequency grid needs at least two edges")
-        if edges[0] < 0 or np.any(np.diff(edges) <= 0):
-            raise GridError("frequency edges must be nonnegative and strictly increasing")
+        if not (edges[0] >= 0 and _finite_increasing(edges)):
+            raise GridError("frequency edges must be finite, nonnegative and "
+                            "strictly increasing")
 
     @property
     def n_groups(self) -> int:
@@ -106,8 +113,8 @@ class SpatialMesh:
     def __post_init__(self):
         faces = np.asarray(self.faces, dtype=float)
         object.__setattr__(self, "faces", faces)
-        if faces.ndim != 1 or faces.size < 2 or np.any(np.diff(faces) <= 0):
-            raise GridError("mesh faces must be strictly increasing")
+        if faces.ndim != 1 or faces.size < 2 or not _finite_increasing(faces):
+            raise GridError("mesh faces must be finite and strictly increasing")
 
     @property
     def n_cells(self) -> int:
@@ -150,8 +157,9 @@ class AngularQuadrature:
         object.__setattr__(self, "w", w)
         if mu.shape != w.shape or mu.ndim != 1:
             raise GridError("quadrature nodes and weights must align")
-        if np.any(np.diff(mu) <= 0) or np.any(mu == 0.0):
-            raise GridError("direction cosines must be ascending and nonzero")
+        if not _finite_increasing(mu) or np.any(mu == 0.0):
+            raise GridError("direction cosines must be finite, ascending and "
+                            "nonzero")
         if not (np.all(w > 0.0) and abs(w.sum() - 2.0) <= 2.0 * 1e-12):
             raise GridError(f"quadrature weights must be positive and sum to "
                             f"2, got {w.tolist()}")

@@ -114,7 +114,7 @@ def _thomas(lower, diag, upper, rhs):
 
 def solve_moment_system(coef: LoqdCoefficients, E_prev: np.ndarray,
                         F_prev: np.ndarray, dt: float, mesh: SpatialMesh,
-                        sig_E=None, source=None, tally=None) -> MomentField:
+                        sig_E=None, source=None) -> MomentField:
     """Direct banded solve of one level's moment system for one time step.
 
     Face fluxes are eliminated from the first-moment equations, leaving a
@@ -170,8 +170,6 @@ def solve_moment_system(coef: LoqdCoefficients, E_prev: np.ndarray,
 
     u = _thomas(lower, diag, upper, rhs)
     F = (R + c * a1 * u[:, :-1] - c * a2 * u[:, 1:]) / D
-    if tally is not None:
-        tally.add_low_order(P)
     return MomentField(E=u[:, 1:-1], E_face=u[:, [0, -1]], F=F)
 
 

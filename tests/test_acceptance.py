@@ -158,10 +158,10 @@ def test_criterion_4_consistency_oracles():
         assert dE <= 1e-9 and dF <= 1e-9
         assert residual_norms(coef2, sol2, E_p, F_p, dt, mesh) <= 1e-12
 
-        gp = grey.form_grey(sol1, coef1, 2)
+        coefg = grey.form_grey(sol1, coef1, 2)
         E_g = st.E.sum(axis=0, keepdims=True)
         F_g = st.F.sum(axis=0, keepdims=True)
-        solg = loqd.solve_moment_system(gp.coef, E_g, F_g, dt, mesh)
+        solg = loqd.solve_moment_system(coefg, E_g, F_g, dt, mesh)
         dE, dF = conservation_check(sol1, solg, hier, 2)
         assert dE <= 1e-9 and dF <= 1e-9
 

@@ -1,5 +1,6 @@
-"""Every top-level definition in the package is used by the package itself:
-reference checks and helpers that only tests call live in tests/oracles.py."""
+"""Every top-level definition in the package is used by the package itself
+(reference checks and helpers that only tests call live in tests/oracles.py),
+and every function reads each of its parameters."""
 
 import ast
 from pathlib import Path
@@ -45,3 +46,29 @@ def test_src_has_no_test_only_definitions():
     paths = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     assert paths
     assert unused_definitions(paths) == []
+
+
+def unread_parameters(paths) -> list:
+    """(file, function, parameter) for every parameter, other than self and
+    cls, that its function's body never reads."""
+    found = []
+    for p in paths:
+        for fn in ast.walk(ast.parse(p.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                continue
+            a = fn.args
+            params = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+            params += [x.arg for x in (a.vararg, a.kwarg) if x is not None]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            found += [(p.name, getattr(fn, "name", "<lambda>"), name)
+                      for name in params
+                      if name not in ("self", "cls") and name not in read]
+    return found
+
+
+def test_src_functions_read_their_parameters():
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    assert unread_parameters(paths) == []

@@ -91,6 +91,8 @@ class TestParseConfig:
         {"groups": "2"},
         {"eps": "1e-8", "eps_tilde": "1e-6"},
         {"dt": "0.02", "tend": "0.05"},      # tend must be a multiple of dt
+        {"tend": "inf"},
+        {"max_outer": "0"},
     ])
     def test_validation(self, overrides):
         with pytest.raises(ConfigError):
@@ -237,6 +239,25 @@ class TestMain:
                      "--out", str(tmp_path / "out")]) == 2
         assert "multiple of dt" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("tend,dt", [("inf", "0.02"), ("1e300", "1e-300")])
+    def test_endless_run_exit(self, tmp_path, capsys, tend, dt):
+        # a run of infinitely many steps is a configuration error, not a
+        # traceback
+        assert main(["--groups", "16", "--dt", dt, "--tend", tend,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_infinite_slab_exit(self, tmp_path, capsys):
+        # the mesh rejects non-finite faces, so the run stops as a
+        # configuration error before any sweep
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("groups = 16\nlength = inf\n")
+        with np.errstate(invalid="ignore"):
+            assert main(["--config", str(cfgfile),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert "mesh faces must be finite" in capsys.readouterr().err
 
     def test_visits_need_custom_cycle(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"

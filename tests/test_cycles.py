@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from oracles import per_cycle_cost
 from problems import equilibrium_problem
 
-from trtmg import phys
+from trtmg import grey, loqd, phys
 from trtmg.cli import RunConfig, fc_problem
 from trtmg.cycles import (ConvergenceCriteria, ConvergenceError,
                           IterationStats, ScheduleError, initial_state,
-                          make_schedule, run_simulation, run_time_step)
+                          make_schedule, run_simulation, run_time_step,
+                          step_count)
 
 
 def _fc(groups=16, grids=None, cells=10):
@@ -113,13 +114,10 @@ class TestConvergenceCriteria:
         with pytest.raises(ValueError):
             ConvergenceCriteria(eps=eps, eps_tilde=eps_tilde)
 
-
-class TestIterationStats:
-    def test_tally(self):
-        st = IterationStats()
-        st.add_low_order(16)
-        st.add_low_order(1)
-        assert (st.n_ti, st.n_c, st.n_lo) == (0, 0, 17)
+    @pytest.mark.parametrize("max_outer", [0, -3])
+    def test_rejects_max_outer(self, max_outer):
+        with pytest.raises(ValueError, match="max_outer"):
+            ConvergenceCriteria(max_outer=max_outer)
 
 
 class TestInitialState:
@@ -246,6 +244,36 @@ class TestAccounting:
         res = run_simulation(prob, sched, ConvergenceCriteria(), 2e-2, 0.1)
         assert res.stats.n_lo == res.stats.n_c * per_cycle_cost(sched)
         assert res.stats.n_ti >= len(res.steps)
+
+    @pytest.mark.parametrize("kind,counts,visits", [
+        ("V", (16, 1), None),
+        ("W", (16, 4, 1), None),
+        ("F", (16, 8, 4, 1), None),
+        ("custom", (16, 8, 4, 1), (2, 3, 2)),
+    ])
+    def test_counts_match_solves(self, monkeypatch, kind, counts, visits):
+        # N_lo is the number of intervals every moment solve took, the grey
+        # solves inside the Newton steps included, and each cycle takes one
+        # grey Newton step per temperature update
+        solve, newton = loqd.solve_moment_system, grey.solve_grey_meb
+        seen = {"intervals": 0, "grey": 0}
+
+        def solve_moment_system(coef, *args, **kwargs):
+            seen["intervals"] += coef.sig_E.shape[0]
+            return solve(coef, *args, **kwargs)
+
+        def solve_grey_meb(*args):
+            seen["grey"] += 1
+            return newton(*args)
+
+        monkeypatch.setattr(loqd, "solve_moment_system", solve_moment_system)
+        monkeypatch.setattr(grey, "solve_grey_meb", solve_grey_meb)
+        sched = make_schedule(kind, counts, 2, visits)
+        res = run_simulation(_fc(16, counts), sched, ConvergenceCriteria(),
+                             2e-2, 0.04)
+        assert res.stats.n_c > 0
+        assert res.stats.n_lo == seen["intervals"]
+        assert seen["grey"] == res.stats.n_c * (1 + len(sched.visits))
 
     def test_step_tallies_sum_to_totals(self):
         prob = _fc(16, (16, 4, 1))
@@ -376,6 +404,17 @@ class TestRunSimulation:
         sched = make_schedule("V", (16, 1), 4)
         with pytest.raises(ValueError):
             run_simulation(prob, sched, ConvergenceCriteria(), 2e-2, t_end)
+
+    @pytest.mark.parametrize("t_end,dt", [
+        (0.1, 0.0),             # no step size
+        (0.1, -0.02),
+        (np.inf, 0.02),         # infinitely many steps
+        (1e300, 1e-300),        # a ratio that overflows
+        (np.nan, 0.02),
+    ])
+    def test_step_count_rejects(self, t_end, dt):
+        with pytest.raises(ValueError):
+            step_count(t_end, dt)
 
     @pytest.mark.parametrize("grids, kind, counts", [
         ((16, 1), "F", (16, 8, 4, 1)),   # grids the problem lacks

@@ -28,6 +28,12 @@ class TestFrequencyGrid:
     def test_edges_must_increase(self):
         with pytest.raises(GridError):
             FrequencyGrid(np.array([0.0, 2.0, 1.0]))
+        # a NaN compares false both ways, and an infinite top edge would
+        # give the last group a NaN opacity
+        for edges in ([0.0, np.nan, 1.0], [0.0, 1.0, np.inf],
+                      [np.nan, 1.0, 2.0]):
+            with pytest.raises(GridError, match="finite"):
+                FrequencyGrid(np.array(edges))
 
 
 class TestHierarchy:
@@ -83,6 +89,14 @@ class TestSpatialMesh:
         assert mesh.dual_dx.tolist() == [0.5, 2.0, 1.5]
         assert mesh.dual_dx.sum() == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("faces", [[0.0, 2.0, 1.0], [0.0, 0.0, 1.0],
+                                       [0.0], [0.0, np.nan, 1.0],
+                                       [0.0, 1.0, np.inf],
+                                       [-np.inf, 0.0, 1.0]])
+    def test_validation(self, faces):
+        with pytest.raises(GridError):
+            SpatialMesh(np.array(faces))
+
 
 class TestQuadrature:
     def test_double_gauss_legendre(self):
@@ -107,6 +121,9 @@ class TestQuadrature:
         with pytest.raises(GridError):
             AngularQuadrature(mu=np.array([0.0, 0.5]),
                               w=np.array([1.0, 1.0]))
+        for mu in ([-0.5, np.nan], [np.nan, 0.5], [-np.inf, 0.5]):
+            with pytest.raises(GridError, match="finite"):
+                AngularQuadrature(mu=np.array(mu), w=np.array([1.0, 1.0]))
 
     @pytest.mark.parametrize("w", [[5.0, -1.0], [2.5, -0.5], [1.0, 0.5],
                                    [1.0, 1.0 + 1e-9], [np.nan, 1.0]])

@@ -177,19 +177,3 @@ def test_conservation_check_flags_mismatch():
     bad = loqd.MomentField(E=good.E * 1.01, E_face=good.E_face, F=good.F)
     dE, _ = conservation_check(sol, bad, hier, 1)
     assert dE >= 1e-3
-
-
-def test_low_order_tally():
-    class Tally:
-        n = 0
-
-        def add_low_order(self, k):
-            self.n += k
-
-    mesh = SpatialMesh.uniform(2, 1.0)
-    rng = np.random.default_rng(0)
-    coef = random_coefficients(3, mesh, rng)
-    t = Tally()
-    loqd.solve_moment_system(coef, np.ones((3, 2)), np.zeros((3, 3)), 0.1,
-                             mesh, tally=t)
-    assert t.n == 3
