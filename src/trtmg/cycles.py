@@ -36,7 +36,8 @@ class CycleSchedule:
 
     counts: groups per grid, finest first, ending in 1 (the grey grid).
     visits: 1-based grid numbers solved after each grey temperature update,
-    in visit order (F walks coarsest-intermediate to finest-intermediate).
+    in visit order (V, W and F visit each intermediate grid once, coarsest
+    first).
     """
     kind: str
     counts: tuple
@@ -58,19 +59,13 @@ def make_schedule(kind: str, counts, l_max: int, visits=None) -> CycleSchedule:
     if l_max < 1:
         raise ScheduleError(f"l_max must be >= 1, got {l_max}")
     n = len(counts)
-    if kind in ("V", "W", "F") and visits is not None:
-        raise ScheduleError(f"{kind} cycle takes no explicit visit list")
-    if kind == "V":
-        if n != 2:
-            raise ScheduleError("V cycle uses exactly two grids (fine, grey)")
-        visits = ()
-    elif kind == "W":
-        if n != 3:
-            raise ScheduleError("W cycle uses exactly three grids")
-        visits = (2,)
-    elif kind == "F":
-        if n < 3:
-            raise ScheduleError("F cycle needs at least one intermediate grid")
+    if kind in ("V", "W", "F"):
+        if visits is not None:
+            raise ScheduleError(f"{kind} cycle takes no explicit visit list")
+        if not {"V": n == 2, "W": n == 3, "F": n >= 3}[kind]:
+            raise ScheduleError(f"{kind} cycle cannot use {n} grids: V uses "
+                                "two, W three, F three or more")
+        # every intermediate grid once, coarsest first
         visits = tuple(range(n - 1, 1, -1))
     elif kind == "custom":
         if visits is None:

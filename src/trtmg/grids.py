@@ -57,6 +57,11 @@ def _run_starts(n_fine: int, n_coarse: int) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(lengths)))
 
 
+def segment_sum(q: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Sum the runs q[starts[k]:starts[k+1]] along axis 0."""
+    return np.add.reduceat(np.asarray(q), starts[:-1], axis=0)
+
+
 @dataclass(frozen=True)
 class FrequencyGridHierarchy:
     """Nested frequency grids; level index 0 is the fine grid, the last
@@ -77,8 +82,7 @@ class FrequencyGridHierarchy:
     def restrict(self, q: np.ndarray, level: int) -> np.ndarray:
         """Sum a fine-grid (level 0) array, groups on axis 0, onto a coarser
         level."""
-        starts = self.starts_fine[level]
-        return np.add.reduceat(np.asarray(q), starts[:-1], axis=0)
+        return segment_sum(q, self.starts_fine[level])
 
 
 def build_hierarchy(fine: FrequencyGrid, counts) -> FrequencyGridHierarchy:

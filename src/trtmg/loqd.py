@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import SpatialMesh
+from .grids import SpatialMesh, segment_sum
 from .phys import C_LIGHT, GroupOpacitySet
 from .transport import ClosureData
 
@@ -173,21 +173,17 @@ def solve_moment_system(coef: LoqdCoefficients, E_prev: np.ndarray,
     return MomentField(E=u[:, 1:-1], E_face=u[:, [0, -1]], F=F)
 
 
-def _segment_sum(q: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    return np.add.reduceat(np.asarray(q), starts[:-1], axis=0)
-
-
 def _wmean(values: np.ndarray, weights: np.ndarray, starts: np.ndarray,
            harmonic: bool = False) -> np.ndarray:
     """Weighted mean over index segments with a degenerate-weight fallback
     (plain arithmetic mean, or harmonic mean for Rosseland opacities)."""
-    num = _segment_sum(values * weights, starts)
-    den = _segment_sum(weights, starts)
+    num = segment_sum(values * weights, starts)
+    den = segment_sum(weights, starts)
     counts = np.diff(starts).reshape((-1,) + (1,) * (values.ndim - 1))
     if harmonic:
-        fallback = counts / _segment_sum(1.0 / values, starts)
+        fallback = counts / segment_sum(1.0 / values, starts)
     else:
-        fallback = _segment_sum(values, starts) / counts
+        fallback = segment_sum(values, starts) / counts
     good = den > 1e-300
     return np.where(good, num / np.where(good, den, 1.0), fallback)
 
@@ -212,9 +208,9 @@ def merge_coefficients(coef: LoqdCoefficients, sol: MomentField,
     c = C_LIGHT
     starts = np.asarray(starts, dtype=int)
 
-    E_p = _segment_sum(sol.E, starts)
-    Eface_p = _segment_sum(sol.E_face, starts)
-    B_p = _segment_sum(coef.B, starts)
+    E_p = segment_sum(sol.E, starts)
+    Eface_p = segment_sum(sol.E_face, starts)
+    B_p = segment_sum(coef.B, starts)
 
     sig_E = _wmean(coef.sig_E, sol.E, starts)
     f = _wmean(coef.f, sol.E, starts)
@@ -228,9 +224,9 @@ def merge_coefficients(coef: LoqdCoefficients, sol: MomentField,
     # grid; folding them in keeps grey-from-coarse merges exact too).
     left_src = np.concatenate([sol.E_face[:, :1], sol.E], axis=1)
     right_src = np.concatenate([sol.E, sol.E_face[:, 1:]], axis=1)
-    xi = _segment_sum((coef.sig_R_face - _expand(sig_R_face, starts)) * sol.F
-                      + c * (coef.eta_hat * right_src
-                             - coef.eta_check * left_src), starts)
+    xi = segment_sum((coef.sig_R_face - _expand(sig_R_face, starts)) * sol.F
+                     + c * (coef.eta_hat * right_src
+                            - coef.eta_check * left_src), starts)
     left_E = np.concatenate([Eface_p[:, :1], E_p], axis=1)
     right_E = np.concatenate([E_p, Eface_p[:, 1:]], axis=1)
     eta_hat = np.where((xi > 0.0) & (right_E > 1e-300), xi / (c * right_E), 0.0)
@@ -238,13 +234,13 @@ def merge_coefficients(coef: LoqdCoefficients, sol: MomentField,
 
     C_minus = _wmean(coef.C_minus[:, None], sol.E_face[:, :1], starts)[:, 0]
     C_plus = _wmean(coef.C_plus[:, None], sol.E_face[:, 1:], starts)[:, 0]
-    E_in = _segment_sum(coef.E_in, starts)
-    F_in = _segment_sum(coef.F_in, starts)
-    bc_offset = _segment_sum(coef.bc_offset, starts)
+    E_in = segment_sum(coef.E_in, starts)
+    F_in = segment_sum(coef.F_in, starts)
+    bc_offset = segment_sum(coef.bc_offset, starts)
     bc_offset[:, 0] += c * (C_minus * E_in[:, 0]
-                            - _segment_sum(coef.C_minus * coef.E_in[:, 0], starts))
+                            - segment_sum(coef.C_minus * coef.E_in[:, 0], starts))
     bc_offset[:, 1] += c * (C_plus * E_in[:, 1]
-                            - _segment_sum(coef.C_plus * coef.E_in[:, 1], starts))
+                            - segment_sum(coef.C_plus * coef.E_in[:, 1], starts))
 
     return LoqdCoefficients(
         level=level_out, sig_E=sig_E, sig_B=sig_B, B=B_p, f=f, f_face=f_face,

@@ -34,7 +34,7 @@ def _criterion(tag):
 
 
 def _run_fc(kind, counts, lmax, dt, t_end, snapshots=()):
-    prob = fc_problem(RunConfig(groups=counts[0], grids=counts))
+    prob = fc_problem(RunConfig(grids=counts))
     sched = make_schedule(kind, counts, lmax)
     return run_simulation(prob, sched, ConvergenceCriteria(), dt, t_end,
                           snapshot_times=snapshots)
@@ -125,7 +125,7 @@ def test_criterion_3_physics_fixed_points():
             assert abs(tot - ref) <= 1e-10 * ref
 
         # the initial isotropic field closes exactly
-        st = initial_state(fc_problem(RunConfig(groups=16, grids=(16, 1))))
+        st = initial_state(fc_problem(RunConfig(grids=(16, 1))))
         assert np.all(st.closures.f == 1.0 / 3.0)
         assert np.all(st.closures.f_face == 1.0 / 3.0)
         assert np.all(st.closures.C_minus == -0.5)
@@ -135,7 +135,7 @@ def test_criterion_3_physics_fixed_points():
 def test_criterion_4_consistency_oracles():
     with _criterion("criterion 4: cross-grid consistency oracles"):
         # mid-transient state with structure across the spectrum
-        prob = fc_problem(RunConfig(groups=16, grids=(16, 4, 1)))
+        prob = fc_problem(RunConfig(grids=(16, 4, 1)))
         res = run_simulation(prob, make_schedule("W", (16, 4, 1), 2),
                              ConvergenceCriteria(), 2e-2, 0.1)
         st, hier, mesh, dt = res.state, prob.hierarchy, prob.mesh, 2e-2

@@ -2,13 +2,14 @@
 command-line entry point."""
 
 import csv
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from trtmg import phys
-from trtmg.cli import (ConfigError, RunConfig, fc_problem, main, parse_config,
-                       write_config, write_outputs)
+from trtmg.cli import (_PARSERS, ConfigError, RunConfig, fc_problem, main,
+                       parse_config, write_config, write_outputs)
 from trtmg.cycles import ConvergenceCriteria, make_schedule, run_simulation
 
 
@@ -29,18 +30,16 @@ class TestParseConfig:
         assert cfg.cycle == "W"
         assert cfg.grids == (64, 16, 1)
         assert cfg.lmax == 2 and cfg.dt == 0.01
-        # the fine grid fixes the group count when only grids is given
-        assert cfg.groups == 64
 
     def test_file_with_comments(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("# benchmark setup\n"
-                     "groups = 16\n"
+                     "grids = 16,1\n"
                      "\n"
                      "dt = 0.04   # coarse step\n"
                      "snapshots = 0.2,0.4\n")
         cfg = parse_config(p)
-        assert cfg.groups == 16 and cfg.dt == 0.04
+        assert cfg.grids == (16, 1) and cfg.dt == 0.04
         assert cfg.snapshots == (0.2, 0.4)
 
     def test_flags_beat_file(self, tmp_path):
@@ -55,11 +54,12 @@ class TestParseConfig:
             parse_config(None, {"wavelength": "3"})
 
     @pytest.mark.parametrize("line", ["deterministic = true",
-                                      "n_newton = 1", "problem = fc"])
+                                      "n_newton = 1", "problem = fc",
+                                      "groups = 16"])
     def test_removed_keys_rejected(self, tmp_path, capsys, line):
         # keys that configured nothing are unknown now, in a file as anywhere
         p = tmp_path / "old.cfg"
-        p.write_text(f"groups = 16\n{line}\n")
+        p.write_text(f"grids = 16,1\n{line}\n")
         key = line.split()[0]
         with pytest.raises(ConfigError, match=key):
             parse_config(p)
@@ -72,7 +72,7 @@ class TestParseConfig:
 
     def test_malformed_line_names_location(self, tmp_path):
         p = tmp_path / "run.cfg"
-        p.write_text("groups = 16\nnonsense line\n")
+        p.write_text("grids = 16,1\nnonsense line\n")
         with pytest.raises(ConfigError, match=r"run\.cfg:2"):
             parse_config(p)
 
@@ -82,13 +82,13 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("overrides", [
         {"grids": "256,300,1"},              # grids must decrease
-        {"groups": "64", "grids": "32,1"},   # fine grid must match groups
+        {"grids": ""},                       # no grids at all
         {"cycle": "Q"},
         {"cycle": "W"},                      # W needs three grids
         {"lmax": "0"},
         {"tend": "-1"},
         {"problem": "marshak2d"},
-        {"groups": "2"},
+        {"grids": "2,1"},                    # the fine grid needs 3 groups
         {"eps": "1e-8", "eps_tilde": "1e-6"},
         {"dt": "0.02", "tend": "0.05"},      # tend must be a multiple of dt
         {"tend": "inf"},
@@ -97,6 +97,9 @@ class TestParseConfig:
     def test_validation(self, overrides):
         with pytest.raises(ConfigError):
             parse_config(None, overrides)
+
+    def test_config_keys_are_runconfig_fields(self):
+        assert set(_PARSERS) == {f.name for f in fields(RunConfig)}
 
 
 class TestWriteConfig:
@@ -121,7 +124,7 @@ class TestWriteConfig:
 
 class TestFcProblem:
     def test_benchmark_wiring(self):
-        cfg = RunConfig(groups=16, grids=(16, 4, 1))
+        cfg = RunConfig(grids=(16, 4, 1))
         prob = fc_problem(cfg)
         assert prob.mesh.n_cells == 10
         assert prob.mesh.faces[-1] == 4.0
@@ -139,7 +142,7 @@ class TestFcProblem:
         assert np.all(prob.E_in[:, 1] == 0.0) and np.all(prob.F_in[:, 1] == 0.0)
 
     def test_opacity_model(self):
-        cfg = RunConfig(groups=16)
+        cfg = RunConfig(grids=(16, 1))
         prob = fc_problem(cfg)
         nu = np.array([0.5, 2.0])
         got = prob.sigma(nu, np.array([1.0]))
@@ -149,7 +152,7 @@ class TestFcProblem:
 
 @pytest.fixture(scope="module")
 def small_run():
-    cfg = RunConfig(groups=16, grids=(16, 1))
+    cfg = RunConfig(grids=(16, 1))
     prob = fc_problem(cfg)
     sched = make_schedule("V", (16, 1), 4)
     res = run_simulation(prob, sched, ConvergenceCriteria(), 2e-2, 0.06,
@@ -190,7 +193,7 @@ class TestWriteOutputs:
 
     def test_no_snapshots_skips_profiles(self, small_run, tmp_path):
         prob, res = small_run
-        bare = run_simulation(fc_problem(RunConfig(groups=16, grids=(16, 1))),
+        bare = run_simulation(fc_problem(RunConfig(grids=(16, 1))),
                               make_schedule("V", (16, 1), 4),
                               ConvergenceCriteria(), 2e-2, 0.02)
         write_outputs(bare, tmp_path)
@@ -207,7 +210,7 @@ class TestWriteOutputs:
 class TestMain:
     def test_end_to_end(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("groups = 16\n"
+        cfgfile.write_text("grids = 16,1\n"
                            "dt = 0.02\n"
                            "tend = 0.06\n"
                            "snapshots = 0.02,0.04\n"
@@ -223,7 +226,7 @@ class TestMain:
 
     def test_flags_override_config(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("groups = 16\ndt = 0.02\ntend = 0.06\n")
+        cfgfile.write_text("grids = 16,1\ndt = 0.02\ntend = 0.06\n")
         assert main(["--config", str(cfgfile), "--tend", "0.02",
                      "--out", str(tmp_path / "o2")]) == 0
         stats = _rows(tmp_path / "o2" / "stats.csv")
@@ -234,8 +237,15 @@ class TestMain:
         assert "configuration error" in capsys.readouterr().err
         assert main(["--config", str(tmp_path / "nope.cfg")]) == 2
 
+    def test_removed_groups_flag_exit(self, tmp_path, capsys):
+        # the fine group count comes from --grids alone
+        with pytest.raises(SystemExit) as exc:
+            main(["--groups", "16", "--tend", "0.02", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--groups" in capsys.readouterr().err
+
     def test_tend_not_multiple_of_dt_exit(self, tmp_path, capsys):
-        assert main(["--groups", "16", "--dt", "0.02", "--tend", "0.05",
+        assert main(["--grids", "16,1", "--dt", "0.02", "--tend", "0.05",
                      "--out", str(tmp_path / "out")]) == 2
         assert "multiple of dt" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -244,31 +254,29 @@ class TestMain:
     def test_endless_run_exit(self, tmp_path, capsys, tend, dt):
         # a run of infinitely many steps is a configuration error, not a
         # traceback
-        assert main(["--groups", "16", "--dt", dt, "--tend", tend,
+        assert main(["--grids", "16,1", "--dt", dt, "--tend", tend,
                      "--out", str(tmp_path / "out")]) == 2
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_infinite_slab_exit(self, tmp_path, capsys):
-        # the mesh rejects non-finite faces, so the run stops as a
-        # configuration error before any sweep
+        # the length check names the key before any mesh is built
         cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("groups = 16\nlength = inf\n")
-        with np.errstate(invalid="ignore"):
-            assert main(["--config", str(cfgfile),
-                         "--out", str(tmp_path / "out")]) == 2
-        assert "mesh faces must be finite" in capsys.readouterr().err
+        cfgfile.write_text("grids = 16,1\nlength = inf\n")
+        assert main(["--config", str(cfgfile),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "length must be positive and finite" in capsys.readouterr().err
 
     def test_visits_need_custom_cycle(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("cycle = W\ngroups = 16\ngrids = 16,4,1\n"
+        cfgfile.write_text("cycle = W\ngrids = 16,4,1\n"
                            "visits = 2\n")
         assert main(["--config", str(cfgfile), "--out", str(tmp_path)]) == 2
         assert "visit list" in capsys.readouterr().err
 
     def test_convergence_error_exit(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("groups = 16\nmax_outer = 1\n"
+        cfgfile.write_text("grids = 16,1\nmax_outer = 1\n"
                            "dt = 0.02\ntend = 0.02\n"
                            f"out = {tmp_path / 'out'}\n")
         assert main(["--config", str(cfgfile)]) == 3
@@ -277,6 +285,6 @@ class TestMain:
     def test_io_error_exit(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")
-        assert main(["--groups", "16", "--dt", "0.02", "--tend", "0.02",
+        assert main(["--grids", "16,1", "--dt", "0.02", "--tend", "0.02",
                      "--out", str(blocker / "sub")]) == 4
         assert "i/o error" in capsys.readouterr().err

@@ -17,9 +17,8 @@ from trtmg.cycles import (ConvergenceCriteria, ConvergenceError,
                           step_count)
 
 
-def _fc(groups=16, grids=None, cells=10):
-    grids = grids or (groups, 1)
-    return fc_problem(RunConfig(groups=groups, grids=grids, cells=cells))
+def _fc(grids=(16, 1), cells=10):
+    return fc_problem(RunConfig(grids=grids, cells=cells))
 
 
 def _assert_energy_balance(res, dt):
@@ -45,6 +44,12 @@ class TestMakeSchedule:
         assert f.visits == (3, 2)
         f7 = make_schedule("f", (256, 128, 32, 16, 8, 4, 1), 1)
         assert f7.visits == (6, 5, 4, 3, 2)
+
+    def test_w_and_f_agree_on_three_grids(self):
+        # one visit rule: W is F restricted to a single intermediate grid
+        w = make_schedule("W", (64, 16, 1), 2)
+        f = make_schedule("F", (64, 16, 1), 2)
+        assert w.visits == f.visits == (2,)
 
     def test_custom_visits(self):
         c = make_schedule("custom", (16, 8, 4, 1), 1, visits=(2, 3, 2))
@@ -122,7 +127,7 @@ class TestConvergenceCriteria:
 
 class TestInitialState:
     def test_fields(self):
-        prob = _fc(16)
+        prob = _fc()
         st = initial_state(prob)
         B0 = phys.planck_groups(st.T, prob.hierarchy.fine.edges)
         assert st.t == 0.0
@@ -174,7 +179,7 @@ def test_multigrid_fixed_point_and_energy_balance(kind, counts, lmax):
                          ConvergenceCriteria(), dt, 0.2)
     assert np.max(np.abs(res.state.T - 1.0)) <= 1e-12
 
-    res = run_simulation(_fc(16, counts), sched, ConvergenceCriteria(), dt,
+    res = run_simulation(_fc(counts), sched, ConvergenceCriteria(), dt,
                          0.2)
     _assert_energy_balance(res, dt)
 
@@ -196,8 +201,8 @@ def _small_runs(draw):
         visits = draw(st.lists(st.integers(2, len(counts) - 1), min_size=1,
                                max_size=3))
     sched = make_schedule(kind, counts, draw(st.integers(1, 3)), visits)
-    cfg = RunConfig(groups=groups, grids=counts,
-                    cells=draw(st.integers(2, 8)), quad=draw(st.integers(1, 4)))
+    cfg = RunConfig(grids=counts, cells=draw(st.integers(2, 8)),
+                    quad=draw(st.integers(1, 4)))
     dt = draw(st.sampled_from([0.005, 0.02, 0.04]))
     return fc_problem(cfg), sched, dt, draw(st.integers(1, 2))
 
@@ -227,7 +232,7 @@ def test_outer_limit_cycle_on_thick_cells():
     # the transport/closure iteration alternates between two states that
     # differ by 2.8e-4 in T instead of converging; a scan of 180 small
     # V-cycle cases found 3 such, all with 2-3 cells at dt = 0.005
-    prob = fc_problem(RunConfig(groups=14, grids=(14, 1), cells=2, quad=2))
+    prob = fc_problem(RunConfig(grids=(14, 1), cells=2, quad=2))
     run_time_step(prob, initial_state(prob), make_schedule("V", (14, 1), 1),
                   ConvergenceCriteria(), 5e-3)
 
@@ -239,7 +244,7 @@ class TestAccounting:
         ("F", (16, 8, 4, 1)),
     ])
     def test_low_order_identity(self, kind, counts):
-        prob = _fc(16, counts)
+        prob = _fc(counts)
         sched = make_schedule(kind, counts, 2)
         res = run_simulation(prob, sched, ConvergenceCriteria(), 2e-2, 0.1)
         assert res.stats.n_lo == res.stats.n_c * per_cycle_cost(sched)
@@ -269,14 +274,14 @@ class TestAccounting:
         monkeypatch.setattr(loqd, "solve_moment_system", solve_moment_system)
         monkeypatch.setattr(grey, "solve_grey_meb", solve_grey_meb)
         sched = make_schedule(kind, counts, 2, visits)
-        res = run_simulation(_fc(16, counts), sched, ConvergenceCriteria(),
+        res = run_simulation(_fc(counts), sched, ConvergenceCriteria(),
                              2e-2, 0.04)
         assert res.stats.n_c > 0
         assert res.stats.n_lo == seen["intervals"]
         assert seen["grey"] == res.stats.n_c * (1 + len(sched.visits))
 
     def test_step_tallies_sum_to_totals(self):
-        prob = _fc(16, (16, 4, 1))
+        prob = _fc((16, 4, 1))
         sched = make_schedule("W", (16, 4, 1), 2)
         res = run_simulation(prob, sched, ConvergenceCriteria(), 2e-2, 0.1)
         assert sum(r.m_ti for r in res.steps) == res.stats.n_ti
@@ -286,7 +291,7 @@ class TestAccounting:
     def test_lmax_caps_cycles_per_outer(self):
         # with an unreachable inner tolerance every outer pass runs exactly
         # l_max cycles (outer passes = sweeps + the pre-sweep pass per step)
-        prob = _fc(16)
+        prob = _fc()
         sched = make_schedule("V", (16, 1), 3)
         crit = ConvergenceCriteria(eps=1e-6, eps_tilde=1e-30)
         res = run_simulation(prob, sched, crit, 2e-2, 0.06)
@@ -327,7 +332,7 @@ class TestAccounting:
             monkeypatch.setattr(phys, name, fn)
         sched = make_schedule(kind, counts, 2)
         n_steps = 3
-        res = run_simulation(_fc(16, counts), sched, ConvergenceCriteria(),
+        res = run_simulation(_fc(counts), sched, ConvergenceCriteria(),
                              2e-2, n_steps * 2e-2)
         n_c = res.stats.n_c
         assert res.stats.n_ti > 0 and n_c > res.stats.n_ti + n_steps
@@ -337,7 +342,7 @@ class TestAccounting:
 
 class TestConvergenceRecords:
     def test_rows_per_step(self):
-        prob = _fc(16)
+        prob = _fc()
         sched = make_schedule("V", (16, 1), 4)
         res = run_simulation(prob, sched, ConvergenceCriteria(), 2e-2, 0.04)
         for rec in res.steps:
@@ -348,7 +353,7 @@ class TestConvergenceRecords:
             assert all(np.isfinite(r.dT) and r.dT >= 0.0 for r in rows)
 
     def test_outer_cap_raises(self):
-        prob = _fc(16)
+        prob = _fc()
         sched = make_schedule("V", (16, 1), 4)
         crit = ConvergenceCriteria(max_outer=1)
         with pytest.raises(ConvergenceError):
@@ -360,7 +365,7 @@ class TestConvergenceRecords:
         def nan_sigma(nu, T):
             return np.full(np.broadcast_shapes(np.shape(nu), np.shape(T)),
                            np.nan)
-        prob = replace(_fc(16), sigma=nan_sigma)
+        prob = replace(_fc(), sigma=nan_sigma)
         sched = make_schedule("V", (16, 1), 4)
         stats = IterationStats()
         with pytest.raises(ConvergenceError, match=r"step 3: .* s=0 "):
@@ -373,7 +378,7 @@ class TestConvergenceRecords:
         # a NaN entering through the left face fails the first sweep and
         # names the layer, group and cell, instead of turning that group's
         # closures into the isotropic fallbacks
-        prob = _fc(16)
+        prob = _fc()
         inc_left = prob.inc_left.copy()
         inc_left[5, -1] = np.nan              # the last direction enters
         prob = replace(prob, inc_left=inc_left)
@@ -388,7 +393,7 @@ class TestConvergenceRecords:
 
 class TestRunSimulation:
     def test_snapshot_capture(self):
-        prob = _fc(16)
+        prob = _fc()
         sched = make_schedule("V", (16, 1), 4)
         res = run_simulation(prob, sched, ConvergenceCriteria(), 2e-2, 0.1,
                              snapshot_times=(0.0, 0.04, 0.05))
@@ -400,7 +405,7 @@ class TestRunSimulation:
 
     @pytest.mark.parametrize("t_end", [0.05, 0.0, -0.02])
     def test_bad_t_end(self, t_end):
-        prob = _fc(16)
+        prob = _fc()
         sched = make_schedule("V", (16, 1), 4)
         with pytest.raises(ValueError):
             run_simulation(prob, sched, ConvergenceCriteria(), 2e-2, t_end)
@@ -422,7 +427,7 @@ class TestRunSimulation:
         ((16, 8, 1), "W", (16, 4, 1)),   # another coarse grid
     ])
     def test_schedule_must_match_hierarchy(self, grids, kind, counts):
-        prob = _fc(16, grids)
+        prob = _fc(grids)
         sched = make_schedule(kind, counts, 2)
         with pytest.raises(ScheduleError) as err:
             run_simulation(prob, sched, ConvergenceCriteria(), 2e-2, 0.02)
@@ -430,7 +435,7 @@ class TestRunSimulation:
         assert str(grids) in str(err.value)
 
     def test_deterministic_repeat(self):
-        prob = _fc(16, (16, 4, 1))
+        prob = _fc((16, 4, 1))
         sched = make_schedule("W", (16, 4, 1), 2)
         crit = ConvergenceCriteria()
         r1 = run_simulation(prob, sched, crit, 2e-2, 0.1)
@@ -445,7 +450,7 @@ class TestEnergyBookkeeping:
     def test_per_step_balance_closes(self):
         # implicit-Euler budget: change in material + radiation energy is
         # the time step times the net face influx, to round-off
-        prob = _fc(16)
+        prob = _fc()
         sched = make_schedule("V", (16, 1), 4)
         dt = 2e-2
         res = run_simulation(prob, sched, ConvergenceCriteria(), dt, 0.2)
