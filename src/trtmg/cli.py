@@ -246,7 +246,10 @@ def main(argv=None) -> int:
     ap.add_argument("--tend", help="final time, ns")
     ap.add_argument("--cells", help="spatial cells")
     ap.add_argument("--out", help="output directory")
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as e:  # usage printed: 0 after --help, 2 on a bad flag
+        return e.code
 
     overrides = vars(args)
     try:

@@ -37,11 +37,9 @@ class LoqdCoefficients:
     sig_R_face: np.ndarray  # (P, n_x+1)
     eta_hat: np.ndarray     # (P, n_x+1) compensation on the face's right entity
     eta_check: np.ndarray   # (P, n_x+1) compensation on the face's left entity
-    C_minus: np.ndarray     # (P,)
-    C_plus: np.ndarray      # (P,)
-    E_in: np.ndarray        # (P, 2) incoming half-range energy densities
-    F_in: np.ndarray        # (P, 2) incoming partial fluxes (signed)
-    bc_offset: np.ndarray   # (P, 2) flux offsets keeping restricted BCs exact
+    C_minus: np.ndarray     # (P,) exit flux factor at x = 0
+    C_plus: np.ndarray      # (P,) exit flux factor at x = X
+    bc_in: np.ndarray       # (P, 2) inflow source: F = c C E_face + bc_in
 
     @property
     def n_intervals(self) -> int:
@@ -76,8 +74,10 @@ def build_fine_coefficients(opac: GroupOpacitySet, closure: ClosureData,
                             E_in: np.ndarray, F_in: np.ndarray,
                             mesh: SpatialMesh) -> LoqdCoefficients:
     """Assemble the fine-grid (level 0) coefficients from group opacities and
-    transport closures.  E_in/F_in are (G, 2) incoming moment data."""
+    transport closures.  E_in/F_in are (G, 2) incoming moment data; they
+    enter as the boundary source bc_in = F_in - c C E_in."""
     G, nx = closure.f.shape
+    C = np.column_stack([closure.C_minus, closure.C_plus])
     return LoqdCoefficients(
         level=0,
         sig_E=opac.sig_E.T.copy(),
@@ -90,9 +90,7 @@ def build_fine_coefficients(opac: GroupOpacitySet, closure: ClosureData,
         eta_check=np.zeros((G, nx + 1)),
         C_minus=closure.C_minus.copy(),
         C_plus=closure.C_plus.copy(),
-        E_in=np.asarray(E_in, dtype=float).copy(),
-        F_in=np.asarray(F_in, dtype=float).copy(),
-        bc_offset=np.zeros((G, 2)),
+        bc_in=np.asarray(F_in, dtype=float) - C_LIGHT * C * E_in,
     )
 
 
@@ -153,8 +151,7 @@ def solve_moment_system(coef: LoqdCoefficients, E_prev: np.ndarray,
 
     diag[:, 0] = c * a1[:, 0] / D[:, 0] - c * coef.C_minus
     upper[:, 0] = -c * a2[:, 0] / D[:, 0]
-    rhs[:, 0] = (coef.F_in[:, 0] + coef.bc_offset[:, 0]
-                 - c * coef.C_minus * coef.E_in[:, 0] - R[:, 0] / D[:, 0])
+    rhs[:, 0] = coef.bc_in[:, 0] - R[:, 0] / D[:, 0]
 
     lower[:, 1:-1] = -c * a1[:, :-1] / D[:, :-1]
     diag[:, 1:-1] = (dx / dt + c * sig_E * dx
@@ -165,20 +162,19 @@ def solve_moment_system(coef: LoqdCoefficients, E_prev: np.ndarray,
 
     lower[:, -1] = c * a1[:, -1] / D[:, -1]
     diag[:, -1] = -c * a2[:, -1] / D[:, -1] - c * coef.C_plus
-    rhs[:, -1] = (coef.F_in[:, 1] + coef.bc_offset[:, 1]
-                  - c * coef.C_plus * coef.E_in[:, 1] - R[:, -1] / D[:, -1])
+    rhs[:, -1] = coef.bc_in[:, 1] - R[:, -1] / D[:, -1]
 
     u = _thomas(lower, diag, upper, rhs)
     F = (R + c * a1 * u[:, :-1] - c * a2 * u[:, 1:]) / D
     return MomentField(E=u[:, 1:-1], E_face=u[:, [0, -1]], F=F)
 
 
-def _wmean(values: np.ndarray, weights: np.ndarray, starts: np.ndarray,
-           harmonic: bool = False) -> np.ndarray:
-    """Weighted mean over index segments with a degenerate-weight fallback
-    (plain arithmetic mean, or harmonic mean for Rosseland opacities)."""
+def _wmean(values: np.ndarray, weights: np.ndarray, den: np.ndarray,
+           starts: np.ndarray, harmonic: bool = False) -> np.ndarray:
+    """Weighted mean over index segments, given den, the segment sums of
+    the weights, with a degenerate-weight fallback (plain arithmetic mean,
+    or harmonic mean for Rosseland opacities)."""
     num = segment_sum(values * weights, starts)
-    den = segment_sum(weights, starts)
     counts = np.diff(starts).reshape((-1,) + (1,) * (values.ndim - 1))
     if harmonic:
         fallback = counts / segment_sum(1.0 / values, starts)
@@ -202,8 +198,9 @@ def merge_coefficients(coef: LoqdCoefficients, sol: MomentField,
     eta are built so the merged first-moment equations reproduce the summed
     originals exactly at the given solution, with the sign-split placing the
     correction on the downwind side.  Boundary C factors average with the
-    face E weight and the incoming-flux offset keeps the merged boundary
-    condition exact.
+    face E weight.  The boundary source bc_in is summed like the equations
+    it enters, so each merged boundary condition is the sum of its
+    originals at the given solution.
     """
     c = C_LIGHT
     starts = np.asarray(starts, dtype=int)
@@ -211,12 +208,14 @@ def merge_coefficients(coef: LoqdCoefficients, sol: MomentField,
     E_p = segment_sum(sol.E, starts)
     Eface_p = segment_sum(sol.E_face, starts)
     B_p = segment_sum(coef.B, starts)
+    abs_F = np.abs(sol.F)
 
-    sig_E = _wmean(coef.sig_E, sol.E, starts)
-    f = _wmean(coef.f, sol.E, starts)
-    sig_B = _wmean(coef.sig_B, coef.B, starts)
-    f_face = _wmean(coef.f_face, sol.E_face, starts)
-    sig_R_face = _wmean(coef.sig_R_face, np.abs(sol.F), starts, harmonic=True)
+    sig_E = _wmean(coef.sig_E, sol.E, E_p, starts)
+    f = _wmean(coef.f, sol.E, E_p, starts)
+    sig_B = _wmean(coef.sig_B, coef.B, B_p, starts)
+    f_face = _wmean(coef.f_face, sol.E_face, Eface_p, starts)
+    sig_R_face = _wmean(coef.sig_R_face, abs_F, segment_sum(abs_F, starts),
+                        starts, harmonic=True)
 
     # xi collects everything the merged sigma_R cannot represent: the spread
     # of the source level's face opacities about the mean, plus any
@@ -232,18 +231,10 @@ def merge_coefficients(coef: LoqdCoefficients, sol: MomentField,
     eta_hat = np.where((xi > 0.0) & (right_E > 1e-300), xi / (c * right_E), 0.0)
     eta_check = np.where((xi < 0.0) & (left_E > 1e-300), -xi / (c * left_E), 0.0)
 
-    C_minus = _wmean(coef.C_minus[:, None], sol.E_face[:, :1], starts)[:, 0]
-    C_plus = _wmean(coef.C_plus[:, None], sol.E_face[:, 1:], starts)[:, 0]
-    E_in = segment_sum(coef.E_in, starts)
-    F_in = segment_sum(coef.F_in, starts)
-    bc_offset = segment_sum(coef.bc_offset, starts)
-    bc_offset[:, 0] += c * (C_minus * E_in[:, 0]
-                            - segment_sum(coef.C_minus * coef.E_in[:, 0], starts))
-    bc_offset[:, 1] += c * (C_plus * E_in[:, 1]
-                            - segment_sum(coef.C_plus * coef.E_in[:, 1], starts))
+    C_minus, C_plus = _wmean(np.column_stack([coef.C_minus, coef.C_plus]),
+                             sol.E_face, Eface_p, starts).T
 
     return LoqdCoefficients(
         level=level_out, sig_E=sig_E, sig_B=sig_B, B=B_p, f=f, f_face=f_face,
         sig_R_face=sig_R_face, eta_hat=eta_hat, eta_check=eta_check,
-        C_minus=C_minus, C_plus=C_plus, E_in=E_in, F_in=F_in,
-        bc_offset=bc_offset)
+        C_minus=C_minus, C_plus=C_plus, bc_in=segment_sum(coef.bc_in, starts))

@@ -183,7 +183,7 @@ def compute_qd_factors(psi, inc_left, inc_right, quad):
 def random_coefficients(G, mesh, rng, with_eta=False):
     nx = mesh.n_cells
     f = 0.25 + 0.2 * rng.random((G, nx))  # first draw of the seed
-    return loqd.LoqdCoefficients(
+    coef = loqd.LoqdCoefficients(
         level=0,
         sig_E=0.5 + 2.0 * rng.random((G, nx)),
         sig_B=0.5 + 2.0 * rng.random((G, nx)),
@@ -195,11 +195,36 @@ def random_coefficients(G, mesh, rng, with_eta=False):
         eta_check=0.3 * rng.random((G, nx + 1)) if with_eta else np.zeros((G, nx + 1)),
         C_minus=-0.3 - 0.4 * rng.random(G),
         C_plus=0.3 + 0.4 * rng.random(G),
-        E_in=0.1 * rng.random((G, 2)),
-        F_in=np.column_stack([0.2 * rng.random(G), -0.2 * rng.random(G)]),
-        bc_offset=0.05 * rng.standard_normal((G, 2)) if with_eta
-        else np.zeros((G, 2)),
+        bc_in=np.empty((G, 2)),
     )
+    E_in = 0.1 * rng.random((G, 2))
+    F_in = np.column_stack([0.2 * rng.random(G), -0.2 * rng.random(G)])
+    bc_offset = 0.05 * rng.standard_normal((G, 2)) if with_eta \
+        else np.zeros((G, 2))
+    coef.bc_in = boundary_source(E_in, F_in, bc_offset, coef)
+    return coef
+
+
+def boundary_source(E_in, F_in, bc_offset, coef):
+    """bc_in of the three-array boundary data: F_in + bc_offset - c C E_in,
+    with C_minus at x = 0 and C_plus at x = X."""
+    C = np.column_stack([coef.C_minus, coef.C_plus])
+    return F_in + bc_offset - phys.C_LIGHT * C * E_in
+
+
+def restrict_boundary_data(E_in, F_in, bc_offset, coef, merged, starts):
+    """Three-array restriction of the boundary data onto merged intervals:
+    E_in and F_in summed, and an offset that moves each merged condition's
+    c C E_in term from the source level's C to the merged one, so the
+    merged condition is the sum of its originals."""
+    def sums(q):
+        return np.add.reduceat(q, starts[:-1], axis=0)
+
+    C = np.column_stack([coef.C_minus, coef.C_plus])
+    C_p = np.column_stack([merged.C_minus, merged.C_plus])
+    E_p = sums(E_in)
+    offset = sums(bc_offset) + phys.C_LIGHT * (C_p * E_p - sums(C * E_in))
+    return E_p, sums(F_in), offset
 
 
 def _first_moment_terms(coef, dt, mesh):
@@ -247,12 +272,10 @@ def dense_oracle(coef, E_prev, F_prev, dt, mesh, sig_E=None, source=None):
             b[r] = source[p, i] * dx[i] + dx[i] / dt * E_prev[p, i]
         A[-2, iF] = 1.0
         A[-2, 0] = -c * coef.C_minus[p]
-        b[-2] = (coef.F_in[p, 0] + coef.bc_offset[p, 0]
-                 - c * coef.C_minus[p] * coef.E_in[p, 0])
+        b[-2] = coef.bc_in[p, 0]
         A[-1, iF + nx] = 1.0
         A[-1, nx + 1] = -c * coef.C_plus[p]
-        b[-1] = (coef.F_in[p, 1] + coef.bc_offset[p, 1]
-                 - c * coef.C_plus[p] * coef.E_in[p, 1])
+        b[-1] = coef.bc_in[p, 1]
         x = np.linalg.solve(A, b)
         E_face[p] = x[[0, nx + 1]]
         E[p] = x[1:nx + 1]
@@ -283,8 +306,8 @@ def residual_norms(coef, sol, E_prev, F_prev, dt, mesh, sig_E=None,
     # boundary conditions
     for side, C, fa in ((0, coef.C_minus, sol.F[:, 0]),
                         (1, coef.C_plus, sol.F[:, -1])):
-        terms = np.stack([fa, -c * C * (sol.E_face[:, side] - coef.E_in[:, side]),
-                          -coef.F_in[:, side] - coef.bc_offset[:, side]])
+        terms = np.stack([fa, -c * C * sol.E_face[:, side],
+                          -coef.bc_in[:, side]])
         worst = max(worst, _rel_defect(terms))
     return worst
 

@@ -239,10 +239,17 @@ class TestMain:
 
     def test_removed_groups_flag_exit(self, tmp_path, capsys):
         # the fine group count comes from --grids alone
-        with pytest.raises(SystemExit) as exc:
-            main(["--groups", "16", "--tend", "0.02", "--out", str(tmp_path)])
-        assert exc.value.code == 2
+        assert main(["--groups", "16", "--tend", "0.02",
+                     "--out", str(tmp_path)]) == 2
         assert "--groups" in capsys.readouterr().err
+
+    def test_missing_flag_value_exit(self, tmp_path, capsys):
+        assert main(["--out", str(tmp_path), "--dt"]) == 2
+        assert "--dt" in capsys.readouterr().err
+
+    def test_help_exit(self, capsys):
+        assert main(["--help"]) == 0
+        assert "--grids" in capsys.readouterr().out
 
     def test_tend_not_multiple_of_dt_exit(self, tmp_path, capsys):
         assert main(["--grids", "16,1", "--dt", "0.02", "--tend", "0.05",

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import boundary_source
 
 from trtmg import grey, loqd, phys, transport
 from trtmg.grids import SpatialMesh
@@ -10,7 +11,7 @@ from trtmg.phys import MaterialModel
 
 def _one_group_coef(mesh, rng):
     nx = mesh.n_cells
-    return loqd.LoqdCoefficients(
+    coef = loqd.LoqdCoefficients(
         level=1,
         sig_E=0.5 + rng.random((1, nx)),
         sig_B=0.5 + rng.random((1, nx)),
@@ -22,10 +23,12 @@ def _one_group_coef(mesh, rng):
         eta_check=np.zeros((1, nx + 1)),
         C_minus=np.array([-0.5]),
         C_plus=np.array([0.5]),
-        E_in=0.01 * rng.random((1, 2)),
-        F_in=np.array([[0.02, -0.01]]),
-        bc_offset=np.zeros((1, 2)),
+        bc_in=np.empty((1, 2)),
     )
+    coef.bc_in = boundary_source(0.01 * rng.random((1, 2)),
+                                 np.array([[0.02, -0.01]]), np.zeros((1, 2)),
+                                 coef)
+    return coef
 
 
 def test_form_grey_single_interval_is_identity():

@@ -4,8 +4,11 @@ grids."""
 
 import numpy as np
 import pytest
-from oracles import (conservation_check, dense_oracle, random_coefficients,
-                     residual_norms)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (boundary_source, conservation_check, dense_oracle,
+                     random_coefficients, residual_norms,
+                     restrict_boundary_data)
 
 from trtmg import loqd, phys, transport
 from trtmg.grids import SpatialMesh, build_fc_frequency_grid, build_hierarchy
@@ -92,7 +95,7 @@ def test_merge_weighted_means():
     # Rosseland averages arithmetically with |F| weights:
     # (1*2 + 3*4) / (2+4) = 7/3
     assert got.sig_R_face[0, 0] == pytest.approx(7.0 / 3.0)
-    assert got.E_in[0].tolist() == list(coef.E_in.sum(axis=0))
+    assert got.bc_in[0].tolist() == list(coef.bc_in.sum(axis=0))
     # degenerate flux weights fall back to the harmonic mean
     sol.F[:] = 0.0
     got = loqd.merge_coefficients(coef, sol, np.array([0, 2]), level_out=1)
@@ -136,6 +139,41 @@ def test_merge_consistency_fine_to_coarse_to_grey():
                        rtol=1e-10)
     assert np.allclose(g_sol.F, c_sol.F.sum(axis=0, keepdims=True),
                        rtol=1e-10, atol=1e-12)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(G=st.integers(2, 12), nx=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_merged_boundary_source_matches_three_array_restriction(G, nx, seed):
+    # the summed bc_in equals the boundary source restricted as three arrays
+    # (E_in, F_in, and an offset for the change of C), over two merges
+    mesh = SpatialMesh.uniform(nx, 1.0)
+    rng = np.random.default_rng(seed)
+    coef = random_coefficients(G, mesh, rng, with_eta=True)
+    bc = (0.1 * rng.random((G, 2)),
+          np.column_stack([0.2 * rng.random(G), -0.2 * rng.random(G)]),
+          0.05 * rng.standard_normal((G, 2)))
+    coef.bc_in = boundary_source(*bc, coef)
+    coarse = np.concatenate(([0], np.flatnonzero(rng.random(G - 1) < 0.5) + 1,
+                             [G]))
+    for starts in (coarse, np.array([0, len(coarse) - 1])):
+        P = starts[-1]
+        sol = loqd.MomentField(E=0.1 + rng.random((P, nx)),
+                               E_face=0.1 + rng.random((P, 2)),
+                               F=rng.standard_normal((P, nx + 1)))
+        merged = loqd.merge_coefficients(coef, sol, starts, coef.level + 1)
+        bc = restrict_boundary_data(*bc, coef, merged, starts)
+        want = boundary_source(*bc, merged)
+        assert np.max(np.abs(merged.bc_in - want)) \
+            <= 1e-13 * np.max(np.abs(want))
+        coef = merged
+    # one interval per segment keeps the source bit for bit
+    coef = random_coefficients(G, mesh, rng, with_eta=True)
+    sol = loqd.MomentField(E=0.1 + rng.random((G, nx)),
+                           E_face=0.1 + rng.random((G, 2)),
+                           F=rng.standard_normal((G, nx + 1)))
+    merged = loqd.merge_coefficients(coef, sol, np.arange(G + 1), 1)
+    assert np.array_equal(merged.bc_in, coef.bc_in)
 
 
 def test_merge_eta_sign_split():

@@ -1,0 +1,44 @@
+"""The byte-identity gate's sizing of differing output files."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "same_outputs.py"
+
+PROFILES = ("time_ns,x_cm,T_keV,E_total\n"
+            "0.5,0.25,{},1.0\n0.5,0.75,0.5,{}\n"
+            "1,0.25,2.0,4.0\n1,0.75,1.0,2.0\n")
+TOTALS = "cycle,n_grids,grids,l_max,N_ti,N_c,N_lo\nV,2,16;1,4,{},20,340\n"
+
+
+@pytest.fixture
+def tool(monkeypatch):
+    # the tool sets sys.dont_write_bytecode and sys.path on import
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("same_outputs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_profile_change_is_relative_to_each_snapshot_maximum(tool):
+    old = PROFILES.format(1.0, 1.0).encode()
+    new = PROFILES.format(1.25, 1.5).encode()
+    # T moves 0.25 against a snapshot maximum of 1.0; E_total 0.5 against 1.0
+    assert tool.change("profiles.csv", old, new) \
+        == "max relative change T 2.5e-01, E_total 5.0e-01"
+    assert tool.change("profiles.csv", old, old) \
+        == "max relative change T 0.0e+00, E_total 0.0e+00"
+    shorter = "\n".join(PROFILES.splitlines()[:-1]).format(1.0, 1.0).encode()
+    assert tool.change("profiles.csv", old, shorter) \
+        == "snapshot times or cell counts differ"
+
+
+def test_totals_change_shows_both_counter_triples(tool):
+    old, new = TOTALS.format(10).encode(), TOTALS.format(11).encode()
+    assert tool.change("totals.csv", old, new) == "10/20/340 -> 11/20/340"
+    assert tool.change("stats.csv", old, new) == ""

@@ -9,12 +9,16 @@ the three perfbench workloads at 0.6 ns (configs from
 perfbench/harness.py) and the V2, V4, W2 and F2 benchmark runs at 3 ns.
 Compares profiles.csv, stats.csv, totals.csv and conv_hist.csv byte for
 byte, prints one line per file, and exits 1 if any file differs or is
-missing (2 if REV is not a revision).  Everything is written under the
-temporary directory.
+missing (2 if REV is not a revision).  A differing profiles.csv is sized by
+its largest relative T and E_total change (each snapshot against its own
+maximum, as perfbench checks profiles); a differing totals.csv shows both
+counter triples N_ti/N_c/N_lo.  Everything is written under the temporary
+directory.
 """
 
 from __future__ import annotations
 
+import csv
 import io
 import os
 import subprocess
@@ -27,6 +31,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.dont_write_bytecode = True
 sys.path.insert(0, str(ROOT / "perfbench"))
 import harness  # noqa: E402
+import numpy as np  # noqa: E402
 
 FILES = ("profiles.csv", "stats.csv", "totals.csv", "conv_hist.csv")
 FULL = {
@@ -59,9 +64,32 @@ def start(src: Path, config: dict, out: Path) -> subprocess.Popen:
                             env=env, stdout=subprocess.DEVNULL)
 
 
-def totals(path: Path) -> str:
-    row = path.read_text().splitlines()[1].split(",")
+def totals(data: bytes) -> str:
+    row = data.decode().splitlines()[1].split(",")
     return "/".join(row[4:7])
+
+
+def _snapshots(data: bytes) -> dict:
+    snaps = {}
+    for row in csv.DictReader(io.StringIO(data.decode())):
+        T, E = snaps.setdefault(row["time_ns"], ([], []))
+        T.append(float(row["T_keV"]))
+        E.append(float(row["E_total"]))
+    return snaps
+
+
+def change(name: str, old: bytes, new: bytes) -> str:
+    """How far a differing output file moved from old to new."""
+    if name == "totals.csv":
+        return f"{totals(old)} -> {totals(new)}"
+    if name != "profiles.csv":
+        return ""
+    a, b = _snapshots(old), _snapshots(new)
+    if a.keys() != b.keys() or any(len(a[t][0]) != len(b[t][0]) for t in a):
+        return "snapshot times or cell counts differ"
+    err = [max(np.max(np.abs(np.subtract(b[t][k], a[t][k])))
+               / np.max(np.abs(a[t][k])) for t in a) for k in (0, 1)]
+    return f"max relative change T {err[0]:.1e}, E_total {err[1]:.1e}"
 
 
 def main(argv) -> int:
@@ -86,10 +114,12 @@ def main(argv) -> int:
                 if not (a.exists() and b.exists()):
                     status, note = "MISSING", f"exit codes {codes}"
                 elif a.read_bytes() != b.read_bytes():
-                    status, note = "DIFFERS", ""
+                    status = "DIFFERS"
+                    note = change(name, a.read_bytes(), b.read_bytes())
                 else:
                     status = "same"
-                    note = totals(a) if name == "totals.csv" else ""
+                    note = totals(a.read_bytes()) if name == "totals.csv" \
+                        else ""
                 differ += status != "same"
                 print(f"{status:8} {case:8} {name:14} {note}".rstrip(),
                       flush=True)
