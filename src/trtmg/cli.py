@@ -22,7 +22,7 @@ from .cycles import (ConvergenceCriteria, ConvergenceError, Problem,
                      run_simulation, step_count)
 from .grids import (GridError, SpatialMesh, build_fc_frequency_grid,
                     build_hierarchy, double_gauss_legendre)
-from .phys import A_RAD, C_LIGHT, FleckCummingsOpacity, MaterialModel
+from .phys import A_RAD, FleckCummingsOpacity, MaterialModel
 
 
 class ConfigError(ValueError):
@@ -75,7 +75,7 @@ _PARSERS = {
 
 
 def _read_config_file(path) -> dict:
-    raw = {}
+    raw, seen = {}, {}
     try:
         text = Path(path).read_text()
     except OSError as e:
@@ -87,7 +87,12 @@ def _read_config_file(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        raw[key.strip()] = value.strip()
+        key = key.strip()
+        if key in seen:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} already set on "
+                              f"line {seen[key]}")
+        seen[key] = lineno
+        raw[key] = value.strip()
     return raw
 
 
@@ -167,17 +172,9 @@ def fc_problem(config: RunConfig) -> Problem:
     G, M = fine.n_groups, quad.n_dirs
     inc_left = np.zeros((G, M))
     inc_left[:, quad.positive] = 0.5 * B_b[:, None]
-    inc_right = np.zeros((G, M))
-    # incoming moments in the moment-system normalization (equilibrium
-    # radiation at T has E = a_R T^4): half-range Planckian carries E = B/c
-    # and partial flux B/2
-    E_in = np.zeros((G, 2))
-    F_in = np.zeros((G, 2))
-    E_in[:, 0] = B_b / C_LIGHT
-    F_in[:, 0] = 0.5 * B_b
     return Problem(mesh=mesh, quad=quad, hierarchy=hier, material=material,
                    sigma=FleckCummingsOpacity(), inc_left=inc_left,
-                   inc_right=inc_right, E_in=E_in, F_in=F_in, T_init=T_0)
+                   inc_right=np.zeros((G, M)), T_init=T_0)
 
 
 def _fmt(x) -> str:

@@ -132,14 +132,11 @@ class Problem:
     sigma: object              # callable (nu, T) -> opacity
     inc_left: np.ndarray       # (G, M) transport inflow at x=0 (mu>0 rows used)
     inc_right: np.ndarray      # (G, M) transport inflow at x=X (mu<0 rows used)
-    E_in: np.ndarray           # (G, 2) incoming moment data for the low order
-    F_in: np.ndarray           # (G, 2)
     T_init: float = phys.T_FLOOR
 
 
 @dataclass
 class SimulationState:
-    t: float
     T: np.ndarray            # (n_x,)
     T_r: np.ndarray          # (n_x,) radiation temperature for opacity weights
     psi: np.ndarray          # (n_x, 2, G, M) corner intensities
@@ -161,9 +158,9 @@ def initial_state(problem: Problem) -> SimulationState:
     E = 2.0 * B0.T / C_LIGHT
     F = np.zeros((G, nx + 1))
     return SimulationState(
-        t=0.0, T=T0, T_r=phys.radiation_temperature(E.sum(axis=0)),
-        psi=psi, E=E, F=F,
-        closures=transport.ClosureData.isotropic(G, nx))
+        T=T0, T_r=phys.radiation_temperature(E.sum(axis=0)), psi=psi, E=E,
+        F=F, closures=transport.ClosureData.isotropic(
+            nx, problem.inc_left, problem.inc_right, problem.quad))
 
 
 @dataclass
@@ -237,8 +234,7 @@ def run_cycle(problem: Problem, prev: SimulationState, T_tilde, work: _StepWork,
     hier = problem.hierarchy
     mesh = problem.mesh
 
-    coef1 = loqd.build_fine_coefficients(opac, work.closures, problem.E_in,
-                                         problem.F_in, mesh)
+    coef1 = loqd.build_fine_coefficients(opac, work.closures, mesh)
     sol1 = loqd.solve_moment_system(coef1, prev.E, prev.F, dt, mesh)
     stats.n_lo += coef1.n_intervals
     work.fine_sol = sol1
@@ -251,8 +247,7 @@ def run_cycle(problem: Problem, prev: SimulationState, T_tilde, work: _StepWork,
         # spectral coefficients refresh at the newest temperature, weighted
         # with this cycle's fine solution
         opk = _opacities(problem, work, T_cur)
-        c1k = loqd.build_fine_coefficients(opk, work.closures, problem.E_in,
-                                           problem.F_in, mesh)
+        c1k = loqd.build_fine_coefficients(opk, work.closures, mesh)
         coefk = loqd.merge_coefficients(c1k, sol1, hier.starts_fine[level],
                                         level)
         E_pk = hier.restrict(prev.E, level)
@@ -353,7 +348,7 @@ def run_time_step(problem: Problem, state: SimulationState,
     # sums are that step's grey moments, so the energy budget is exact
     grey_sol = work.grey_sol
     return SimulationState(
-        t=state.t + dt, T=work.T, T_r=work.T_r, psi=work.psi,
+        T=work.T, T_r=work.T_r, psi=work.psi,
         E=_match_sum(work.fine_sol.E, grey_sol.E[0]),
         F=_match_sum(work.fine_sol.F, grey_sol.F[0]),
         closures=work.closures)
@@ -370,11 +365,12 @@ class SimulationResult:
     schedule: CycleSchedule
 
 
-def _energy_record(problem, state, step, m_ti=0, m_c=0, m_lo=0) -> StepRecord:
+def _energy_record(problem, state, step, t, m_ti=0, m_c=0,
+                   m_lo=0) -> StepRecord:
     dx = problem.mesh.dx
     F_tot = state.F.sum(axis=0)
     return StepRecord(
-        step=step, t=state.t, m_ti=m_ti, m_c=m_c, m_lo=m_lo,
+        step=step, t=t, m_ti=m_ti, m_c=m_c, m_lo=m_lo,
         material_energy=float(dx @ problem.material.energy(state.T)),
         radiation_energy=float(dx @ state.E.sum(axis=0)),
         flux_left=float(F_tot[0]), flux_right=float(F_tot[-1]))
@@ -407,7 +403,7 @@ def run_simulation(problem: Problem, schedule: CycleSchedule,
     conv = []
     steps = []
     snapshots = []
-    initial = _energy_record(problem, state, 0)
+    initial = _energy_record(problem, state, 0, 0.0)
     if any(abs(ts) <= 0.5 * dt for ts in snap_times):
         snapshots.append((0.0, state.T.copy(), state.E.sum(axis=0)))
 
@@ -415,13 +411,12 @@ def run_simulation(problem: Problem, schedule: CycleSchedule,
         before = (stats.n_ti, stats.n_c, stats.n_lo)
         state = run_time_step(problem, state, schedule, criteria, dt, stats,
                               conv, j)
-        state.t = j * dt  # avoid accumulation drift
+        t = j * dt  # not a running sum, which would drift
         steps.append(_energy_record(
-            problem, state, j, m_ti=stats.n_ti - before[0],
+            problem, state, j, t, m_ti=stats.n_ti - before[0],
             m_c=stats.n_c - before[1], m_lo=stats.n_lo - before[2]))
-        if any(abs(ts - state.t) < 0.5 * dt * (1.0 - 1e-9)
-               for ts in snap_times):
-            snapshots.append((state.t, state.T.copy(), state.E.sum(axis=0)))
+        if any(abs(ts - t) < 0.5 * dt * (1.0 - 1e-9) for ts in snap_times):
+            snapshots.append((t, state.T.copy(), state.E.sum(axis=0)))
     return SimulationResult(initial=initial, steps=steps, snapshots=snapshots,
                             conv=conv, stats=stats, state=state,
                             schedule=schedule)

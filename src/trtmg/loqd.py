@@ -37,8 +37,7 @@ class LoqdCoefficients:
     sig_R_face: np.ndarray  # (P, n_x+1)
     eta_hat: np.ndarray     # (P, n_x+1) compensation on the face's right entity
     eta_check: np.ndarray   # (P, n_x+1) compensation on the face's left entity
-    C_minus: np.ndarray     # (P,) exit flux factor at x = 0
-    C_plus: np.ndarray      # (P,) exit flux factor at x = X
+    C: np.ndarray           # (P, 2) exit flux factor at x = 0 and x = X
     bc_in: np.ndarray       # (P, 2) inflow source: F = c C E_face + bc_in
 
     @property
@@ -71,13 +70,10 @@ def face_rosseland(sig_cell: np.ndarray, mesh: SpatialMesh) -> np.ndarray:
 
 
 def build_fine_coefficients(opac: GroupOpacitySet, closure: ClosureData,
-                            E_in: np.ndarray, F_in: np.ndarray,
                             mesh: SpatialMesh) -> LoqdCoefficients:
     """Assemble the fine-grid (level 0) coefficients from group opacities and
-    transport closures.  E_in/F_in are (G, 2) incoming moment data; they
-    enter as the boundary source bc_in = F_in - c C E_in."""
+    transport closures, boundary closure (C, bc_in) included."""
     G, nx = closure.f.shape
-    C = np.column_stack([closure.C_minus, closure.C_plus])
     return LoqdCoefficients(
         level=0,
         sig_E=opac.sig_E.T.copy(),
@@ -88,9 +84,8 @@ def build_fine_coefficients(opac: GroupOpacitySet, closure: ClosureData,
         sig_R_face=face_rosseland(opac.sig_R.T, mesh),
         eta_hat=np.zeros((G, nx + 1)),
         eta_check=np.zeros((G, nx + 1)),
-        C_minus=closure.C_minus.copy(),
-        C_plus=closure.C_plus.copy(),
-        bc_in=np.asarray(F_in, dtype=float) - C_LIGHT * C * E_in,
+        C=closure.C.copy(),
+        bc_in=closure.bc_in.copy(),
     )
 
 
@@ -149,7 +144,7 @@ def solve_moment_system(coef: LoqdCoefficients, E_prev: np.ndarray,
     upper = np.zeros((P, nx + 2))
     rhs = np.zeros((P, nx + 2))
 
-    diag[:, 0] = c * a1[:, 0] / D[:, 0] - c * coef.C_minus
+    diag[:, 0] = c * a1[:, 0] / D[:, 0] - c * coef.C[:, 0]
     upper[:, 0] = -c * a2[:, 0] / D[:, 0]
     rhs[:, 0] = coef.bc_in[:, 0] - R[:, 0] / D[:, 0]
 
@@ -161,7 +156,7 @@ def solve_moment_system(coef: LoqdCoefficients, E_prev: np.ndarray,
                     - R[:, 1:] / D[:, 1:] + R[:, :-1] / D[:, :-1])
 
     lower[:, -1] = c * a1[:, -1] / D[:, -1]
-    diag[:, -1] = -c * a2[:, -1] / D[:, -1] - c * coef.C_plus
+    diag[:, -1] = -c * a2[:, -1] / D[:, -1] - c * coef.C[:, 1]
     rhs[:, -1] = coef.bc_in[:, 1] - R[:, -1] / D[:, -1]
 
     u = _thomas(lower, diag, upper, rhs)
@@ -231,10 +226,8 @@ def merge_coefficients(coef: LoqdCoefficients, sol: MomentField,
     eta_hat = np.where((xi > 0.0) & (right_E > 1e-300), xi / (c * right_E), 0.0)
     eta_check = np.where((xi < 0.0) & (left_E > 1e-300), -xi / (c * left_E), 0.0)
 
-    C_minus, C_plus = _wmean(np.column_stack([coef.C_minus, coef.C_plus]),
-                             sol.E_face, Eface_p, starts).T
-
     return LoqdCoefficients(
         level=level_out, sig_E=sig_E, sig_B=sig_B, B=B_p, f=f, f_face=f_face,
         sig_R_face=sig_R_face, eta_hat=eta_hat, eta_check=eta_check,
-        C_minus=C_minus, C_plus=C_plus, bc_in=segment_sum(coef.bc_in, starts))
+        C=_wmean(coef.C, sol.E_face, Eface_p, starts),
+        bc_in=segment_sum(coef.bc_in, starts))

@@ -2,9 +2,9 @@
 
 The sweep works with the per-unit-mu intensity psi: the isotropic source
 q_g is injected as q_g/2 per direction, so an infinite medium in equilibrium
-has psi = B_g/2 in every direction.  The closure quantities handed to the
-moment solver (Eddington factors and boundary flux ratios) are ratios of
-angular moments and do not depend on that normalization.
+has psi = B_g/2 in every direction.  The Eddington factors and boundary
+flux ratios handed to the moment solver are ratios of angular moments and
+do not depend on that normalization; the boundary inflow source does.
 
 psi is stored cells-leading as (n_cells, 2, n_groups, n_dirs): axis 1 holds
 the left/right corner of each cell, so one corner of one cell is a
@@ -32,21 +32,37 @@ class ConvergenceError(RuntimeError):
 @dataclass
 class ClosureData:
     """Quasidiffusion closure of the angular flux: cell and boundary-face
-    Eddington factors and boundary flux-to-energy ratios."""
+    Eddington factors, and each face's boundary closure F = c C E + bc_in."""
 
     f: np.ndarray        # (G, n_x)
     f_face: np.ndarray   # (G, 2) at x=0 and x=X
-    C_minus: np.ndarray  # (G,), in [-1, 0)
-    C_plus: np.ndarray   # (G,), in (0, 1]
+    C: np.ndarray        # (G, 2) exit flux ratio: [-1,0) at x=0, (0,1] at x=X
+    bc_in: np.ndarray    # (G, 2) inflow source
 
     @classmethod
-    def isotropic(cls, n_groups: int, n_cells: int) -> "ClosureData":
-        return cls(
-            f=np.full((n_groups, n_cells), 1.0 / 3.0),
-            f_face=np.full((n_groups, 2), 1.0 / 3.0),
-            C_minus=np.full(n_groups, -0.5),
-            C_plus=np.full(n_groups, 0.5),
-        )
+    def isotropic(cls, n_cells: int, inc_left: np.ndarray,
+                  inc_right: np.ndarray,
+                  quad: AngularQuadrature) -> "ClosureData":
+        """Closure of an isotropic exit intensity under the given inflow; a
+        non-finite inflow raises ConvergenceError naming group and cell."""
+        C = np.tile([-0.5, 0.5], (inc_left.shape[0], 1))
+        bc_in = _inflow_source(C, inc_left, inc_right, quad)
+        if not np.isfinite(bc_in).all():
+            g, side = np.argwhere(~np.isfinite(bc_in))[0]
+            raise ConvergenceError(f"transport sweep: non-finite inflow into "
+                                   f"group {g}, cell {side * (n_cells - 1)}")
+        return cls(f=np.full((len(C), n_cells), 1.0 / 3.0),
+                   f_face=np.full_like(C, 1.0 / 3.0), C=C, bc_in=bc_in)
+
+
+def _inflow_source(C, inc_left, inc_right, quad):
+    """bc_in = F_in - c C E_in of the entering half range at each face, with
+    E_in = (2/c) sum w psi and F_in = 2 sum w mu psi, so c cancels."""
+    w, wmu, pos = quad.w, quad.w * quad.mu, quad.positive
+    left, right = inc_left[:, pos], inc_right[:, ~pos]
+    return 2.0 * np.column_stack([
+        left @ wmu[pos] - C[:, 0] * (left @ w[pos]),
+        right @ wmu[~pos] - C[:, 1] * (right @ w[~pos])])
 
 
 def _sweep_rightward(psi, psi_prev, sigma, q, hdx, tau, mu, inflow):
@@ -96,14 +112,6 @@ def sweep_all(psi_prev: np.ndarray, inc_left: np.ndarray, inc_right: np.ndarray,
     return psi
 
 
-def _face_intensities(psi, inc_left, inc_right, pos):
-    """Boundary-face angular intensities: incoming data on the entering half
-    range, exit-corner values on the leaving half range."""
-    left = np.where(pos[None, :], inc_left, psi[0, 0])
-    right = np.where(pos[None, :], psi[-1, 1], inc_right)
-    return left, right
-
-
 def _ratio(num, den, fallback):
     out = np.full_like(num, fallback)
     good = np.isfinite(den) & (den > 0.0)
@@ -113,8 +121,8 @@ def _ratio(num, den, fallback):
 
 def compute_qd_factors(psi: np.ndarray, inc_left: np.ndarray, inc_right: np.ndarray,
                        quad: AngularQuadrature) -> ClosureData:
-    """Eddington factors per cell and boundary face, and boundary flux ratios
-    C^- (x=0) and C^+ (x=X) from the exit-corner intensities.
+    """Eddington factors per cell and boundary face, and each face's exit
+    flux ratio C from the exit-corner intensities with its inflow source.
 
     Raises ConvergenceError if a zeroth angular moment of the cell-average
     intensity is not finite.
@@ -138,7 +146,10 @@ def compute_qd_factors(psi: np.ndarray, inc_left: np.ndarray, inc_right: np.ndar
             f"cell {i}")
     f = _ratio(np.einsum("m,gmi->gi", wmu2, psi_bar), moment0, 1.0 / 3.0)
 
-    fl, fr = _face_intensities(psi, inc_left, inc_right, pos)
+    # boundary-face intensities: the inflow where it enters, exit corners
+    # where it leaves
+    fl = np.where(pos[None, :], inc_left, psi[0, 0])
+    fr = np.where(pos[None, :], psi[-1, 1], inc_right)
     f_face = np.stack([_ratio(fl @ wmu2, fl @ w, 1.0 / 3.0),
                        _ratio(fr @ wmu2, fr @ w, 1.0 / 3.0)], axis=1)
 
@@ -146,9 +157,11 @@ def compute_qd_factors(psi: np.ndarray, inc_left: np.ndarray, inc_right: np.ndar
     # the matrix-vector products sum in an order set by the layout
     exit_l = np.asfortranarray(psi[0, 0][:, ~pos])
     exit_r = np.asfortranarray(psi[-1, 1][:, pos])
-    C_minus = _ratio(exit_l @ (w * mu)[~pos], exit_l @ w[~pos], -0.5)
-    C_plus = _ratio(exit_r @ (w * mu)[pos], exit_r @ w[pos], 0.5)
-    return ClosureData(f=f, f_face=f_face, C_minus=C_minus, C_plus=C_plus)
+    C = np.column_stack([
+        _ratio(exit_l @ (w * mu)[~pos], exit_l @ w[~pos], -0.5),
+        _ratio(exit_r @ (w * mu)[pos], exit_r @ w[pos], 0.5)])
+    return ClosureData(f=f, f_face=f_face, C=C,
+                       bc_in=_inflow_source(C, inc_left, inc_right, quad))
 
 
 def transport_solve(psi_prev: np.ndarray, inc_left: np.ndarray, inc_right: np.ndarray,

@@ -158,7 +158,8 @@ def _ratio(num, den, fallback):
 
 def compute_qd_factors(psi, inc_left, inc_right, quad):
     """Closures of a groups-leading psi (G, M, n_x, 2), gathering the exit
-    corners through the mu > 0 mask: the bitwise reference for
+    corners through the mu > 0 mask, and the inflow source of each face
+    written out per side: the bitwise reference for
     transport.compute_qd_factors."""
     w, mu, pos = quad.w, quad.mu, quad.positive
     wmu2 = w * mu * mu
@@ -176,8 +177,14 @@ def compute_qd_factors(psi, inc_left, inc_right, quad):
     exit_r = psi[:, pos, -1, 1]
     C_minus = _ratio(exit_l @ (w * mu)[~pos], exit_l @ w[~pos], -0.5)
     C_plus = _ratio(exit_r @ (w * mu)[pos], exit_r @ w[pos], 0.5)
-    return transport.ClosureData(f=f, f_face=f_face, C_minus=C_minus,
-                                 C_plus=C_plus)
+
+    # F_in - c C E_in with E_in = (2/c) sum w psi, F_in = 2 sum w mu psi
+    in_l, in_r = inc_left[:, pos], inc_right[:, ~pos]
+    bc_left = 2.0 * (in_l @ (w * mu)[pos] - C_minus * (in_l @ w[pos]))
+    bc_right = 2.0 * (in_r @ (w * mu)[~pos] - C_plus * (in_r @ w[~pos]))
+    return transport.ClosureData(f=f, f_face=f_face,
+                                 C=np.column_stack([C_minus, C_plus]),
+                                 bc_in=np.column_stack([bc_left, bc_right]))
 
 
 def random_coefficients(G, mesh, rng, with_eta=False):
@@ -193,8 +200,8 @@ def random_coefficients(G, mesh, rng, with_eta=False):
         sig_R_face=0.5 + 2.0 * rng.random((G, nx + 1)),
         eta_hat=0.3 * rng.random((G, nx + 1)) if with_eta else np.zeros((G, nx + 1)),
         eta_check=0.3 * rng.random((G, nx + 1)) if with_eta else np.zeros((G, nx + 1)),
-        C_minus=-0.3 - 0.4 * rng.random(G),
-        C_plus=0.3 + 0.4 * rng.random(G),
+        C=np.column_stack([-0.3 - 0.4 * rng.random(G),
+                           0.3 + 0.4 * rng.random(G)]),
         bc_in=np.empty((G, 2)),
     )
     E_in = 0.1 * rng.random((G, 2))
@@ -206,10 +213,8 @@ def random_coefficients(G, mesh, rng, with_eta=False):
 
 
 def boundary_source(E_in, F_in, bc_offset, coef):
-    """bc_in of the three-array boundary data: F_in + bc_offset - c C E_in,
-    with C_minus at x = 0 and C_plus at x = X."""
-    C = np.column_stack([coef.C_minus, coef.C_plus])
-    return F_in + bc_offset - phys.C_LIGHT * C * E_in
+    """bc_in of the three-array boundary data: F_in + bc_offset - c C E_in."""
+    return F_in + bc_offset - phys.C_LIGHT * coef.C * E_in
 
 
 def restrict_boundary_data(E_in, F_in, bc_offset, coef, merged, starts):
@@ -220,10 +225,9 @@ def restrict_boundary_data(E_in, F_in, bc_offset, coef, merged, starts):
     def sums(q):
         return np.add.reduceat(q, starts[:-1], axis=0)
 
-    C = np.column_stack([coef.C_minus, coef.C_plus])
-    C_p = np.column_stack([merged.C_minus, merged.C_plus])
     E_p = sums(E_in)
-    offset = sums(bc_offset) + phys.C_LIGHT * (C_p * E_p - sums(C * E_in))
+    offset = sums(bc_offset) + phys.C_LIGHT * (merged.C * E_p
+                                               - sums(coef.C * E_in))
     return E_p, sums(F_in), offset
 
 
@@ -271,10 +275,10 @@ def dense_oracle(coef, E_prev, F_prev, dt, mesh, sig_E=None, source=None):
             A[r, iF + i + 1] = 1.0
             b[r] = source[p, i] * dx[i] + dx[i] / dt * E_prev[p, i]
         A[-2, iF] = 1.0
-        A[-2, 0] = -c * coef.C_minus[p]
+        A[-2, 0] = -c * coef.C[p, 0]
         b[-2] = coef.bc_in[p, 0]
         A[-1, iF + nx] = 1.0
-        A[-1, nx + 1] = -c * coef.C_plus[p]
+        A[-1, nx + 1] = -c * coef.C[p, 1]
         b[-1] = coef.bc_in[p, 1]
         x = np.linalg.solve(A, b)
         E_face[p] = x[[0, nx + 1]]
@@ -304,9 +308,8 @@ def residual_norms(coef, sol, E_prev, F_prev, dt, mesh, sig_E=None,
                       c * sig_E * dx * sol.E, -source * dx])
     worst = max(worst, _rel_defect(terms))
     # boundary conditions
-    for side, C, fa in ((0, coef.C_minus, sol.F[:, 0]),
-                        (1, coef.C_plus, sol.F[:, -1])):
-        terms = np.stack([fa, -c * C * sol.E_face[:, side],
+    for side, fa in ((0, sol.F[:, 0]), (1, sol.F[:, -1])):
+        terms = np.stack([fa, -c * coef.C[:, side] * sol.E_face[:, side],
                           -coef.bc_in[:, side]])
         worst = max(worst, _rel_defect(terms))
     return worst

@@ -22,9 +22,7 @@ def equilibrium_problem(T0=1.0, cells=4, grids=(16, 1)):
     inc_left[:, quad.positive] = 0.5 * B0[:, None]
     inc_right = np.zeros((G, M))
     inc_right[:, ~quad.positive] = 0.5 * B0[:, None]
-    E_in = np.stack([B0 / phys.C_LIGHT, B0 / phys.C_LIGHT], axis=1)
-    F_in = np.stack([0.5 * B0, -0.5 * B0], axis=1)
     return Problem(mesh=mesh, quad=quad, hierarchy=hier,
                    material=MaterialModel(c_v=0.1 * phys.A_RAD),
                    sigma=FleckCummingsOpacity(), inc_left=inc_left,
-                   inc_right=inc_right, E_in=E_in, F_in=F_in, T_init=T0)
+                   inc_right=inc_right, T_init=T0)

@@ -10,7 +10,8 @@ import pytest
 from trtmg import phys
 from trtmg.cli import (_PARSERS, ConfigError, RunConfig, fc_problem, main,
                        parse_config, write_config, write_outputs)
-from trtmg.cycles import ConvergenceCriteria, make_schedule, run_simulation
+from trtmg.cycles import (ConvergenceCriteria, initial_state, make_schedule,
+                          run_simulation)
 
 
 def _rows(path):
@@ -76,6 +77,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"run\.cfg:2"):
             parse_config(p)
 
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text("dt = 0.02\ngrids = 16,1\n\ndt = 0.04\n")
+        with pytest.raises(ConfigError,
+                           match=r"run\.cfg:4: key 'dt' already set on line 1"):
+            parse_config(p)
+        assert main(["--config", str(p)]) == 2
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "absent.cfg")
@@ -137,9 +146,12 @@ class TestFcProblem:
         assert np.all(prob.inc_left[:, pos] == 0.5 * B_b[:, None])
         assert np.all(prob.inc_left[:, ~pos] == 0.0)
         assert np.all(prob.inc_right == 0.0)
-        assert np.array_equal(prob.E_in[:, 0], B_b / phys.C_LIGHT)
-        assert np.array_equal(prob.F_in[:, 0], 0.5 * B_b)
-        assert np.all(prob.E_in[:, 1] == 0.0) and np.all(prob.F_in[:, 1] == 0.0)
+        # the initial closure's inflow source F_in - c C E_in, with the
+        # half-range Planckian's F_in = B/2 and c E_in = B, and C = -1/2
+        bc_in = initial_state(prob).closures.bc_in
+        want = 0.5 * B_b + 0.5 * B_b
+        assert np.all(np.abs(bc_in[:, 0] - want) <= 1e-15 * want)
+        assert np.all(bc_in[:, 1] == 0.0)
 
     def test_opacity_model(self):
         cfg = RunConfig(grids=(16, 1))

@@ -130,7 +130,6 @@ class TestInitialState:
         prob = _fc()
         st = initial_state(prob)
         B0 = phys.planck_groups(st.T, prob.hierarchy.fine.edges)
-        assert st.t == 0.0
         assert np.all(st.T == 1e-3)
         assert np.array_equal(st.E, 2.0 * B0.T / phys.C_LIGHT)
         assert np.all(st.F == 0.0)
@@ -139,8 +138,7 @@ class TestInitialState:
         assert np.all(st.psi[:, 0] == 0.5 * B0[:, :, None])
         assert np.all(st.closures.f == 1.0 / 3.0)
         assert np.all(st.closures.f_face == 1.0 / 3.0)
-        assert np.all(st.closures.C_minus == -0.5)
-        assert np.all(st.closures.C_plus == 0.5)
+        assert np.all(st.closures.C == [-0.5, 0.5])
 
 
 class TestEquilibrium:
@@ -375,9 +373,10 @@ class TestConvergenceRecords:
         assert stats.n_c <= sched.l_max
 
     def test_nan_inflow_fails_at_first_sweep(self):
-        # a NaN entering through the left face fails the first sweep and
-        # names the layer, group and cell, instead of turning that group's
-        # closures into the isotropic fallbacks
+        # a NaN entering through the left face fails before the first sweep
+        # (the initial closure's inflow source reads it) and names the
+        # layer, group and cell, instead of turning that group's closures
+        # into the isotropic fallbacks
         prob = _fc()
         inc_left = prob.inc_left.copy()
         inc_left[5, -1] = np.nan              # the last direction enters

@@ -5,7 +5,7 @@ import pytest
 from oracles import boundary_source
 
 from trtmg import grey, loqd, phys, transport
-from trtmg.grids import SpatialMesh
+from trtmg.grids import SpatialMesh, double_gauss_legendre
 from trtmg.phys import MaterialModel
 
 
@@ -21,8 +21,7 @@ def _one_group_coef(mesh, rng):
         sig_R_face=0.5 + rng.random((1, nx + 1)),
         eta_hat=np.zeros((1, nx + 1)),
         eta_check=np.zeros((1, nx + 1)),
-        C_minus=np.array([-0.5]),
-        C_plus=np.array([0.5]),
+        C=np.array([[-0.5, 0.5]]),
         bc_in=np.empty((1, 2)),
     )
     coef.bc_in = boundary_source(0.01 * rng.random((1, 2)),
@@ -52,11 +51,12 @@ def test_equilibrium_temperature_is_fixed_point():
     T = np.full(nx, 0.5)
     opac = phys.build_group_opacities(T, phys.radiation_weights(T, edges),
                                       edges, phys.FleckCummingsOpacity())
-    clo = transport.ClosureData.isotropic(G, nx)
+    quad = double_gauss_legendre(8)
     B = opac.B.T
-    E_in = np.column_stack([B[:, 0], B[:, -1]]) / phys.C_LIGHT
-    F_in = np.column_stack([0.5 * B[:, 0], -0.5 * B[:, -1]])
-    coef = loqd.build_fine_coefficients(opac, clo, E_in, F_in, mesh)
+    clo = transport.ClosureData.isotropic(
+        nx, np.repeat(0.5 * B[:, :1], quad.n_dirs, axis=1),
+        np.repeat(0.5 * B[:, -1:], quad.n_dirs, axis=1), quad)
+    coef = loqd.build_fine_coefficients(opac, clo, mesh)
     E_eq = 2.0 * B / phys.C_LIGHT
     dt = 0.02
     sol = loqd.solve_moment_system(coef, E_eq, np.zeros((G, nx + 1)), dt, mesh)

@@ -11,7 +11,8 @@ from oracles import (boundary_source, conservation_check, dense_oracle,
                      restrict_boundary_data)
 
 from trtmg import loqd, phys, transport
-from trtmg.grids import SpatialMesh, build_fc_frequency_grid, build_hierarchy
+from trtmg.grids import (SpatialMesh, build_fc_frequency_grid, build_hierarchy,
+                         double_gauss_legendre)
 
 
 def test_face_rosseland():
@@ -29,11 +30,12 @@ def test_equilibrium_fixed_point():
     opac = phys.build_group_opacities(T, phys.radiation_weights(T, edges),
                                       edges, phys.FleckCummingsOpacity())
     G = 16
-    clo = transport.ClosureData.isotropic(G, 10)
+    quad = double_gauss_legendre(8)
     B = opac.B.T
-    E_in = np.column_stack([B[:, 0], B[:, -1]]) / phys.C_LIGHT
-    F_in = np.column_stack([0.5 * B[:, 0], -0.5 * B[:, -1]])
-    coef = loqd.build_fine_coefficients(opac, clo, E_in, F_in, mesh)
+    clo = transport.ClosureData.isotropic(
+        10, np.repeat(0.5 * B[:, :1], quad.n_dirs, axis=1),
+        np.repeat(0.5 * B[:, -1:], quad.n_dirs, axis=1), quad)
+    coef = loqd.build_fine_coefficients(opac, clo, mesh)
     E_eq = 2.0 * B / phys.C_LIGHT
     sol = loqd.solve_moment_system(coef, E_eq, np.zeros((G, 11)), 0.02, mesh)
     assert np.allclose(sol.E, E_eq, rtol=1e-12)

@@ -96,8 +96,8 @@ def test_equilibrium_intensity_is_fixed_point():
     clo = transport.compute_qd_factors(psi_eq, inc, inc, quad)
     assert np.allclose(clo.f, 1.0 / 3.0, rtol=1e-14)
     assert np.allclose(clo.f_face, 1.0 / 3.0, rtol=1e-14)
-    assert np.allclose(clo.C_minus, -0.5, rtol=1e-14)
-    assert np.allclose(clo.C_plus, 0.5, rtol=1e-14)
+    assert np.allclose(clo.C[:, 0], -0.5, rtol=1e-14)
+    assert np.allclose(clo.C[:, 1], 0.5, rtol=1e-14)
 
 
 def test_sweep_matches_dense_solve():
@@ -153,8 +153,35 @@ def test_closures_match_groups_leading_reference(G, nx, quad, seed):
     got = transport.compute_qd_factors(psi, inc_left, inc_right, quad)
     ref = oracles.compute_qd_factors(_relayout(psi), inc_left, inc_right,
                                      quad)
-    for name in ("f", "f_face", "C_minus", "C_plus"):
+    for name in ("f", "f_face", "C", "bc_in"):
         assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_boundary_closure_reproduces_face_moments(n):
+    # 2 F_face = c C (2 E_face) + bc_in at both faces (twice the psi moments
+    # are the moment system's), under random non-isotropic inflow: for the
+    # closures of a swept field, and for the isotropic closure of a field
+    # isotropic per group
+    quad = double_gauss_legendre(n)
+    mesh = SpatialMesh.uniform(4, 2.0)
+    G, M, nx = 3, quad.n_dirs, 4
+    rng = np.random.default_rng(n)
+    inc_left, inc_right = rng.random((G, M)), rng.random((G, M))
+    swept = transport.sweep_all(rng.random((nx, 2, G, M)), inc_left,
+                                inc_right, 0.2 + rng.random((nx, G)),
+                                rng.random((nx, G)), mesh, quad, 0.1)
+    iso = np.broadcast_to(rng.random(G)[:, None], (nx, 2, G, M)).copy()
+    for psi, clo in (
+            (swept, transport.compute_qd_factors(swept, inc_left, inc_right,
+                                                 quad)),
+            (iso, transport.ClosureData.isotropic(nx, inc_left, inc_right,
+                                                  quad))):
+        _, E_face, F = compute_moments(psi, inc_left, inc_right, quad)
+        terms = np.stack([2.0 * F[:, [0, -1]],
+                          -phys.C_LIGHT * clo.C * (2.0 * E_face), -clo.bc_in])
+        defect = np.abs(terms.sum(axis=0)) / np.max(np.abs(terms), axis=0)
+        assert np.max(defect) <= 1e-13
 
 
 def test_group_balance_residual_small():
@@ -217,5 +244,5 @@ def test_transport_solve_equilibrium_closures():
                                          0.02)
     assert np.allclose(psi, psi_prev, rtol=1e-12)
     assert np.allclose(clo.f, 1.0 / 3.0, rtol=1e-12)
-    assert np.allclose(clo.C_minus, -0.5, rtol=1e-12)
-    assert np.allclose(clo.C_plus, 0.5, rtol=1e-12)
+    assert np.allclose(clo.C[:, 0], -0.5, rtol=1e-12)
+    assert np.allclose(clo.C[:, 1], 0.5, rtol=1e-12)
