@@ -44,13 +44,13 @@ class ClosureData:
                   inc_right: np.ndarray,
                   quad: AngularQuadrature) -> "ClosureData":
         """Closure of an isotropic exit intensity under the given inflow; a
-        non-finite inflow raises ConvergenceError naming group and cell."""
+        non-finite inflow raises ConvergenceError naming group and face."""
         C = np.tile([-0.5, 0.5], (inc_left.shape[0], 1))
         bc_in = _inflow_source(C, inc_left, inc_right, quad)
         if not np.isfinite(bc_in).all():
             g, side = np.argwhere(~np.isfinite(bc_in))[0]
-            raise ConvergenceError(f"transport sweep: non-finite inflow into "
-                                   f"group {g}, cell {side * (n_cells - 1)}")
+            raise ConvergenceError(f"initial closure: non-finite inflow into "
+                                   f"group {g} at x={'0X'[side]}")
         return cls(f=np.full((len(C), n_cells), 1.0 / 3.0),
                    f_face=np.full_like(C, 1.0 / 3.0), C=C, bc_in=bc_in)
 

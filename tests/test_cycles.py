@@ -373,21 +373,37 @@ class TestConvergenceRecords:
         assert stats.n_c <= sched.l_max
 
     def test_nan_inflow_fails_at_first_sweep(self):
-        # a NaN entering through the left face fails before the first sweep
-        # (the initial closure's inflow source reads it) and names the
-        # layer, group and cell, instead of turning that group's closures
-        # into the isotropic fallbacks
+        # a NaN entering through the left face fails the first sweep and
+        # names the layer, group and cell, instead of turning that group's
+        # closures into the isotropic fallbacks; the state comes from the
+        # finite problem, so the step's initial closure is finite
         prob = _fc()
+        state = initial_state(prob)
         inc_left = prob.inc_left.copy()
         inc_left[5, -1] = np.nan              # the last direction enters
         prob = replace(prob, inc_left=inc_left)
         sched = make_schedule("V", (16, 1), 4)
         stats = IterationStats()
         with pytest.raises(ConvergenceError,
-                           match=r"transport sweep: .* group 5, cell 0"):
-            run_time_step(prob, initial_state(prob), sched,
-                          ConvergenceCriteria(), 2e-2, stats)
+                           match=r"transport sweep: non-finite zeroth angular "
+                                 r"moment in group 5, cell 0$"):
+            run_time_step(prob, state, sched, ConvergenceCriteria(), 2e-2,
+                          stats)
         assert stats.n_ti == 0
+
+    @pytest.mark.parametrize("side,face", [(0, "0"), (1, "X")])
+    def test_nan_inflow_fails_initial_closure(self, side, face):
+        # the initial closure's inflow source reads the inflow, so a NaN in
+        # an entering direction is rejected before any sweep, naming the
+        # group and the face
+        prob = _fc()
+        inc = [prob.inc_left.copy(), prob.inc_right.copy()]
+        inc[side][5, -1 if side == 0 else 0] = np.nan   # entering direction
+        prob = replace(prob, inc_left=inc[0], inc_right=inc[1])
+        with pytest.raises(ConvergenceError,
+                           match=rf"initial closure: non-finite inflow into "
+                                 rf"group 5 at x={face}$"):
+            initial_state(prob)
 
 
 class TestRunSimulation:
