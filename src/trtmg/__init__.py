@@ -8,7 +8,8 @@ from .grids import (AngularQuadrature, FrequencyGrid, FrequencyGridHierarchy,
                     GridError, SpatialMesh, build_fc_frequency_grid,
                     build_hierarchy, double_gauss_legendre)
 from .phys import (FleckCummingsOpacity, GroupOpacitySet, MaterialModel,
-                   build_group_opacities, planck_groups, radiation_weights)
+                   build_group_opacities, log_rule, planck_groups,
+                   radiation_weights)
 
 __all__ = [
     "AngularQuadrature", "ConvergenceCriteria", "ConvergenceError",
@@ -16,7 +17,7 @@ __all__ = [
     "FrequencyGridHierarchy", "GridError", "GroupOpacitySet", "MaterialModel",
     "Problem", "ScheduleError", "SimulationResult", "SpatialMesh",
     "build_fc_frequency_grid", "build_group_opacities", "build_hierarchy",
-    "double_gauss_legendre", "initial_state", "make_schedule",
+    "double_gauss_legendre", "initial_state", "log_rule", "make_schedule",
     "planck_groups", "radiation_weights", "run_simulation", "run_time_step",
 ]
 

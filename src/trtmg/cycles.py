@@ -173,6 +173,7 @@ class _StepWork:
     E_mon: np.ndarray
     grey_E_prev: np.ndarray
     grey_F_prev: np.ndarray
+    rule: phys.LogRule  # the fine grid's, for every T_r bundle of the step
     fine_sol: loqd.MomentField = None
     # moments of the latest grey Newton solve, which produced work.T
     grey_sol: loqd.MomentField = None
@@ -185,10 +186,11 @@ class _StepWork:
 
 def _opacities(problem: Problem, work: _StepWork, T) -> phys.GroupOpacitySet:
     """Group opacities at cell temperatures T and the current work.T_r."""
-    edges = problem.hierarchy.fine.edges
     if work.rad is None:
-        work.rad = phys.radiation_weights(work.T_r, edges)
-    return phys.build_group_opacities(T, work.rad, edges, problem.sigma)
+        work.rad = phys.radiation_weights(work.T_r, work.rule)
+    return phys.build_group_opacities(T, work.rad,
+                                      problem.hierarchy.fine.edges,
+                                      problem.sigma)
 
 
 def _dinf(new, old) -> float:
@@ -324,7 +326,8 @@ def run_time_step(problem: Problem, state: SimulationState,
         T=state.T.copy(), T_r=state.T_r.copy(), psi=state.psi,
         closures=state.closures, E_mon=state.E.sum(axis=0),
         grey_E_prev=state.E.sum(axis=0, keepdims=True),
-        grey_F_prev=state.F.sum(axis=0, keepdims=True))
+        grey_F_prev=state.F.sum(axis=0, keepdims=True),
+        rule=phys.log_rule(problem.hierarchy.fine.edges))
 
     converged = False
     rT = rE = np.inf

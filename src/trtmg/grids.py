@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -124,21 +125,26 @@ class SpatialMesh:
     def n_cells(self) -> int:
         return self.faces.size - 1
 
-    @property
+    # every moment solve reads the widths, so each mesh forms them once,
+    # read-only (the faces are fixed once the mesh is built)
+    @cached_property
     def dx(self) -> np.ndarray:
-        return np.diff(self.faces)
+        dx = np.diff(self.faces)
+        dx.flags.writeable = False
+        return dx
 
     @property
     def centers(self) -> np.ndarray:
         return 0.5 * (self.faces[:-1] + self.faces[1:])
 
-    @property
+    @cached_property
     def dual_dx(self) -> np.ndarray:
         dx = self.dx
         out = np.empty(dx.size + 1)
         out[0] = 0.5 * dx[0]
         out[-1] = 0.5 * dx[-1]
         out[1:-1] = 0.5 * (dx[:-1] + dx[1:])
+        out.flags.writeable = False
         return out
 
     @classmethod

@@ -90,19 +90,19 @@ def build_fine_coefficients(opac: GroupOpacitySet, closure: ClosureData,
 
 
 def _thomas(lower, diag, upper, rhs):
-    """Banded elimination of a batch of tridiagonal systems (rows independent)."""
-    n = diag.shape[1]
-    d = diag.copy()
-    r = rhs.copy()
-    for k in range(1, n):
-        m = lower[:, k] / d[:, k - 1]
-        d[:, k] = d[:, k] - m * upper[:, k - 1]
-        r[:, k] = r[:, k] - m * r[:, k - 1]
-    x = np.empty_like(r)
-    x[:, -1] = r[:, -1] / d[:, -1]
-    for k in range(n - 2, -1, -1):
-        x[:, k] = (r[:, k] - upper[:, k] * x[:, k + 1]) / d[:, k]
-    return x
+    """Banded elimination of a batch of tridiagonal systems, given as rows:
+    diag and rhs hold n rows, lower and upper the n - 1 below and above the
+    diagonal, and each row holds one entry of every system.  Returns the n
+    solution rows."""
+    d, r = [diag[0]], [rhs[0]]
+    for lo, up, dk, rk in zip(lower, upper, diag[1:], rhs[1:]):
+        m = lo / d[-1]
+        d.append(dk - m * up)
+        r.append(rk - m * r[-1])
+    x = [r[-1] / d[-1]]
+    for up, dk, rk in zip(upper[::-1], d[-2::-1], r[-2::-1]):
+        x.append((rk - up * x[-1]) / dk)
+    return x[::-1]
 
 
 def solve_moment_system(coef: LoqdCoefficients, E_prev: np.ndarray,
@@ -116,71 +116,73 @@ def solve_moment_system(coef: LoqdCoefficients, E_prev: np.ndarray,
     (used by the grey solve); source defaults to 2 sigma_B B.
     """
     c = C_LIGHT
-    P, nx = coef.sig_E.shape
+    P = coef.n_intervals
     if sig_E is None:
         sig_E = coef.sig_E
     if source is None:
         source = 2.0 * coef.sig_B * coef.B
-    # F = (R + c a1 u_left - c a2 u_right)/D on every face.  eta carries
+    # F = (R + ca1 u_left - ca2 u_right)/D on every face, where
+    # ca1 = c (f + dxd eta_check) and ca2 = c (f + dxd eta_hat).  eta carries
     # units 1/cm and scales with the dual-cell width here, which is exactly
     # what makes the merged first-moment equation reproduce the summed
     # originals (the sigma_R spread term it compensates is width-weighted too).
     tau = 1.0 / (c * dt)
     dxd = mesh.dual_dx[None, :]
     D = dxd * (tau + coef.sig_R_face)
-    a1 = np.empty_like(coef.sig_R_face)
-    a2 = np.empty_like(coef.sig_R_face)
-    a1[:, 0] = coef.f_face[:, 0]
-    a1[:, 1:] = coef.f
-    a1 += dxd * coef.eta_check
-    a2[:, -1] = coef.f_face[:, 1]
-    a2[:, :-1] = coef.f
-    a2 += dxd * coef.eta_hat
+    ca1 = np.empty_like(coef.sig_R_face)
+    ca2 = np.empty_like(coef.sig_R_face)
+    ca1[:, 0] = coef.f_face[:, 0]
+    ca1[:, 1:] = coef.f
+    ca1 += dxd * coef.eta_check
+    ca1 *= c
+    ca2[:, -1] = coef.f_face[:, 1]
+    ca2[:, :-1] = coef.f
+    ca2 += dxd * coef.eta_hat
+    ca2 *= c
     R = dxd * tau * F_prev
+    A1, A2, RD = ca1 / D, ca2 / D, R / D
 
+    # the bands as rows over the intervals, one row per unknown
     dx = mesh.dx[None, :]
-    lower = np.zeros((P, nx + 2))
-    diag = np.zeros((P, nx + 2))
-    upper = np.zeros((P, nx + 2))
-    rhs = np.zeros((P, nx + 2))
+    dx_dt = dx / dt
+    cC = c * coef.C
+    diag = [A1[:, 0] - cC[:, 0],
+            *(dx_dt + c * sig_E * dx + A1[:, 1:] + A2[:, :-1]).T,
+            -A2[:, -1] - cC[:, 1]]
+    rhs = [coef.bc_in[:, 0] - RD[:, 0],
+           *(source * dx + dx_dt * E_prev - RD[:, 1:] + RD[:, :-1]).T,
+           coef.bc_in[:, 1] - RD[:, -1]]
+    lower = [*(-A1[:, :-1]).T, A1[:, -1]]
+    upper = (-A2).T
+    bands = (lower, diag, upper, rhs)
+    if P == 1:
+        # one system (the grey level): plain floats run the same IEEE
+        # arithmetic without numpy's per-call overhead
+        bands = [np.concatenate(band).tolist() for band in bands]
 
-    diag[:, 0] = c * a1[:, 0] / D[:, 0] - c * coef.C[:, 0]
-    upper[:, 0] = -c * a2[:, 0] / D[:, 0]
-    rhs[:, 0] = coef.bc_in[:, 0] - R[:, 0] / D[:, 0]
-
-    lower[:, 1:-1] = -c * a1[:, :-1] / D[:, :-1]
-    diag[:, 1:-1] = (dx / dt + c * sig_E * dx
-                     + c * a1[:, 1:] / D[:, 1:] + c * a2[:, :-1] / D[:, :-1])
-    upper[:, 1:-1] = -c * a2[:, 1:] / D[:, 1:]
-    rhs[:, 1:-1] = (source * dx + dx / dt * E_prev
-                    - R[:, 1:] / D[:, 1:] + R[:, :-1] / D[:, :-1])
-
-    lower[:, -1] = c * a1[:, -1] / D[:, -1]
-    diag[:, -1] = -c * a2[:, -1] / D[:, -1] - c * coef.C[:, 1]
-    rhs[:, -1] = coef.bc_in[:, 1] - R[:, -1] / D[:, -1]
-
-    u = _thomas(lower, diag, upper, rhs)
-    F = (R + c * a1 * u[:, :-1] - c * a2 * u[:, 1:]) / D
+    # back to one row per interval, in the memory layout callers sum over
+    u = np.array(_thomas(*bands)).reshape(-1, P).T.copy()
+    F = (R + ca1 * u[:, :-1] - ca2 * u[:, 1:]) / D
     return MomentField(E=u[:, 1:-1], E_face=u[:, [0, -1]], F=F)
 
 
 def _wmean(values: np.ndarray, weights: np.ndarray, den: np.ndarray,
-           starts: np.ndarray, harmonic: bool = False) -> np.ndarray:
-    """Weighted mean over index segments, given den, the segment sums of
-    the weights, with a degenerate-weight fallback (plain arithmetic mean,
-    or harmonic mean for Rosseland opacities)."""
+           starts: np.ndarray, counts: np.ndarray,
+           harmonic: bool = False) -> np.ndarray:
+    """Weighted mean over index segments of counts entries each, given den,
+    the segment sums of the weights.  Where den is not above 1e-300 it falls
+    back to the plain arithmetic mean (harmonic for Rosseland opacities),
+    formed only when some segment needs it."""
     num = segment_sum(values * weights, starts)
-    counts = np.diff(starts).reshape((-1,) + (1,) * (values.ndim - 1))
+    good = den > 1e-300
+    if good.all():
+        return num / den
+    counts = counts[:, None]
     if harmonic:
         fallback = counts / segment_sum(1.0 / values, starts)
     else:
         fallback = segment_sum(values, starts) / counts
-    good = den > 1e-300
     return np.where(good, num / np.where(good, den, 1.0), fallback)
-
-
-def _expand(coarse: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    return np.repeat(coarse, np.diff(starts), axis=0)
 
 
 def merge_coefficients(coef: LoqdCoefficients, sol: MomentField,
@@ -199,18 +201,19 @@ def merge_coefficients(coef: LoqdCoefficients, sol: MomentField,
     """
     c = C_LIGHT
     starts = np.asarray(starts, dtype=int)
+    counts = np.diff(starts)
 
     E_p = segment_sum(sol.E, starts)
     Eface_p = segment_sum(sol.E_face, starts)
     B_p = segment_sum(coef.B, starts)
     abs_F = np.abs(sol.F)
 
-    sig_E = _wmean(coef.sig_E, sol.E, E_p, starts)
-    f = _wmean(coef.f, sol.E, E_p, starts)
-    sig_B = _wmean(coef.sig_B, coef.B, B_p, starts)
-    f_face = _wmean(coef.f_face, sol.E_face, Eface_p, starts)
+    sig_E = _wmean(coef.sig_E, sol.E, E_p, starts, counts)
+    f = _wmean(coef.f, sol.E, E_p, starts, counts)
+    sig_B = _wmean(coef.sig_B, coef.B, B_p, starts, counts)
+    f_face = _wmean(coef.f_face, sol.E_face, Eface_p, starts, counts)
     sig_R_face = _wmean(coef.sig_R_face, abs_F, segment_sum(abs_F, starts),
-                        starts, harmonic=True)
+                        starts, counts, harmonic=True)
 
     # xi collects everything the merged sigma_R cannot represent: the spread
     # of the source level's face opacities about the mean, plus any
@@ -218,7 +221,8 @@ def merge_coefficients(coef: LoqdCoefficients, sol: MomentField,
     # grid; folding them in keeps grey-from-coarse merges exact too).
     left_src = np.concatenate([sol.E_face[:, :1], sol.E], axis=1)
     right_src = np.concatenate([sol.E, sol.E_face[:, 1:]], axis=1)
-    xi = segment_sum((coef.sig_R_face - _expand(sig_R_face, starts)) * sol.F
+    spread = coef.sig_R_face - np.repeat(sig_R_face, counts, axis=0)
+    xi = segment_sum(spread * sol.F
                      + c * (coef.eta_hat * right_src
                             - coef.eta_check * left_src), starts)
     left_E = np.concatenate([Eface_p[:, :1], E_p], axis=1)
@@ -229,5 +233,5 @@ def merge_coefficients(coef: LoqdCoefficients, sol: MomentField,
     return LoqdCoefficients(
         level=level_out, sig_E=sig_E, sig_B=sig_B, B=B_p, f=f, f_face=f_face,
         sig_R_face=sig_R_face, eta_hat=eta_hat, eta_check=eta_check,
-        C=_wmean(coef.C, sol.E_face, Eface_p, starts),
+        C=_wmean(coef.C, sol.E_face, Eface_p, starts, counts),
         bc_in=segment_sum(coef.bc_in, starts))

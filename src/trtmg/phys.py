@@ -120,7 +120,9 @@ def planck_groups(T, edges):
 
 @dataclass(frozen=True)
 class LogRule:
-    """16-point Gauss-Legendre rule in log(nu) for every group of one grid.
+    """16-point Gauss-Legendre rule in log(nu) for every group of one grid,
+    built by log_rule.  It depends on the edges alone, so one rule serves
+    every T_r weight bundle on that grid.
 
     A zero lower edge is clamped to 1e-12 of the upper edge; the omitted
     sliver carries a vanishing share of any Planck-weighted integral.
@@ -133,7 +135,9 @@ class LogRule:
     p4: np.ndarray    # (G, 16) PLANCK_PREFACTOR * nu^4
 
 
-def _log_rule(edges) -> LogRule:
+def log_rule(edges) -> LogRule:
+    """The log-frequency rule of the groups between edges (G+1,)."""
+    edges = np.asarray(edges, dtype=float)
     lo = np.maximum(edges[:-1], edges[1:] * 1e-12)
     hi = edges[1:]
     u0 = np.log(lo)
@@ -183,9 +187,9 @@ def _planck_weights(rule: LogRule, T, rosseland=False):
 @dataclass(frozen=True)
 class RadiationWeights:
     """The T_r side of build_group_opacities, built once per radiation
-    temperature by radiation_weights: the grid's log-frequency rule, the
-    emission weights B(nu, T_r) w and Rosseland weights dB/dT(nu, T_r) w at
-    its nodes, and their group sums."""
+    temperature by radiation_weights: the log-frequency rule it was built
+    on, the emission weights B(nu, T_r) w and Rosseland weights
+    dB/dT(nu, T_r) w at its nodes, and their group sums."""
 
     rule: LogRule
     w_rad: np.ndarray    # (n_x, G, 16)
@@ -194,10 +198,9 @@ class RadiationWeights:
     ros_sum: np.ndarray  # (n_x, G)
 
 
-def radiation_weights(T_r, edges) -> RadiationWeights:
-    """Weight bundle of cell radiation temperatures T_r > 0 on the grid
-    edges (G+1,)."""
-    rule = _log_rule(np.asarray(edges, dtype=float))
+def radiation_weights(T_r, rule: LogRule) -> RadiationWeights:
+    """Weight bundle of cell radiation temperatures T_r > 0 at the nodes of
+    rule, the grid's log_rule(edges)."""
     w_rad, w_ros = _planck_weights(rule, np.asarray(T_r, dtype=float),
                                    rosseland=True)
     return RadiationWeights(rule=rule, w_rad=w_rad, w_ros=w_ros,
@@ -218,7 +221,7 @@ class GroupOpacitySet:
 def build_group_opacities(T, rad: RadiationWeights, edges,
                           sigma: OpacityFunction) -> GroupOpacitySet:
     """Evaluate all group opacities and emission integrals for cell arrays
-    T and T_r, where rad = radiation_weights(T_r, edges).
+    T and T_r, where rad = radiation_weights(T_r, log_rule(edges)).
 
     Each group mean uses the 16-point log-frequency rule of rad: sig_B
     weights sigma(nu, T) with B(nu, T), sig_E with B(nu, T_r), and sig_R is

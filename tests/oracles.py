@@ -10,6 +10,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from trtmg import loqd, phys, transport
+from trtmg.grids import SpatialMesh, segment_sum
 
 
 def per_cycle_cost(schedule) -> int:
@@ -410,3 +411,153 @@ def build_group_opacities(T, T_r, edges, sigma) -> phys.GroupOpacitySet:
     return phys.GroupOpacitySet(sig_B=avg(w_loc, False),
                                 sig_E=avg(w_rad, False),
                                 sig_R=avg(w_ros, True), B=B)
+
+
+# The low-order solve and merge as they stood before their per-call cost was
+# cut, kept verbatim: the bitwise references for loqd.solve_moment_system
+# and loqd.merge_coefficients (values and the memory layout of every
+# returned moment array).
+
+def _thomas(lower, diag, upper, rhs):
+    """Banded elimination of a batch of tridiagonal systems (rows independent)."""
+    n = diag.shape[1]
+    d = diag.copy()
+    r = rhs.copy()
+    for k in range(1, n):
+        m = lower[:, k] / d[:, k - 1]
+        d[:, k] = d[:, k] - m * upper[:, k - 1]
+        r[:, k] = r[:, k] - m * r[:, k - 1]
+    x = np.empty_like(r)
+    x[:, -1] = r[:, -1] / d[:, -1]
+    for k in range(n - 2, -1, -1):
+        x[:, k] = (r[:, k] - upper[:, k] * x[:, k + 1]) / d[:, k]
+    return x
+
+
+def solve_moment_system(coef: loqd.LoqdCoefficients, E_prev: np.ndarray,
+                        F_prev: np.ndarray, dt: float, mesh: SpatialMesh,
+                        sig_E=None, source=None) -> loqd.MomentField:
+    """Direct banded solve of one level's moment system for one time step.
+
+    Face fluxes are eliminated from the first-moment equations, leaving a
+    tridiagonal system in [E_left_face, E_cells..., E_right_face] per
+    interval.  sig_E/source override the absorption and emission density
+    (used by the grey solve); source defaults to 2 sigma_B B.
+    """
+    c = phys.C_LIGHT
+    P, nx = coef.sig_E.shape
+    if sig_E is None:
+        sig_E = coef.sig_E
+    if source is None:
+        source = 2.0 * coef.sig_B * coef.B
+    # F = (R + c a1 u_left - c a2 u_right)/D on every face.  eta carries
+    # units 1/cm and scales with the dual-cell width here, which is exactly
+    # what makes the merged first-moment equation reproduce the summed
+    # originals (the sigma_R spread term it compensates is width-weighted too).
+    tau = 1.0 / (c * dt)
+    dxd = mesh.dual_dx[None, :]
+    D = dxd * (tau + coef.sig_R_face)
+    a1 = np.empty_like(coef.sig_R_face)
+    a2 = np.empty_like(coef.sig_R_face)
+    a1[:, 0] = coef.f_face[:, 0]
+    a1[:, 1:] = coef.f
+    a1 += dxd * coef.eta_check
+    a2[:, -1] = coef.f_face[:, 1]
+    a2[:, :-1] = coef.f
+    a2 += dxd * coef.eta_hat
+    R = dxd * tau * F_prev
+
+    dx = mesh.dx[None, :]
+    lower = np.zeros((P, nx + 2))
+    diag = np.zeros((P, nx + 2))
+    upper = np.zeros((P, nx + 2))
+    rhs = np.zeros((P, nx + 2))
+
+    diag[:, 0] = c * a1[:, 0] / D[:, 0] - c * coef.C[:, 0]
+    upper[:, 0] = -c * a2[:, 0] / D[:, 0]
+    rhs[:, 0] = coef.bc_in[:, 0] - R[:, 0] / D[:, 0]
+
+    lower[:, 1:-1] = -c * a1[:, :-1] / D[:, :-1]
+    diag[:, 1:-1] = (dx / dt + c * sig_E * dx
+                     + c * a1[:, 1:] / D[:, 1:] + c * a2[:, :-1] / D[:, :-1])
+    upper[:, 1:-1] = -c * a2[:, 1:] / D[:, 1:]
+    rhs[:, 1:-1] = (source * dx + dx / dt * E_prev
+                    - R[:, 1:] / D[:, 1:] + R[:, :-1] / D[:, :-1])
+
+    lower[:, -1] = c * a1[:, -1] / D[:, -1]
+    diag[:, -1] = -c * a2[:, -1] / D[:, -1] - c * coef.C[:, 1]
+    rhs[:, -1] = coef.bc_in[:, 1] - R[:, -1] / D[:, -1]
+
+    u = _thomas(lower, diag, upper, rhs)
+    F = (R + c * a1 * u[:, :-1] - c * a2 * u[:, 1:]) / D
+    return loqd.MomentField(E=u[:, 1:-1], E_face=u[:, [0, -1]], F=F)
+
+
+def _wmean(values: np.ndarray, weights: np.ndarray, den: np.ndarray,
+           starts: np.ndarray, harmonic: bool = False) -> np.ndarray:
+    """Weighted mean over index segments, given den, the segment sums of
+    the weights, with a degenerate-weight fallback (plain arithmetic mean,
+    or harmonic mean for Rosseland opacities)."""
+    num = segment_sum(values * weights, starts)
+    counts = np.diff(starts).reshape((-1,) + (1,) * (values.ndim - 1))
+    if harmonic:
+        fallback = counts / segment_sum(1.0 / values, starts)
+    else:
+        fallback = segment_sum(values, starts) / counts
+    good = den > 1e-300
+    return np.where(good, num / np.where(good, den, 1.0), fallback)
+
+
+def _expand(coarse: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    return np.repeat(coarse, np.diff(starts), axis=0)
+
+
+def merge_coefficients(coef: loqd.LoqdCoefficients, sol: loqd.MomentField,
+                       starts: np.ndarray,
+                       level_out: int) -> loqd.LoqdCoefficients:
+    """Restrict a level's coefficients onto merged spectral intervals, using
+    that level's moment solution as weights.
+
+    Eddington factors and sigma_E average with weight E, sigma_B with weight
+    B, face Rosseland opacities with weight |F|; the flux compensation terms
+    eta are built so the merged first-moment equations reproduce the summed
+    originals exactly at the given solution, with the sign-split placing the
+    correction on the downwind side.  Boundary C factors average with the
+    face E weight.  The boundary source bc_in is summed like the equations
+    it enters, so each merged boundary condition is the sum of its
+    originals at the given solution.
+    """
+    c = phys.C_LIGHT
+    starts = np.asarray(starts, dtype=int)
+
+    E_p = segment_sum(sol.E, starts)
+    Eface_p = segment_sum(sol.E_face, starts)
+    B_p = segment_sum(coef.B, starts)
+    abs_F = np.abs(sol.F)
+
+    sig_E = _wmean(coef.sig_E, sol.E, E_p, starts)
+    f = _wmean(coef.f, sol.E, E_p, starts)
+    sig_B = _wmean(coef.sig_B, coef.B, B_p, starts)
+    f_face = _wmean(coef.f_face, sol.E_face, Eface_p, starts)
+    sig_R_face = _wmean(coef.sig_R_face, abs_F, segment_sum(abs_F, starts),
+                        starts, harmonic=True)
+
+    # xi collects everything the merged sigma_R cannot represent: the spread
+    # of the source level's face opacities about the mean, plus any
+    # compensation terms the source level already carried (zero on the fine
+    # grid; folding them in keeps grey-from-coarse merges exact too).
+    left_src = np.concatenate([sol.E_face[:, :1], sol.E], axis=1)
+    right_src = np.concatenate([sol.E, sol.E_face[:, 1:]], axis=1)
+    xi = segment_sum((coef.sig_R_face - _expand(sig_R_face, starts)) * sol.F
+                     + c * (coef.eta_hat * right_src
+                            - coef.eta_check * left_src), starts)
+    left_E = np.concatenate([Eface_p[:, :1], E_p], axis=1)
+    right_E = np.concatenate([E_p, Eface_p[:, 1:]], axis=1)
+    eta_hat = np.where((xi > 0.0) & (right_E > 1e-300), xi / (c * right_E), 0.0)
+    eta_check = np.where((xi < 0.0) & (left_E > 1e-300), -xi / (c * left_E), 0.0)
+
+    return loqd.LoqdCoefficients(
+        level=level_out, sig_E=sig_E, sig_B=sig_B, B=B_p, f=f, f_face=f_face,
+        sig_R_face=sig_R_face, eta_hat=eta_hat, eta_check=eta_check,
+        C=_wmean(coef.C, sol.E_face, Eface_p, starts),
+        bc_in=segment_sum(coef.bc_in, starts))

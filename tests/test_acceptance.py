@@ -140,8 +140,8 @@ def test_criterion_4_consistency_oracles():
         st, hier, mesh, dt = res.state, prob.hierarchy, prob.mesh, 2e-2
 
         edges = hier.fine.edges
-        opac = phys.build_group_opacities(
-            st.T, phys.radiation_weights(st.T_r, edges), edges, prob.sigma)
+        rad = phys.radiation_weights(st.T_r, phys.log_rule(edges))
+        opac = phys.build_group_opacities(st.T, rad, edges, prob.sigma)
         coef1 = loqd.build_fine_coefficients(opac, st.closures, mesh)
         sol1 = loqd.solve_moment_system(coef1, st.E, st.F, dt, mesh)
         assert residual_norms(coef1, sol1, st.E, st.F, dt, mesh) <= 1e-12

@@ -313,13 +313,13 @@ class TestAccounting:
             latest["T_r"] = temperature(E_total)
             return latest["T_r"]
 
-        def radiation_weights(T_r, edges):
+        def radiation_weights(T_r, rule):
             calls["weights"] += 1
-            return weights(T_r, edges)
+            return weights(T_r, rule)
 
         def build_group_opacities(T, rad, edges, sigma):
             calls["build"] += 1
-            fresh = weights(latest["T_r"], edges)
+            fresh = weights(latest["T_r"], phys.log_rule(edges))
             assert np.array_equal(rad.w_rad, fresh.w_rad)
             assert np.array_equal(rad.w_ros, fresh.w_ros)
             return build(T, rad, edges, sigma)
@@ -336,6 +336,30 @@ class TestAccounting:
         assert res.stats.n_ti > 0 and n_c > res.stats.n_ti + n_steps
         assert calls["build"] == n_c * (1 + len(sched.visits))
         assert 0 < calls["weights"] <= n_c + n_steps
+
+    @pytest.mark.parametrize("kind,counts", [("V", (16, 1)),
+                                             ("F", (16, 8, 4, 1))])
+    def test_log_rule_built_once_per_step(self, monkeypatch, kind, counts):
+        # the rule depends on the fine edges alone: each time step builds it
+        # once, however many T_r weight bundles the step makes
+        log_rule, weights = phys.log_rule, phys.radiation_weights
+        calls = {"rule": 0, "weights": 0}
+
+        def counted_rule(edges):
+            calls["rule"] += 1
+            return log_rule(edges)
+
+        def counted_weights(T_r, rule):
+            calls["weights"] += 1
+            return weights(T_r, rule)
+
+        monkeypatch.setattr(phys, "log_rule", counted_rule)
+        monkeypatch.setattr(phys, "radiation_weights", counted_weights)
+        n_steps = 3
+        run_simulation(_fc(counts), make_schedule(kind, counts, 2),
+                       ConvergenceCriteria(), 2e-2, n_steps * 2e-2)
+        assert calls["weights"] > n_steps
+        assert 0 < calls["rule"] <= n_steps
 
 
 class TestConvergenceRecords:

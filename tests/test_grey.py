@@ -49,8 +49,9 @@ def test_equilibrium_temperature_is_fixed_point():
     edges = np.concatenate(([0.0], np.logspace(-4, 1, 15), [1e7]))
     nx, G = 10, 16
     T = np.full(nx, 0.5)
-    opac = phys.build_group_opacities(T, phys.radiation_weights(T, edges),
-                                      edges, phys.FleckCummingsOpacity())
+    rad = phys.radiation_weights(T, phys.log_rule(edges))
+    opac = phys.build_group_opacities(T, rad, edges,
+                                      phys.FleckCummingsOpacity())
     quad = double_gauss_legendre(8)
     B = opac.B.T
     clo = transport.ClosureData.isotropic(

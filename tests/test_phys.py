@@ -22,7 +22,8 @@ def _one_group(T, T_r, band, sigma):
     """Group opacities of a single cell and a single group."""
     band = np.asarray(band, float)
     return phys.build_group_opacities(
-        np.array([T]), phys.radiation_weights(np.array([T_r]), band), band,
+        np.array([T]),
+        phys.radiation_weights(np.array([T_r]), phys.log_rule(band)), band,
         sigma)
 
 
@@ -137,8 +138,8 @@ def test_build_group_opacities_matches_separate_averages():
     edges = np.concatenate(([0.0], np.logspace(-4, 1, 15), [1e7]))
     T = np.array([1e-3, 0.2, 0.9])
     T_r = np.array([0.5, 0.5, 1.2])
-    opac = phys.build_group_opacities(T, phys.radiation_weights(T_r, edges),
-                                      edges, FC)
+    rad = phys.radiation_weights(T_r, phys.log_rule(edges))
+    opac = phys.build_group_opacities(T, rad, edges, FC)
     assert opac.sig_B.shape == (3, 16)
     for i in range(3):
         for g in range(16):
@@ -163,7 +164,7 @@ def test_build_matches_one_pass_reference(log_T, log_T_r, log_edges):
     edges = np.concatenate(([0.0], np.unique(10.0 ** np.array(log_edges)),
                             [1e6, 1e7]))
     edges = np.unique(edges)
-    rad = phys.radiation_weights(T_r, edges)
+    rad = phys.radiation_weights(T_r, phys.log_rule(edges))
     got = phys.build_group_opacities(T, rad, edges, FC)
     want = oracles.build_group_opacities(T, T_r, edges, FC)
     for name in ("sig_B", "sig_E", "sig_R", "B"):

@@ -233,8 +233,9 @@ def test_transport_solve_equilibrium_closures():
     mesh = SpatialMesh.uniform(10, 4.0)
     edges = np.concatenate(([0.0], np.logspace(-4, 1, 15), [1e7]))
     T = np.full(10, 0.7)
-    opac = phys.build_group_opacities(T, phys.radiation_weights(T, edges),
-                                      edges, phys.FleckCummingsOpacity())
+    rad = phys.radiation_weights(T, phys.log_rule(edges))
+    opac = phys.build_group_opacities(T, rad, edges,
+                                      phys.FleckCummingsOpacity())
     B = opac.B  # (nx, G)
     G, M = 16, quad.n_dirs
     psi_prev = np.empty((10, 2, G, M))
