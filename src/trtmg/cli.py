@@ -98,8 +98,8 @@ def _read_config_file(path) -> dict:
 
 def parse_config(path=None, overrides=None) -> RunConfig:
     """Assemble the effective configuration from defaults, an optional file,
-    and flag overrides (strings, as received); validates everything that can
-    fail before a solve starts."""
+    and flag overrides (strings, as received); validates every value but
+    cells, quad and length, which the problem's own constructors check."""
     raw = {}
     if path is not None:
         raw.update(_read_config_file(path))
@@ -122,16 +122,9 @@ def parse_config(path=None, overrides=None) -> RunConfig:
 
 
 def _validate(cfg: RunConfig):
+    # cells, quad and length are checked by fc_problem's mesh and quadrature
     if not cfg.grids or cfg.grids[0] < 3:
         raise ConfigError("grids: the fine grid needs at least 3 groups")
-    for key, val in (("cells", cfg.cells), ("quad", cfg.quad),
-                     ("lmax", cfg.lmax)):
-        if val < 1:
-            raise ConfigError(f"{key} must be >= 1, got {val}")
-    for key, val in (("length", cfg.length), ("dt", cfg.dt),
-                     ("tend", cfg.tend)):
-        if not 0 < val < np.inf:
-            raise ConfigError(f"{key} must be positive and finite, got {val}")
     try:
         make_schedule(cfg.cycle, cfg.grids, cfg.lmax, cfg.visits or None)
         ConvergenceCriteria(cfg.eps, cfg.eps_tilde, cfg.max_outer)
@@ -177,57 +170,34 @@ def fc_problem(config: RunConfig) -> Problem:
                    inc_right=np.zeros((G, M)), T_init=T_0)
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
+def _write_csv(path, header, rows):
+    """The header, then the rows, every value written by _format_value."""
+    with Path(path).open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([_format_value(v) for v in row] for row in rows)
 
 
-def write_outputs(result: SimulationResult, out_dir, x=None) -> list:
-    """profiles.csv (per snapshot, per cell), stats.csv (per step),
-    totals.csv (one row), conv_hist.csv (per recorded iteration).
-    x gives cell-center coordinates for profiles.csv."""
+def write_outputs(result: SimulationResult, out_dir, x):
+    """profiles.csv (per snapshot, per cell at the cell centers x),
+    stats.csv (per step), totals.csv (one row), conv_hist.csv (per recorded
+    iteration)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-
     if result.snapshots:
-        if x is None:
-            raise ValueError("cell coordinates required to write profiles")
-        p = out / "profiles.csv"
-        with p.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["time_ns", "x_cm", "T_keV", "E_total"])
-            for t, T, E in result.snapshots:
-                for i in range(len(T)):
-                    w.writerow([_fmt(t), _fmt(x[i]), _fmt(T[i]), _fmt(E[i])])
-        written.append(p)
-
-    p = out / "stats.csv"
-    with p.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "t_ns", "M_ti", "M_c", "M_lo"])
-        for rec in result.steps:
-            w.writerow([rec.step, _fmt(rec.t), rec.m_ti, rec.m_c, rec.m_lo])
-    written.append(p)
-
-    p = out / "totals.csv"
-    sched = result.schedule
-    with p.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["cycle", "n_grids", "grids", "l_max",
-                    "N_ti", "N_c", "N_lo"])
-        w.writerow([sched.kind, sched.n_grids,
-                    ";".join(str(n) for n in sched.counts), sched.l_max,
-                    result.stats.n_ti, result.stats.n_c, result.stats.n_lo])
-    written.append(p)
-
-    p = out / "conv_hist.csv"
-    with p.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "s", "l", "dT_inf"])
-        for rec in result.conv:
-            w.writerow([rec.step, rec.s, rec.cycle, _fmt(rec.dT)])
-    written.append(p)
-    return written
+        _write_csv(out / "profiles.csv", ("time_ns", "x_cm", "T_keV",
+                                          "E_total"),
+                   ((t, *cell) for t, T, E in result.snapshots
+                    for cell in zip(x, T, E)))
+    _write_csv(out / "stats.csv", ("step", "t_ns", "M_ti", "M_c", "M_lo"),
+               ((r.step, r.t, r.m_ti, r.m_c, r.m_lo) for r in result.steps))
+    sched, s = result.schedule, result.stats
+    _write_csv(out / "totals.csv", ("cycle", "n_grids", "grids", "l_max",
+                                    "N_ti", "N_c", "N_lo"),
+               [(sched.kind, sched.n_grids, ";".join(map(str, sched.counts)),
+                 sched.l_max, s.n_ti, s.n_c, s.n_lo)])
+    _write_csv(out / "conv_hist.csv", ("step", "s", "l", "dT_inf"),
+               ((r.step, r.s, r.cycle, r.dT) for r in result.conv))
 
 
 def main(argv=None) -> int:
@@ -257,10 +227,8 @@ def main(argv=None) -> int:
         criteria = ConvergenceCriteria(cfg.eps, cfg.eps_tilde, cfg.max_outer)
         result = run_simulation(problem, schedule, criteria, cfg.dt, cfg.tend,
                                 cfg.snapshots)
-        out = Path(cfg.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_config(cfg, out / "config.txt")
-        write_outputs(result, out, x=problem.mesh.centers)
+        write_outputs(result, cfg.out, problem.mesh.centers)
+        write_config(cfg, Path(cfg.out) / "config.txt")
         s = result.stats
         print(f"{schedule.kind} cycle on {';'.join(map(str, schedule.counts))}"
               f" l_max={schedule.l_max}: N_ti={s.n_ti} N_c={s.n_c}"

@@ -395,30 +395,27 @@ def step_count(t_end: float, dt: float) -> int:
 
 def run_simulation(problem: Problem, schedule: CycleSchedule,
                    criteria: ConvergenceCriteria, dt: float, t_end: float,
-                   snapshot_times=()) -> SimulationResult:
+                   snapshot_times: tuple = ()) -> SimulationResult:
     """Fixed-step time loop with per-step iteration counts, energy tallies,
-    and field snapshots at the requested times."""
+    and field snapshots at t = j dt, j = 0 (no step taken) to n_steps, for
+    each j with a requested time strictly within half a step of t."""
     n_steps = step_count(t_end, dt)
-    snap_times = sorted(float(t) for t in snapshot_times)
-
     state = initial_state(problem)
     stats = IterationStats()
     conv = []
     steps = []
     snapshots = []
     initial = _energy_record(problem, state, 0, 0.0)
-    if any(abs(ts) <= 0.5 * dt for ts in snap_times):
-        snapshots.append((0.0, state.T.copy(), state.E.sum(axis=0)))
-
-    for j in range(1, n_steps + 1):
-        before = (stats.n_ti, stats.n_c, stats.n_lo)
-        state = run_time_step(problem, state, schedule, criteria, dt, stats,
-                              conv, j)
+    for j in range(n_steps + 1):
         t = j * dt  # not a running sum, which would drift
-        steps.append(_energy_record(
-            problem, state, j, t, m_ti=stats.n_ti - before[0],
-            m_c=stats.n_c - before[1], m_lo=stats.n_lo - before[2]))
-        if any(abs(ts - t) < 0.5 * dt * (1.0 - 1e-9) for ts in snap_times):
+        if j:
+            before = (stats.n_ti, stats.n_c, stats.n_lo)
+            state = run_time_step(problem, state, schedule, criteria, dt,
+                                  stats, conv, j)
+            steps.append(_energy_record(
+                problem, state, j, t, m_ti=stats.n_ti - before[0],
+                m_c=stats.n_c - before[1], m_lo=stats.n_lo - before[2]))
+        if any(abs(ts - t) < 0.5 * dt * (1.0 - 1e-9) for ts in snapshot_times):
             snapshots.append((t, state.T.copy(), state.E.sum(axis=0)))
     return SimulationResult(initial=initial, steps=steps, snapshots=snapshots,
                             conv=conv, stats=stats, state=state,

@@ -149,6 +149,12 @@ class SpatialMesh:
 
     @classmethod
     def uniform(cls, n_cells: int, length: float) -> "SpatialMesh":
+        # checked before linspace, which warns on an infinite length
+        if n_cells < 1:
+            raise GridError(f"n_cells must be >= 1, got {n_cells}")
+        if not 0.0 < length < np.inf:
+            raise GridError(
+                f"length must be positive and finite, got {length}")
         return cls(np.linspace(0.0, length, n_cells + 1))
 
 

@@ -227,8 +227,11 @@ def merge_coefficients(coef: LoqdCoefficients, sol: MomentField,
                             - coef.eta_check * left_src), starts)
     left_E = np.concatenate([Eface_p[:, :1], E_p], axis=1)
     right_E = np.concatenate([E_p, Eface_p[:, 1:]], axis=1)
-    eta_hat = np.where((xi > 0.0) & (right_E > 1e-300), xi / (c * right_E), 0.0)
-    eta_check = np.where((xi < 0.0) & (left_E > 1e-300), -xi / (c * left_E), 0.0)
+    # divide only where kept, so an exactly-zero E divides nothing
+    eta_hat = np.divide(xi, c * right_E, out=np.zeros_like(xi),
+                        where=(xi > 0.0) & (right_E > 1e-300))
+    eta_check = np.divide(-xi, c * left_E, out=np.zeros_like(xi),
+                          where=(xi < 0.0) & (left_E > 1e-300))
 
     return LoqdCoefficients(
         level=level_out, sig_E=sig_E, sig_B=sig_B, B=B_p, f=f, f_face=f_face,

@@ -256,5 +256,4 @@ def build_group_opacities(T, rad: RadiationWeights, edges,
 def radiation_temperature(E_total):
     """T_r = (E/a_R)^(1/4), floored; negative E is clipped to zero first."""
     E = np.maximum(np.asarray(E_total, dtype=float), 0.0)
-    T_r = np.maximum((E / A_RAD) ** 0.25, T_FLOOR)
-    return T_r if T_r.ndim else float(T_r)
+    return np.maximum((E / A_RAD) ** 0.25, T_FLOOR)

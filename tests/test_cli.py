@@ -208,15 +208,10 @@ class TestWriteOutputs:
         bare = run_simulation(fc_problem(RunConfig(grids=(16, 1))),
                               make_schedule("V", (16, 1), 4),
                               ConvergenceCriteria(), 2e-2, 0.02)
-        write_outputs(bare, tmp_path)
+        write_outputs(bare, tmp_path, x=prob.mesh.centers)
         assert not (tmp_path / "profiles.csv").exists()
         assert (tmp_path / "stats.csv").exists()
         assert (tmp_path / "totals.csv").exists()
-
-    def test_snapshots_without_coordinates(self, small_run, tmp_path):
-        prob, res = small_run
-        with pytest.raises(ValueError):
-            write_outputs(res, tmp_path)
 
 
 class TestMain:
@@ -279,12 +274,23 @@ class TestMain:
         assert not (tmp_path / "out").exists()
 
     def test_infinite_slab_exit(self, tmp_path, capsys):
-        # the length check names the key before any mesh is built
+        # the mesh names the key before it builds any faces
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("grids = 16,1\nlength = inf\n")
         assert main(["--config", str(cfgfile),
                      "--out", str(tmp_path / "out")]) == 2
         assert "length must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line,key", [("cells = 0", "n_cells"),
+                                          ("quad = 0", "direction")])
+    def test_empty_mesh_or_quadrature_exit(self, tmp_path, capsys, line, key):
+        # fc_problem builds both before any solve or output
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"grids = 16,1\n{line}\n")
+        assert main(["--config", str(cfgfile),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_visits_need_custom_cycle(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"

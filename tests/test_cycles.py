@@ -442,6 +442,18 @@ class TestRunSimulation:
         assert np.all(T0 == 1e-3)
         assert E0.shape == (prob.mesh.n_cells,)
 
+    def test_snapshot_rule_same_at_t0(self):
+        # t = 0 is step 0 of the one rule: 0.01 lies exactly halfway
+        # between t = 0 and t = 0.02, so it matches neither
+        prob = _fc()
+        sched = make_schedule("V", (16, 1), 4)
+        res = run_simulation(prob, sched, ConvergenceCriteria(), 2e-2, 0.04,
+                             snapshot_times=(0.01, 0.03))
+        assert res.snapshots == []
+        res = run_simulation(prob, sched, ConvergenceCriteria(), 2e-2, 0.04,
+                             snapshot_times=(0.009, 0.031))
+        assert [t for t, _, _ in res.snapshots] == [0.0, 0.04]
+
     @pytest.mark.parametrize("t_end", [0.05, 0.0, -0.02])
     def test_bad_t_end(self, t_end):
         prob = _fc()

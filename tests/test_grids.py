@@ -97,6 +97,18 @@ class TestSpatialMesh:
         with pytest.raises(GridError):
             SpatialMesh(np.array(faces))
 
+    @pytest.mark.parametrize("n_cells,length,key", [
+        (10, np.inf, "length"),    # linspace would warn before the mesh check
+        (10, np.nan, "length"),
+        (10, 0.0, "length"),
+        (10, -4.0, "length"),
+        (0, 4.0, "n_cells"),
+        (-3, 4.0, "n_cells"),      # linspace would raise a plain ValueError
+    ])
+    def test_uniform_validation(self, n_cells, length, key):
+        with pytest.raises(GridError, match=key):
+            SpatialMesh.uniform(n_cells, length)
+
 
 class TestQuadrature:
     def test_double_gauss_legendre(self):

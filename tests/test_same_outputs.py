@@ -42,3 +42,22 @@ def test_totals_change_shows_both_counter_triples(tool):
     old, new = TOTALS.format(10).encode(), TOTALS.format(11).encode()
     assert tool.change("totals.csv", old, new) == "10/20/340 -> 11/20/340"
     assert tool.change("stats.csv", old, new) == ""
+
+
+def test_config_compared_without_its_out_line(tool, tmp_path):
+    # each side writes its own directory into config.txt
+    text = ("# effective run configuration\n"
+            "dt = 0.02\nout = {}\nsnapshots = 0.2\n")
+    a, b = tmp_path / "a" / "config.txt", tmp_path / "b" / "config.txt"
+    for path in (a, b):
+        path.parent.mkdir()
+        path.write_text(text.format(path.parent))
+    assert a.read_bytes() != b.read_bytes()
+    assert tool.contents(a) == tool.contents(b) \
+        == b"# effective run configuration\ndt = 0.02\nsnapshots = 0.2\n"
+    b.write_text(text.replace("0.02", "0.04").format(b.parent))
+    assert tool.contents(a) != tool.contents(b)
+    # a CSV file is compared whole
+    csv = tmp_path / "a" / "stats.csv"
+    csv.write_bytes(b"step,t_ns\nout = x\n")
+    assert tool.contents(csv) == b"step,t_ns\nout = x\n"

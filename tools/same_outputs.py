@@ -7,13 +7,14 @@ Extracts `src` of REV with `git archive` into a temporary directory, then
 runs each case below with both source trees through the command-line driver:
 the three perfbench workloads at 0.6 ns (configs from
 perfbench/harness.py) and the V2, V4, W2 and F2 benchmark runs at 3 ns.
-Compares profiles.csv, stats.csv, totals.csv and conv_hist.csv byte for
-byte, prints one line per file, and exits 1 if any file differs or is
-missing (2 if REV is not a revision).  A differing profiles.csv is sized by
-its largest relative T and E_total change (each snapshot against its own
-maximum, as perfbench checks profiles); a differing totals.csv shows both
-counter triples N_ti/N_c/N_lo.  Everything is written under the temporary
-directory.
+Compares every file the driver writes byte for byte (profiles.csv,
+stats.csv, totals.csv, conv_hist.csv, and config.txt less its `out = ` line,
+which names each side's own directory), prints one line per file, and exits
+1 if any file differs or is missing (2 if REV is not a revision).  A
+differing profiles.csv is sized by its largest relative T and E_total change
+(each snapshot against its own maximum, as perfbench checks profiles); a
+differing totals.csv shows both counter triples N_ti/N_c/N_lo.  Everything
+is written under the temporary directory.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import harness  # noqa: E402
 import numpy as np  # noqa: E402
 
-FILES = ("profiles.csv", "stats.csv", "totals.csv", "conv_hist.csv")
+FILES = ("profiles.csv", "stats.csv", "totals.csv", "conv_hist.csv",
+         "config.txt")
 FULL = {
     "V2": {"cycle": "V", "grids": "256,1", "lmax": 4, "dt": 0.02},
     "V4": {"cycle": "V", "grids": "256,1", "lmax": 6, "dt": 0.04},
@@ -62,6 +64,15 @@ def start(src: Path, config: dict, out: Path) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     return subprocess.Popen([sys.executable, "-c", RUN, "--config", str(cfg)],
                             env=env, stdout=subprocess.DEVNULL)
+
+
+def contents(path: Path) -> bytes:
+    """The bytes the gate compares: config.txt drops its out = line."""
+    data = path.read_bytes()
+    if path.name == "config.txt":
+        data = b"".join(line for line in data.splitlines(keepends=True)
+                        if not line.startswith(b"out = "))
+    return data
 
 
 def totals(data: bytes) -> str:
@@ -113,13 +124,11 @@ def main(argv) -> int:
                 a, b = (tmp / case / side / name for side in trees)
                 if not (a.exists() and b.exists()):
                     status, note = "MISSING", f"exit codes {codes}"
-                elif a.read_bytes() != b.read_bytes():
-                    status = "DIFFERS"
-                    note = change(name, a.read_bytes(), b.read_bytes())
+                elif (old := contents(a)) != (new := contents(b)):
+                    status, note = "DIFFERS", change(name, old, new)
                 else:
                     status = "same"
-                    note = totals(a.read_bytes()) if name == "totals.csv" \
-                        else ""
+                    note = totals(old) if name == "totals.csv" else ""
                 differ += status != "same"
                 print(f"{status:8} {case:8} {name:14} {note}".rstrip(),
                       flush=True)
