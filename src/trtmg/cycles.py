@@ -155,7 +155,7 @@ def initial_state(problem: Problem) -> SimulationState:
     B0 = phys.planck_groups(T0, problem.hierarchy.fine.edges)  # (nx, G)
     psi = np.empty((nx, 2, G, M))
     psi[:] = (0.5 * B0)[:, None, :, None]
-    E = 2.0 * B0.T / C_LIGHT
+    E = np.ascontiguousarray(2.0 * B0.T / C_LIGHT)  # (G, nx) like every E
     F = np.zeros((G, nx + 1))
     return SimulationState(
         T=T0, T_r=phys.radiation_temperature(E.sum(axis=0)), psi=psi, E=E,
@@ -185,12 +185,29 @@ class _StepWork:
 
 
 def _opacities(problem: Problem, work: _StepWork, T) -> phys.GroupOpacitySet:
-    """Group opacities at cell temperatures T and the current work.T_r."""
+    """Group opacities at cell temperatures T and the current work.T_r.
+
+    Raises ConvergenceError, naming the field and its first bad (cell,
+    group), unless every mean is finite and positive and every emission
+    integral finite and nonnegative, so that a bad opacity stops the step
+    before any sweep or solve reads it.
+    """
     if work.rad is None:
         work.rad = phys.radiation_weights(work.T_r, work.rule)
-    return phys.build_group_opacities(T, work.rad,
+    opac = phys.build_group_opacities(T, work.rad,
                                       problem.hierarchy.fine.edges,
                                       problem.sigma)
+    for name in ("sig_B", "sig_E", "sig_R", "B"):
+        x = getattr(opac, name)
+        low = x.min()  # NaN if any entry is, and NaN fails every comparison
+        if (low >= 0.0 if name == "B" else low > 0.0) and x.max() < np.inf:
+            continue
+        sound = np.isfinite(x) & (x >= 0.0 if name == "B" else x > 0.0)
+        i, g = np.argwhere(~sound)[0]
+        raise ConvergenceError(
+            f"opacity build: {name} is {float(x[i, g])} in cell {i}, "
+            f"group {g}")
+    return opac
 
 
 def _dinf(new, old) -> float:
@@ -315,7 +332,8 @@ def run_time_step(problem: Problem, state: SimulationState,
     committed state, which therefore closes to round-off (unless the
     temperature floor acted).  Taking T from the implicit grey solve keeps
     it a fixed point of the step: re-evaluating the stiff emission at an
-    older iterate would amplify any temperature error.
+    older iterate would amplify any temperature error.  A ConvergenceError
+    inside a transport iteration is raised again naming the step and s.
     """
     if schedule.counts != problem.hierarchy.counts:
         raise ScheduleError(f"schedule grids {schedule.counts} differ from "
@@ -332,9 +350,13 @@ def run_time_step(problem: Problem, state: SimulationState,
     converged = False
     rT = rE = np.inf
     for s in range(criteria.max_outer + 1):
-        rT, rE = run_transport_iteration(problem, state, work, schedule,
-                                         criteria, s, dt, stats, conv,
-                                         step_index)
+        try:
+            rT, rE = run_transport_iteration(problem, state, work, schedule,
+                                             criteria, s, dt, stats, conv,
+                                             step_index)
+        except ConvergenceError as e:
+            raise ConvergenceError(f"step {step_index}: transport iteration "
+                                   f"s={s} failed: {e}") from e
         if not (np.isfinite(rT) and np.isfinite(rE)):
             raise ConvergenceError(
                 f"step {step_index}: non-finite outer change at transport "

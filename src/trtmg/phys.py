@@ -31,7 +31,14 @@ _PI4_15 = np.pi**4 / 15.0
 # Wien tail); group opacities then fall back to a midpoint evaluation.
 _WIEN_FLOOR = 1e-300
 
-_GL_NODES, _GL_WEIGHTS = leggauss(16)
+# Group means run on rows of 8 Gauss-Legendre nodes in log(nu).  A group at
+# most this wide in log(nu) takes one row, the 8-point rule, which reaches
+# round-off there; a wider group takes the 16-point rule as two rows.
+_NARROW_WIDTH = 0.05
+# the nodes and weights of the three row kinds, one column each: the 8-point
+# rule, and the first and last 8 nodes of the 16-point rule
+_ROW_NODES, _ROW_WEIGHTS = (np.column_stack([r8, r16[:8], r16[8:]])
+                            for r8, r16 in zip(leggauss(8), leggauss(16)))
 
 
 @dataclass(frozen=True)
@@ -120,19 +127,25 @@ def planck_groups(T, edges):
 
 @dataclass(frozen=True)
 class LogRule:
-    """16-point Gauss-Legendre rule in log(nu) for every group of one grid,
-    built by log_rule.  It depends on the edges alone, so one rule serves
-    every T_r weight bundle on that grid.
+    """Gauss-Legendre rule in log(nu) for every group of one grid, built by
+    log_rule as R = G + W rows of 8 nodes, stored node-leading.  A group at
+    most _NARROW_WIDTH wide in log(nu) is one row, the 8-point rule; each of
+    the W wider groups is two rows, the first and last 8 nodes of the
+    16-point rule.  Rows 0..G-1 hold every group's first row in group order,
+    and rows G.. the second rows of the wide groups in order.  The rule
+    depends on the edges alone, so one rule serves every T_r weight bundle
+    on that grid.
 
     A zero lower edge is clamped to 1e-12 of the upper edge; the omitted
     sliver carries a vanishing share of any Planck-weighted integral.
     """
 
-    nu: np.ndarray    # (G, 16) nodes
-    w: np.ndarray     # (G, 16) weights, dnu = nu d(log nu) included
-    mid: np.ndarray   # (G,) geometric midpoint of the (clamped) group
-    p3: np.ndarray    # (G, 16) PLANCK_PREFACTOR * nu^3
-    p4: np.ndarray    # (G, 16) PLANCK_PREFACTOR * nu^4
+    nu: np.ndarray      # (8, R) nodes
+    w: np.ndarray       # (8, R) weights, dnu = nu d(log nu) included
+    wide: np.ndarray    # (W,) the wide groups, in order
+    mid: np.ndarray     # (G,) geometric midpoint of the (clamped) group
+    p3: np.ndarray      # (8, R) PLANCK_PREFACTOR * nu^3
+    p4: np.ndarray      # (8, R) PLANCK_PREFACTOR * nu^4
 
 
 def log_rule(edges) -> LogRule:
@@ -142,11 +155,28 @@ def log_rule(edges) -> LogRule:
     hi = edges[1:]
     u0 = np.log(lo)
     half = 0.5 * (np.log(hi) - u0)
-    u = u0[:, None] + half[:, None] * (_GL_NODES[None, :] + 1.0)
-    nu = np.exp(u)
-    return LogRule(nu=nu, w=half[:, None] * _GL_WEIGHTS[None, :] * nu,
-                   mid=np.sqrt(lo * hi), p3=PLANCK_PREFACTOR * nu**3,
-                   p4=PLANCK_PREFACTOR * nu**4)
+    is_wide = 2.0 * half > _NARROW_WIDTH
+    wide = np.flatnonzero(is_wide)
+    group = np.concatenate([np.arange(half.size), wide])
+    # column of _ROW_NODES: 0 on a narrow group, 1 and 2 on a wide one's rows
+    kind = np.concatenate([is_wide.astype(int), np.full(wide.size, 2)])
+    h = half[group]
+    nu = np.exp(u0[group] + h * (_ROW_NODES.take(kind, axis=1) + 1.0))
+    w = h * _ROW_WEIGHTS.take(kind, axis=1) * nu
+    return LogRule(nu=nu, w=w, wide=wide, mid=np.sqrt(lo * hi),
+                   p3=PLANCK_PREFACTOR * nu**3, p4=PLANCK_PREFACTOR * nu**4)
+
+
+def _group_sum(rule: LogRule, q):
+    """Group sums of node values q, shape (8, n, R), as (n, G): the 8 planes
+    added one after another, whatever n and R are, then each wide group's
+    second row added to its first."""
+    acc = q[0] + q[1]
+    for plane in q[2:]:
+        acc += plane
+    first = acc[:, :rule.mid.size]
+    first[:, rule.wide] += acc[:, rule.mid.size:]
+    return first
 
 
 def _positive_div(num, den):
@@ -159,28 +189,28 @@ def _positive_div(num, den):
 
 def _planck_weights(rule: LogRule, T, rosseland=False):
     """B(nu, T) w at every node of rule for cell temperatures T > 0 of shape
-    (n,), as an (n, G, 16) array; with rosseland, the pair of it and
+    (n,), as an (8, n, R) array; with rosseland, the pair of it and
     dB/dT(nu, T) w.
 
     B = p3 e^-x / (1 - e^-x) and dB/dT = p4 / T^2 e^-x / (1 - e^-x)^2 with
     x = nu/T share one exp(-x) and one expm1(-x).  Each is 0 where its
     denominator is not positive, and in the deep Wien tail, where e^-x
     underflows.  The arithmetic runs in place: this is the hot path of every
-    build, and fresh (n, G, 16) temporaries cost as much as the math.
+    build, and fresh (8, n, R) temporaries cost as much as the math.
     """
-    Tc = T[:, None, None]
-    e = np.divide(rule.nu, -Tc)  # -x
+    Tc = T[None, :, None]
+    e = np.divide(rule.nu[:, None, :], -Tc)  # -x
     d = np.expm1(e)
-    np.exp(e, out=e)             # e^-x
-    np.negative(d, out=d)        # 1 - e^-x
-    w_B = _positive_div(rule.p3 * e, d)
-    w_B *= rule.w
+    np.exp(e, out=e)                         # e^-x
+    np.negative(d, out=d)                    # 1 - e^-x
+    w_B = _positive_div(rule.p3[:, None, :] * e, d)
+    w_B *= rule.w[:, None, :]
     if not rosseland:
         return w_B
-    w_dB = np.divide(rule.p4, Tc**2)
+    w_dB = np.divide(rule.p4[:, None, :], Tc**2)
     w_dB *= e
     _positive_div(w_dB, np.multiply(d, d, out=d))
-    w_dB *= rule.w
+    w_dB *= rule.w[:, None, :]
     return w_B, w_dB
 
 
@@ -192,8 +222,8 @@ class RadiationWeights:
     dB/dT(nu, T_r) w at its nodes, and their group sums."""
 
     rule: LogRule
-    w_rad: np.ndarray    # (n_x, G, 16)
-    w_ros: np.ndarray    # (n_x, G, 16)
+    w_rad: np.ndarray    # (8, n_x, R)
+    w_ros: np.ndarray    # (8, n_x, R)
     rad_sum: np.ndarray  # (n_x, G)
     ros_sum: np.ndarray  # (n_x, G)
 
@@ -204,8 +234,8 @@ def radiation_weights(T_r, rule: LogRule) -> RadiationWeights:
     w_rad, w_ros = _planck_weights(rule, np.asarray(T_r, dtype=float),
                                    rosseland=True)
     return RadiationWeights(rule=rule, w_rad=w_rad, w_ros=w_ros,
-                            rad_sum=w_rad.sum(axis=2),
-                            ros_sum=w_ros.sum(axis=2))
+                            rad_sum=_group_sum(rule, w_rad),
+                            ros_sum=_group_sum(rule, w_ros))
 
 
 @dataclass
@@ -223,30 +253,31 @@ def build_group_opacities(T, rad: RadiationWeights, edges,
     """Evaluate all group opacities and emission integrals for cell arrays
     T and T_r, where rad = radiation_weights(T_r, log_rule(edges)).
 
-    Each group mean uses the 16-point log-frequency rule of rad: sig_B
-    weights sigma(nu, T) with B(nu, T), sig_E with B(nu, T_r), and sig_R is
-    the dB/dT(nu, T_r)-weighted harmonic mean (Rosseland).  Groups whose
-    weight integral underflows (deep Wien tail) use sigma at the geometric
-    midpoint of the (clamped) group.  The sigma(nu, T) samples are shared by
-    the three averages, and the T_r weights by every build at one T_r, since
-    this sits on the hot path of every cycle.
+    Each group mean uses the log-frequency rule of rad (8 nodes on a narrow
+    group, 16 on a wide one): sig_B weights sigma(nu, T) with B(nu, T),
+    sig_E with B(nu, T_r), and sig_R is the dB/dT(nu, T_r)-weighted harmonic
+    mean (Rosseland).  Groups whose weight integral underflows (deep Wien
+    tail) use sigma at the geometric midpoint of the (clamped) group.  The
+    sigma(nu, T) samples are shared by the three averages, and the T_r
+    weights by every build at one T_r, since this sits on the hot path of
+    every cycle.
     """
     T = np.asarray(T, dtype=float)
     rule = rad.rule
-    sig = sigma(rule.nu[None, :, :], T[:, None, None])
+    sig = sigma(rule.nu[:, None, :], T[None, :, None])
     fallback = sigma(rule.mid[None, :], T[:, None])
 
     def avg(wgt, den_w, harmonic):
         if harmonic:
-            num, den = den_w, (wgt / sig).sum(axis=2)
+            num, den = den_w, _group_sum(rule, wgt / sig)
         else:
-            num, den = (wgt * sig).sum(axis=2), den_w
+            num, den = _group_sum(rule, wgt * sig), den_w
         empty = den_w < _WIEN_FLOOR
         return np.where(empty, fallback, num / np.where(empty, 1.0, den))
 
     w_loc = _planck_weights(rule, T)
     return GroupOpacitySet(
-        sig_B=avg(w_loc, w_loc.sum(axis=2), False),
+        sig_B=avg(w_loc, _group_sum(rule, w_loc), False),
         sig_E=avg(rad.w_rad, rad.rad_sum, False),
         sig_R=avg(rad.w_ros, rad.ros_sum, True),
         B=planck_groups(T, edges),

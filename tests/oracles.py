@@ -376,19 +376,44 @@ def planck_tail(x):
     return out
 
 
-def build_group_opacities(T, T_r, edges, sigma) -> phys.GroupOpacitySet:
-    """Every group average evaluated from scratch: nodes, pointwise Planck
-    weights at T and T_r and the Planck group integrals, with nothing
-    shared between builds."""
-    T = np.asarray(T, dtype=float)
-    T_r = np.asarray(T_r, dtype=float)
+def log_nodes(edges, n=16):
+    """The n-point Gauss-Legendre rule in log(nu) on every group: nodes and
+    weights (dnu = nu d(log nu) included), each (G, n)."""
     edges = np.asarray(edges, dtype=float)
-    gl_nodes, gl_weights = leggauss(16)
+    gl_nodes, gl_weights = leggauss(n)
     lo = np.maximum(edges[:-1], edges[1:] * 1e-12)
     u0 = np.log(lo)
     half = 0.5 * (np.log(edges[1:]) - u0)
     nu = np.exp(u0[:, None] + half[:, None] * (gl_nodes[None, :] + 1.0))
-    w = half[:, None] * gl_weights[None, :] * nu
+    return nu, half[:, None] * gl_weights[None, :] * nu
+
+
+def _node_weights(T, T_r, nu, w):
+    """B(nu, T) w, B(nu, T_r) w and dB/dT(nu, T_r) w, each (n, G, nodes)."""
+    T = np.asarray(T, dtype=float)[:, None, None]
+    T_r = np.asarray(T_r, dtype=float)[:, None, None]
+    return (planck_B(nu[None], T) * w[None], planck_B(nu[None], T_r) * w[None],
+            planck_dB_dT(nu[None], T_r) * w[None])
+
+
+def weight_shares(T, T_r, edges, nodes=128):
+    """Each group's share of the B(T), B(T_r) and dB/dT(T_r) weight of its
+    cell, the weights of sig_B, sig_E and sig_R in turn: (3, n, G)."""
+    nu, w = log_nodes(edges, nodes)
+    sums = np.array([q.sum(axis=2)
+                     for q in _node_weights(T, T_r, nu, w)])
+    return sums / sums.sum(axis=2, keepdims=True)
+
+
+def build_group_opacities(T, T_r, edges, sigma,
+                          nodes=16) -> phys.GroupOpacitySet:
+    """Every group average evaluated from scratch with the nodes-point rule
+    of log_nodes on every group: pointwise Planck weights at T and T_r and
+    the Planck group integrals, with nothing shared between builds."""
+    T = np.asarray(T, dtype=float)
+    edges = np.asarray(edges, dtype=float)
+    nu, w = log_nodes(edges, nodes)
+    lo = np.maximum(edges[:-1], edges[1:] * 1e-12)
     sig = sigma(nu[None, :, :], T[:, None, None])
     fallback = sigma(np.sqrt(lo * edges[1:])[None, :], T[:, None])
 
@@ -405,9 +430,7 @@ def build_group_opacities(T, T_r, edges, sigma) -> phys.GroupOpacitySet:
     tails = np.where(x <= 0.0, phys._PI4_15, planck_tail(np.maximum(x, 0.0)))
     pref = phys.PLANCK_PREFACTOR * T**4
     B = pref[:, None] * (tails[:, :-1] - tails[:, 1:])
-    w_loc = planck_B(nu[None, :, :], T[:, None, None]) * w[None, :, :]
-    w_rad = planck_B(nu[None, :, :], T_r[:, None, None]) * w[None, :, :]
-    w_ros = planck_dB_dT(nu[None, :, :], T_r[:, None, None]) * w[None, :, :]
+    w_loc, w_rad, w_ros = _node_weights(T, T_r, nu, w)
     return phys.GroupOpacitySet(sig_B=avg(w_loc, False),
                                 sig_E=avg(w_rad, False),
                                 sig_R=avg(w_ros, True), B=B)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import per_cycle_cost
 from problems import equilibrium_problem
 
-from trtmg import grey, loqd, phys
+from trtmg import grey, loqd, phys, transport
 from trtmg.cli import RunConfig, fc_problem
 from trtmg.cycles import (ConvergenceCriteria, ConvergenceError,
                           IterationStats, ScheduleError, initial_state,
@@ -139,6 +139,13 @@ class TestInitialState:
         assert np.all(st.closures.f == 1.0 / 3.0)
         assert np.all(st.closures.f_face == 1.0 / 3.0)
         assert np.all(st.closures.C == [-0.5, 0.5])
+
+    def test_moments_c_ordered(self):
+        # every committed E is C-ordered (G, n_x), so step 1 sums groups in
+        # the same order as every later step
+        st = initial_state(_fc())
+        assert st.E.flags["C_CONTIGUOUS"]
+        assert st.F.flags["C_CONTIGUOUS"]
 
 
 class TestEquilibrium:
@@ -395,6 +402,32 @@ class TestConvergenceRecords:
                           ConvergenceCriteria(), 2e-2, stats, step_index=3)
         assert stats.n_ti <= 1
         assert stats.n_c <= sched.l_max
+
+    def test_nan_opacity_fails_at_the_build(self, monkeypatch):
+        # an opacity that is NaN in one group is named by the opacity build,
+        # with its field, cell and group, before any sweep or solve runs
+        def sigma(nu, T):
+            out = phys.FleckCummingsOpacity()(nu, T)
+            return np.where((nu > 0.1) & (nu < 0.15), np.nan, out)
+        prob = replace(_fc(), sigma=sigma)
+        edges = prob.hierarchy.fine.edges
+        g = int(np.searchsorted(edges, 0.1))  # the group holding nu = 0.1
+        assert edges[g - 1] < 0.1 < edges[g]
+        calls = []
+        monkeypatch.setattr(transport, "transport_solve",
+                            lambda *a: calls.append(a))
+        monkeypatch.setattr(loqd, "solve_moment_system",
+                            lambda *a: calls.append(a))
+        stats = IterationStats()
+        with pytest.raises(ConvergenceError,
+                           match=rf"^step 2: transport iteration s=0 failed: "
+                                 rf"opacity build: sig_B is nan in cell 0, "
+                                 rf"group {g - 1}$"):
+            run_time_step(prob, initial_state(prob),
+                          make_schedule("V", (16, 1), 4),
+                          ConvergenceCriteria(), 2e-2, stats, step_index=2)
+        assert calls == []
+        assert (stats.n_ti, stats.n_c, stats.n_lo) == (0, 0, 0)
 
     def test_nan_inflow_fails_at_first_sweep(self):
         # a NaN entering through the left face fails the first sweep and

@@ -2,8 +2,10 @@
 
 Reference values were frozen from 40-digit mpmath quadrature of the same
 integrands (prefactor A = 15 c a_R / (2 pi^4), B = A nu^3/(e^(nu/T)-1)).
-The pointwise Planck functions are the references in oracles.py; the build
-equals their one-pass composition bit for bit.
+The pointwise Planck functions are the references in oracles.py.  The build
+evaluates them at its nodes bit for bit, and its group means agree with
+their one-pass composition on the 16-point rule, and with a 128-node rule,
+to round-off.
 """
 
 import numpy as np
@@ -134,18 +136,22 @@ def test_wien_tail_fallback():
 
 def test_build_group_opacities_matches_separate_averages():
     # the batched build equals a separate build for each (cell, group)
-    # pair, bit for bit: cells and groups do not interact
-    edges = np.concatenate(([0.0], np.logspace(-4, 1, 15), [1e7]))
+    # pair, bit for bit: cells and groups do not interact, on wide groups
+    # (two rows each) and on narrow ones (one row each) alike
     T = np.array([1e-3, 0.2, 0.9])
     T_r = np.array([0.5, 0.5, 1.2])
-    rad = phys.radiation_weights(T_r, phys.log_rule(edges))
-    opac = phys.build_group_opacities(T, rad, edges, FC)
-    assert opac.sig_B.shape == (3, 16)
-    for i in range(3):
-        for g in range(16):
-            one = _one_group(T[i], T_r[i], edges[g:g + 2], FC)
-            for name in ("sig_B", "sig_E", "sig_R", "B"):
-                assert getattr(opac, name)[i, g] == getattr(one, name)[0, 0]
+    for interior in (np.logspace(-4, 1, 15), np.logspace(-1, 0, 60)):
+        edges = np.concatenate(([0.0], interior, [1e7]))
+        G = edges.size - 1
+        rad = phys.radiation_weights(T_r, phys.log_rule(edges))
+        opac = phys.build_group_opacities(T, rad, edges, FC)
+        assert opac.sig_B.shape == (3, G)
+        for i in range(3):
+            for g in range(G):
+                one = _one_group(T[i], T_r[i], edges[g:g + 2], FC)
+                for name in ("sig_B", "sig_E", "sig_R", "B"):
+                    assert getattr(opac, name)[i, g] \
+                        == getattr(one, name)[0, 0]
 
 
 _temperatures = st.lists(st.floats(-6.0, 1.0), min_size=1, max_size=4)
@@ -167,13 +173,78 @@ def test_build_matches_one_pass_reference(log_T, log_T_r, log_edges):
     rad = phys.radiation_weights(T_r, phys.log_rule(edges))
     got = phys.build_group_opacities(T, rad, edges, FC)
     want = oracles.build_group_opacities(T, T_r, edges, FC)
-    for name in ("sig_B", "sig_E", "sig_R", "B"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    nu, w = rad.rule.nu[None, :, :], rad.rule.w[None, :, :]
+    assert np.array_equal(got.B, want.B)
+    # narrow groups run on 8 of the reference's 16 nodes and wide ones sum
+    # in another order: the means agree to round-off wherever the group
+    # carries more than 1e-20 of its weight, and are sound everywhere
+    shares = oracles.weight_shares(T, T_r, edges, 16)
+    for name, share in zip(("sig_B", "sig_E", "sig_R"), shares):
+        mean, ref = getattr(got, name), getattr(want, name)
+        assert np.all(np.isfinite(mean) & (mean > 0.0)), name
+        held = share > 1e-20
+        assert np.all(np.abs(mean - ref)[held] <= 1e-13 * ref[held]), name
+    nu, w = rad.rule.nu[:, None, :], rad.rule.w[:, None, :]
     assert np.array_equal(rad.w_rad,
-                          oracles.planck_B(nu, T_r[:, None, None]) * w)
+                          oracles.planck_B(nu, T_r[None, :, None]) * w)
     assert np.array_equal(rad.w_ros,
-                          oracles.planck_dB_dT(nu, T_r[:, None, None]) * w)
+                          oracles.planck_dB_dT(nu, T_r[None, :, None]) * w)
+
+
+def _rows(rule, g):
+    """The nodes and weights of group g, its rows in order, as (nodes,)."""
+    G = rule.mid.size
+    cols = [g] + [G + k for k in np.flatnonzero(rule.wide == g)]
+    return rule.nu[:, cols].T.ravel(), rule.w[:, cols].T.ravel()
+
+
+def _fc_edges(G):
+    return np.concatenate(([0.0], np.logspace(-4, 1, G - 1), [1e7]))
+
+
+@pytest.mark.parametrize("G", [64, 256, 1024])
+def test_log_rule_uses_16_nodes_on_wide_groups_only(G):
+    # the 8-point rule on a group at most _NARROW_WIDTH wide in log(nu), and
+    # the 16-point rule, the very nodes and weights, on a wider one
+    edges = _fc_edges(G)
+    rule = phys.log_rule(edges)
+    width = np.log(edges[1:]) - np.log(np.maximum(edges[:-1],
+                                                   edges[1:] * 1e-12))
+    wide = width > phys._NARROW_WIDTH
+    assert wide[0] and wide[-1]
+    assert wide.all() if G == 64 else not wide[1:-1].any()
+    assert np.array_equal(rule.wide, np.flatnonzero(wide))
+    assert rule.nu.shape == (8, G + wide.sum())
+    nodes = {n: oracles.log_nodes(edges, n) for n in (8, 16)}
+    for g in range(G):
+        nu, w = nodes[16 if wide[g] else 8]
+        got_nu, got_w = _rows(rule, g)
+        assert np.array_equal(got_nu, nu[g]) and np.array_equal(got_w, w[g])
+
+
+@pytest.mark.parametrize("edges", [
+    _fc_edges(256), _fc_edges(1024), _fc_edges(4096),
+    # 230 groups just inside the narrow limit 0.05, so each is one row
+    1e-4 * np.exp(0.05 * (1.0 - 1e-9) * np.arange(231))],
+    ids=["G256", "G1024", "G4096", "uniform0.05"])
+def test_narrow_group_means_match_128_node_reference(edges):
+    # every group mean on the 8-point rule is at round-off against a
+    # 128-node rule, wherever the group carries more than 1e-20 of its
+    # weight, for T and T_r in [1e-3, 1] keV
+    rule = phys.log_rule(edges)
+    narrow = ~np.isin(np.arange(edges.size - 1), rule.wide)
+    assert narrow.sum() >= edges.size - 3
+    temps = np.logspace(-3.0, 0.0, 4)
+    for T_r in temps:
+        rad = phys.radiation_weights(np.full(temps.size, T_r), rule)
+        got = phys.build_group_opacities(temps, rad, edges, FC)
+        for i, T in enumerate(temps):
+            ref = oracles.build_group_opacities([T], [T_r], edges, FC, 128)
+            shares = oracles.weight_shares([T], [T_r], edges, 128)
+            for name, share in zip(("sig_B", "sig_E", "sig_R"), shares):
+                held = narrow & (share[0] > 1e-20)
+                want = getattr(ref, name)[0, held]
+                err = np.abs(getattr(got, name)[i, held] - want) / want
+                assert err.max() <= 1e-13, (name, T, T_r)
 
 
 def test_radiation_temperature():

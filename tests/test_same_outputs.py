@@ -61,3 +61,40 @@ def test_config_compared_without_its_out_line(tool, tmp_path):
     csv = tmp_path / "a" / "stats.csv"
     csv.write_bytes(b"step,t_ns\nout = x\n")
     assert tool.contents(csv) == b"step,t_ns\nout = x\n"
+
+
+class _Done:
+    """Stands in for a finished solver run."""
+
+    def wait(self):
+        return 0
+
+
+def test_last_line_names_cases_whose_counters_moved(tool, monkeypatch,
+                                                    tmp_path, capsys):
+    # two cases, each side writing every file; case B's triple moves on
+    # one side, case A's profiles only
+    def start(src, config, out):
+        out.mkdir(parents=True)
+        here = src == tool.ROOT / "src"
+        moved = here and config["name"] == "B"
+        for name in tool.FILES:
+            text = {"totals.csv": TOTALS.format(11 if moved else 10),
+                    "profiles.csv": PROFILES.format(
+                        1.5 if here and config["name"] == "A" else 1.0, 1.0)
+                    }.get(name, "same\n")
+            (out / name).write_text(text)
+        return _Done()
+
+    monkeypatch.setattr(tool, "extract_src", lambda rev, dest: dest)
+    monkeypatch.setattr(tool, "start", start)
+    monkeypatch.setattr(tool, "CASES", {"A": {"name": "A"},
+                                        "B": {"name": "B"}})
+    assert tool.main(["HEAD"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["2 of 10 files differ from HEAD",
+                          "counter triples moved: B"]
+    monkeypatch.setattr(tool, "CASES", {"A": {"name": "A"}})
+    assert tool.main(["HEAD"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] \
+        == "counter triples moved: none"

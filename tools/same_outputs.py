@@ -13,7 +13,8 @@ which names each side's own directory), prints one line per file, and exits
 1 if any file differs or is missing (2 if REV is not a revision).  A
 differing profiles.csv is sized by its largest relative T and E_total change
 (each snapshot against its own maximum, as perfbench checks profiles); a
-differing totals.csv shows both counter triples N_ti/N_c/N_lo.  Everything
+differing totals.csv shows both counter triples N_ti/N_c/N_lo.  The last
+line names the cases whose counter triple moved, or says none.  Everything
 is written under the temporary directory.
 """
 
@@ -109,6 +110,7 @@ def main(argv) -> int:
         return 2
     rev = argv[0] if argv else "HEAD"
     differ = 0
+    moved = []  # cases whose totals.csv counter triple differs
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         try:
@@ -126,6 +128,8 @@ def main(argv) -> int:
                     status, note = "MISSING", f"exit codes {codes}"
                 elif (old := contents(a)) != (new := contents(b)):
                     status, note = "DIFFERS", change(name, old, new)
+                    if name == "totals.csv" and totals(old) != totals(new):
+                        moved.append(case)
                 else:
                     status = "same"
                     note = totals(old) if name == "totals.csv" else ""
@@ -133,6 +137,7 @@ def main(argv) -> int:
                 print(f"{status:8} {case:8} {name:14} {note}".rstrip(),
                       flush=True)
     print(f"{differ} of {len(CASES) * len(FILES)} files differ from {rev}")
+    print(f"counter triples moved: {', '.join(moved) or 'none'}")
     return 1 if differ else 0
 
 
