@@ -18,10 +18,10 @@ import numpy as np
 
 from . import phys
 from .cycles import (ConvergenceCriteria, ConvergenceError, Problem,
-                     ScheduleError, SimulationResult, make_schedule,
-                     run_simulation, step_count)
-from .grids import (GridError, SpatialMesh, build_fc_frequency_grid,
-                    build_hierarchy, double_gauss_legendre)
+                     SimulationResult, make_schedule, run_simulation,
+                     step_count)
+from .grids import (SpatialMesh, build_fc_frequency_grid, build_hierarchy,
+                    double_gauss_legendre)
 from .phys import A_RAD, FleckCummingsOpacity, MaterialModel
 
 
@@ -55,22 +55,20 @@ class RunConfig:
         return self.grids
 
 
-def _parse_int_list(s):
-    s = s.strip()
-    return tuple(int(x) for x in s.split(",")) if s else ()
-
-
-def _parse_float_list(s):
-    s = s.strip()
-    return tuple(float(x) for x in s.split(",")) if s else ()
+def _parse_list(item):
+    """Parser of a comma-separated list of item values; empty gives ()."""
+    def parse(s):
+        s = s.strip()
+        return tuple(item(x) for x in s.split(",")) if s else ()
+    return parse
 
 
 _PARSERS = {
-    "grids": _parse_int_list, "cycle": str, "visits": _parse_int_list,
+    "grids": _parse_list(int), "cycle": str, "visits": _parse_list(int),
     "lmax": int, "cells": int, "length": float, "quad": int,
     "dt": float, "tend": float, "eps": float,
     "eps_tilde": float, "max_outer": int,
-    "out": str, "snapshots": _parse_float_list,
+    "out": str, "snapshots": _parse_list(float),
 }
 
 
@@ -98,8 +96,9 @@ def _read_config_file(path) -> dict:
 
 def parse_config(path=None, overrides=None) -> RunConfig:
     """Assemble the effective configuration from defaults, an optional file,
-    and flag overrides (strings, as received); validates every value but
-    cells, quad and length, which the problem's own constructors check."""
+    and flag overrides (strings, as received).  Only parses: a key must be
+    known and its value must convert to the key's type; each value is
+    checked by the object main builds from it."""
     raw = {}
     if path is not None:
         raw.update(_read_config_file(path))
@@ -115,22 +114,7 @@ def parse_config(path=None, overrides=None) -> RunConfig:
             values[key] = parser(str(text))
         except ValueError as e:
             raise ConfigError(f"bad value for {key!r}: {e}") from e
-
-    cfg = RunConfig(**values)
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: RunConfig):
-    # cells, quad and length are checked by fc_problem's mesh and quadrature
-    if not cfg.grids or cfg.grids[0] < 3:
-        raise ConfigError("grids: the fine grid needs at least 3 groups")
-    try:
-        make_schedule(cfg.cycle, cfg.grids, cfg.lmax, cfg.visits or None)
-        ConvergenceCriteria(cfg.eps, cfg.eps_tilde, cfg.max_outer)
-        step_count(cfg.tend, cfg.dt)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    return RunConfig(**values)
 
 
 def _format_value(v) -> str:
@@ -178,24 +162,27 @@ def _write_csv(path, header, rows):
         w.writerows([_format_value(v) for v in row] for row in rows)
 
 
+def _totals_row(result: SimulationResult) -> tuple:
+    """cycle, n_grids, grids (counts joined by ;), l_max, N_ti, N_c, N_lo."""
+    sched, s = result.schedule, result.stats
+    return (sched.kind, sched.n_grids, ";".join(map(str, sched.counts)),
+            sched.l_max, s.n_ti, s.n_c, s.n_lo)
+
+
 def write_outputs(result: SimulationResult, out_dir, x):
-    """profiles.csv (per snapshot, per cell at the cell centers x),
-    stats.csv (per step), totals.csv (one row), conv_hist.csv (per recorded
-    iteration)."""
+    """profiles.csv (per snapshot, per cell at the cell centers x; only the
+    header without snapshots), stats.csv (per step), totals.csv (one row),
+    conv_hist.csv (per recorded iteration)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if result.snapshots:
-        _write_csv(out / "profiles.csv", ("time_ns", "x_cm", "T_keV",
-                                          "E_total"),
-                   ((t, *cell) for t, T, E in result.snapshots
-                    for cell in zip(x, T, E)))
+    _write_csv(out / "profiles.csv", ("time_ns", "x_cm", "T_keV", "E_total"),
+               ((t, *cell) for t, T, E in result.snapshots
+                for cell in zip(x, T, E)))
     _write_csv(out / "stats.csv", ("step", "t_ns", "M_ti", "M_c", "M_lo"),
                ((r.step, r.t, r.m_ti, r.m_c, r.m_lo) for r in result.steps))
-    sched, s = result.schedule, result.stats
     _write_csv(out / "totals.csv", ("cycle", "n_grids", "grids", "l_max",
                                     "N_ti", "N_c", "N_lo"),
-               [(sched.kind, sched.n_grids, ";".join(map(str, sched.counts)),
-                 sched.l_max, s.n_ti, s.n_c, s.n_lo)])
+               [_totals_row(result)])
     _write_csv(out / "conv_hist.csv", ("step", "s", "l", "dT_inf"),
                ((r.step, r.s, r.cycle, r.dT) for r in result.conv))
 
@@ -219,30 +206,31 @@ def main(argv=None) -> int:
         return e.code
 
     overrides = vars(args)
-    try:
+    try:  # every run object, each checking its own inputs, before any solve
         cfg = parse_config(overrides.pop("config"), overrides)
-        problem = fc_problem(cfg)
         schedule = make_schedule(cfg.cycle, cfg.grids, cfg.lmax,
                                  cfg.visits or None)
         criteria = ConvergenceCriteria(cfg.eps, cfg.eps_tilde, cfg.max_outer)
-        result = run_simulation(problem, schedule, criteria, cfg.dt, cfg.tend,
+        n_steps = step_count(cfg.tend, cfg.dt)
+        problem = fc_problem(cfg)
+    except ValueError as e:
+        print(f"configuration error: {e}", file=sys.stderr)
+        return 2
+    try:
+        result = run_simulation(problem, schedule, criteria, cfg.dt, n_steps,
                                 cfg.snapshots)
         write_outputs(result, cfg.out, problem.mesh.centers)
         write_config(cfg, Path(cfg.out) / "config.txt")
-        s = result.stats
-        print(f"{schedule.kind} cycle on {';'.join(map(str, schedule.counts))}"
-              f" l_max={schedule.l_max}: N_ti={s.n_ti} N_c={s.n_c}"
-              f" N_lo={s.n_lo}")
-        return 0
-    except (ConfigError, GridError, ScheduleError) as e:
-        print(f"configuration error: {e}", file=sys.stderr)
-        return 2
     except ConvergenceError as e:
         print(f"convergence failure: {e}", file=sys.stderr)
         return 3
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return 4
+    kind, _, grids, l_max, n_ti, n_c, n_lo = _totals_row(result)
+    print(f"{kind} cycle on {grids} l_max={l_max}: N_ti={n_ti} N_c={n_c}"
+          f" N_lo={n_lo}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -107,10 +107,6 @@ class StepRecord:
     m_ti: int
     m_c: int
     m_lo: int
-    material_energy: float   # integral of c_v T over the slab
-    radiation_energy: float  # integral of total E over the slab
-    flux_left: float         # committed spectrum-total boundary fluxes
-    flux_right: float
 
 
 @dataclass(frozen=True)
@@ -381,24 +377,12 @@ def run_time_step(problem: Problem, state: SimulationState,
 
 @dataclass
 class SimulationResult:
-    initial: StepRecord
     steps: list
     snapshots: list          # (t, T, E_total) tuples
     conv: list
     stats: IterationStats
     state: SimulationState
     schedule: CycleSchedule
-
-
-def _energy_record(problem, state, step, t, m_ti=0, m_c=0,
-                   m_lo=0) -> StepRecord:
-    dx = problem.mesh.dx
-    F_tot = state.F.sum(axis=0)
-    return StepRecord(
-        step=step, t=t, m_ti=m_ti, m_c=m_c, m_lo=m_lo,
-        material_energy=float(dx @ problem.material.energy(state.T)),
-        radiation_energy=float(dx @ state.E.sum(axis=0)),
-        flux_left=float(F_tot[0]), flux_right=float(F_tot[-1]))
 
 
 def step_count(t_end: float, dt: float) -> int:
@@ -416,29 +400,27 @@ def step_count(t_end: float, dt: float) -> int:
 
 
 def run_simulation(problem: Problem, schedule: CycleSchedule,
-                   criteria: ConvergenceCriteria, dt: float, t_end: float,
+                   criteria: ConvergenceCriteria, dt: float, n_steps: int,
                    snapshot_times: tuple = ()) -> SimulationResult:
-    """Fixed-step time loop with per-step iteration counts, energy tallies,
-    and field snapshots at t = j dt, j = 0 (no step taken) to n_steps, for
-    each j with a requested time strictly within half a step of t."""
-    n_steps = step_count(t_end, dt)
+    """n_steps fixed steps of size dt (see step_count), recording each
+    step's iteration counts, every iteration's temperature change, and
+    field snapshots at t = j dt, j = 0 (no step taken) to n_steps, for each
+    j with a requested time strictly within half a step of t."""
     state = initial_state(problem)
     stats = IterationStats()
     conv = []
     steps = []
     snapshots = []
-    initial = _energy_record(problem, state, 0, 0.0)
     for j in range(n_steps + 1):
         t = j * dt  # not a running sum, which would drift
         if j:
             before = (stats.n_ti, stats.n_c, stats.n_lo)
             state = run_time_step(problem, state, schedule, criteria, dt,
                                   stats, conv, j)
-            steps.append(_energy_record(
-                problem, state, j, t, m_ti=stats.n_ti - before[0],
-                m_c=stats.n_c - before[1], m_lo=stats.n_lo - before[2]))
+            steps.append(StepRecord(j, t, stats.n_ti - before[0],
+                                    stats.n_c - before[1],
+                                    stats.n_lo - before[2]))
         if any(abs(ts - t) < 0.5 * dt * (1.0 - 1e-9) for ts in snapshot_times):
             snapshots.append((t, state.T.copy(), state.E.sum(axis=0)))
-    return SimulationResult(initial=initial, steps=steps, snapshots=snapshots,
-                            conv=conv, stats=stats, state=state,
-                            schedule=schedule)
+    return SimulationResult(steps=steps, snapshots=snapshots, conv=conv,
+                            stats=stats, state=state, schedule=schedule)

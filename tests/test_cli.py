@@ -7,11 +7,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from trtmg import phys
+from trtmg import cli, cycles, phys
 from trtmg.cli import (_PARSERS, ConfigError, RunConfig, fc_problem, main,
                        parse_config, write_config, write_outputs)
-from trtmg.cycles import (ConvergenceCriteria, initial_state, make_schedule,
-                          run_simulation)
+from trtmg.cycles import (ConvergenceCriteria, ConvRecord, StepRecord,
+                          initial_state, make_schedule, run_simulation)
 
 
 def _rows(path):
@@ -22,7 +22,7 @@ def _rows(path):
 class TestParseConfig:
     def test_defaults(self):
         assert parse_config() == RunConfig()
-        assert RunConfig().grid_counts == (256, 1)
+        assert RunConfig().grids == (256, 1)
         assert RunConfig().snapshots == (0.2, 0.4, 0.6, 1.0, 2.0, 3.0)
 
     def test_flag_overrides(self):
@@ -103,9 +103,15 @@ class TestParseConfig:
         {"tend": "inf"},
         {"max_outer": "0"},
     ])
-    def test_validation(self, overrides):
-        with pytest.raises(ConfigError):
-            parse_config(None, overrides)
+    def test_validation(self, tmp_path, capsys, overrides):
+        # main builds the run objects that check these before any output
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("".join(f"{k} = {v}\n"
+                                   for k, v in overrides.items()))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfgfile), "--out", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_keys_are_runconfig_fields(self):
         assert set(_PARSERS) == {f.name for f in fields(RunConfig)}
@@ -125,7 +131,7 @@ class TestWriteConfig:
         write_config(RunConfig(), p)
         cfg = parse_config(p)
         assert cfg.grids == (256, 1)
-        assert cfg.grid_counts == RunConfig().grid_counts
+        assert cfg.grids == RunConfig().grids
         # stable after the first normalization
         write_config(cfg, p)
         assert parse_config(p) == cfg
@@ -167,7 +173,7 @@ def small_run():
     cfg = RunConfig(grids=(16, 1))
     prob = fc_problem(cfg)
     sched = make_schedule("V", (16, 1), 4)
-    res = run_simulation(prob, sched, ConvergenceCriteria(), 2e-2, 0.06,
+    res = run_simulation(prob, sched, ConvergenceCriteria(), 2e-2, 3,
                          snapshot_times=(0.02, 0.04))
     return prob, res
 
@@ -204,14 +210,33 @@ class TestWriteOutputs:
         assert float(conv[0][3]) == res.conv[0].dT
 
     def test_no_snapshots_skips_profiles(self, small_run, tmp_path):
+        # the profile rows are skipped, not the file: every run writes
+        # every file, so none is left over from an earlier run
         prob, res = small_run
         bare = run_simulation(fc_problem(RunConfig(grids=(16, 1))),
                               make_schedule("V", (16, 1), 4),
-                              ConvergenceCriteria(), 2e-2, 0.02)
+                              ConvergenceCriteria(), 2e-2, 1)
         write_outputs(bare, tmp_path, x=prob.mesh.centers)
-        assert not (tmp_path / "profiles.csv").exists()
+        assert _rows(tmp_path / "profiles.csv") == [
+            ["time_ns", "x_cm", "T_keV", "E_total"]]
         assert (tmp_path / "stats.csv").exists()
         assert (tmp_path / "totals.csv").exists()
+
+    @pytest.mark.parametrize("name,record", [("stats.csv", StepRecord),
+                                             ("conv_hist.csv", ConvRecord)])
+    def test_one_column_per_record_field(self, small_run, tmp_path, name,
+                                         record):
+        # a run records only what it writes: each row is its record's
+        # fields, in field order
+        prob, res = small_run
+        write_outputs(res, tmp_path, x=prob.mesh.centers)
+        rows = _rows(tmp_path / name)
+        records = res.steps if record is StepRecord else res.conv
+        assert len(rows[0]) == len(fields(record))
+        assert len(rows) == 1 + len(records)
+        for row, rec in zip(rows[1:], records):
+            assert [float(v) for v in row] == [
+                getattr(rec, f.name) for f in fields(record)]
 
 
 class TestMain:
@@ -230,6 +255,38 @@ class TestMain:
             assert (tmp_path / "out" / name).exists()
         totals = _rows(tmp_path / "out" / "totals.csv")[1]
         assert f"N_ti={totals[4]} N_c={totals[5]} N_lo={totals[6]}" in out
+
+    def test_builds_each_run_object_once(self, tmp_path, monkeypatch):
+        calls = {}
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls[fn.__name__] = calls.get(fn.__name__, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for fn in (cycles.make_schedule, cycles.ConvergenceCriteria,
+                   cycles.step_count):
+            for module in (cli, cycles):
+                monkeypatch.setattr(module, fn.__name__, counted(fn))
+        assert main(["--grids", "16,1", "--dt", "0.02", "--tend", "0.04",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert calls == {"make_schedule": 1, "ConvergenceCriteria": 1,
+                         "step_count": 1}
+
+    def test_rerun_replaces_every_file(self, tmp_path):
+        # a second run into the same directory leaves no file of the first:
+        # without snapshots profiles.csv is written with its header only
+        out = tmp_path / "out"
+        first = tmp_path / "first.cfg"
+        first.write_text("grids = 16,1\nsnapshots = 0.04\ntend = 0.04\n")
+        assert main(["--config", str(first), "--out", str(out)]) == 0
+        assert len(_rows(out / "profiles.csv")) == 11
+        second = tmp_path / "second.cfg"
+        second.write_text("grids = 16,1\nsnapshots =\ntend = 0.02\n")
+        assert main(["--config", str(second), "--out", str(out)]) == 0
+        assert len(_rows(out / "profiles.csv")) == 1
+        assert _rows(out / "stats.csv")[-1][1] == "0.02"
 
     def test_flags_override_config(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
