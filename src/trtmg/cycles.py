@@ -52,10 +52,6 @@ class CycleSchedule:
 def make_schedule(kind: str, counts, l_max: int, visits=None) -> CycleSchedule:
     counts = tuple(int(n) for n in counts)
     kind = kind.upper() if kind.upper() in ("V", "W", "F") else kind.lower()
-    if len(counts) < 2 or counts[-1] != 1:
-        raise ScheduleError(f"grid counts must end in 1, got {counts}")
-    if any(a <= b for a, b in zip(counts, counts[1:])):
-        raise ScheduleError(f"grid counts must strictly decrease, got {counts}")
     if l_max < 1:
         raise ScheduleError(f"l_max must be >= 1, got {l_max}")
     n = len(counts)
@@ -166,7 +162,7 @@ class _StepWork:
     T_r: np.ndarray
     psi: np.ndarray
     closures: transport.ClosureData
-    E_mon: np.ndarray
+    E_mon: np.ndarray  # spectrum total of fine_sol; before one, of state.E
     grey_E_prev: np.ndarray
     grey_F_prev: np.ndarray
     rule: phys.LogRule  # the fine grid's, for every T_r bundle of the step
@@ -228,12 +224,13 @@ def _match_sum(parts, total):
 
 
 def _grey_stage(problem: Problem, prev: SimulationState, coef_src, sol_src,
-                T_stage, dt, stats, work):
-    """Grey Newton update from one level's solution; advances the stage
-    history in work.stage and returns the new temperature."""
+                E_src, T_stage, dt, stats, work):
+    """Grey Newton update from one level's solution, whose spectrum total is
+    E_src; advances the stage history in work.stage and returns the new
+    temperature."""
     coef = grey.form_grey(sol_src, coef_src, problem.hierarchy.n_levels - 1)
     T_new, work.grey_sol, work.stage = grey.solve_grey_meb(
-        coef, sol_src.E.sum(axis=0), work.stage, prev.T, work.grey_E_prev,
+        coef, E_src, work.stage, prev.T, work.grey_E_prev,
         work.grey_F_prev, T_stage, dt, problem.material, problem.mesh)
     stats.n_lo += 1
     return T_new
@@ -244,8 +241,8 @@ def run_cycle(problem: Problem, prev: SimulationState, T_tilde, work: _StepWork,
               opac: phys.GroupOpacitySet):
     """One inner cycle: fine-grid spectrum, grey temperature update, then the
     scheduled coarse grids (each followed by a grey update).  opac holds the
-    opacities at (T_tilde, work.T_r).  Returns the new temperature
-    iterate."""
+    opacities at (T_tilde, work.T_r).  Sets work.E_mon to the fine spectrum
+    total and returns the new temperature iterate."""
     hier = problem.hierarchy
     mesh = problem.mesh
 
@@ -253,10 +250,12 @@ def run_cycle(problem: Problem, prev: SimulationState, T_tilde, work: _StepWork,
     sol1 = loqd.solve_moment_system(coef1, prev.E, prev.F, dt, mesh)
     stats.n_lo += coef1.n_intervals
     work.fine_sol = sol1
-    work.T_r = phys.radiation_temperature(sol1.total_E())
+    work.E_mon = sol1.E.sum(axis=0)
+    work.T_r = phys.radiation_temperature(work.E_mon)
     work.rad = None  # the weights of the old T_r
 
-    T_cur = _grey_stage(problem, prev, coef1, sol1, T_tilde, dt, stats, work)
+    T_cur = _grey_stage(problem, prev, coef1, sol1, work.E_mon, T_tilde, dt,
+                        stats, work)
     for gnum in schedule.visits:
         level = gnum - 1
         # spectral coefficients refresh at the newest temperature, weighted
@@ -269,7 +268,8 @@ def run_cycle(problem: Problem, prev: SimulationState, T_tilde, work: _StepWork,
         F_pk = hier.restrict(prev.F, level)
         solk = loqd.solve_moment_system(coefk, E_pk, F_pk, dt, mesh)
         stats.n_lo += coefk.n_intervals
-        T_cur = _grey_stage(problem, prev, coefk, solk, T_cur, dt, stats, work)
+        T_cur = _grey_stage(problem, prev, coefk, solk, solk.E.sum(axis=0),
+                            T_cur, dt, stats, work)
     stats.n_c += 1
     return T_cur
 
@@ -280,10 +280,10 @@ def run_transport_iteration(problem: Problem, prev: SimulationState,
                             stats: IterationStats, conv=None, step_index=0):
     """One outer iteration: sweep (for s > 0) then inner cycles to tolerance
     or l_max.  Returns the outer relative changes (dT, dE)."""
-    T_entry = work.T
+    T_entry = T_tilde = work.T
     E_entry = work.E_mon
-    T_tilde = work.T
     for ell in range(1, schedule.l_max + 1):
+        E_old = work.E_mon
         opac = _opacities(problem, work, T_tilde)
         if ell == 1 and s > 0:
             # the sweep shares the first cycle's opacities; that cycle's fine
@@ -296,13 +296,12 @@ def run_transport_iteration(problem: Problem, prev: SimulationState,
             stats.n_ti += 1
         T_new = run_cycle(problem, prev, T_tilde, work, schedule, dt, stats,
                           opac)
-        E_new = work.fine_sol.total_E()
         dT = _dinf(T_new, T_tilde)
-        dE = _dinf(E_new, work.E_mon)
-        rT, rE = _rel(dT, T_new), _rel(dE, E_new)
+        dE = _dinf(work.E_mon, E_old)
+        rT, rE = _rel(dT, T_new), _rel(dE, work.E_mon)
         if conv is not None:
             conv.append(ConvRecord(step_index, s, ell, dT))
-        T_tilde, work.E_mon = T_new, E_new
+        T_tilde = T_new
         if rT <= criteria.eps_tilde and rE <= criteria.eps_tilde:
             break
     work.T = T_tilde
@@ -336,10 +335,10 @@ def run_time_step(problem: Problem, state: SimulationState,
                             f"the problem's {problem.hierarchy.counts}")
     if stats is None:
         stats = IterationStats()
+    grey_E_prev = state.E.sum(axis=0, keepdims=True)
     work = _StepWork(
-        T=state.T.copy(), T_r=state.T_r.copy(), psi=state.psi,
-        closures=state.closures, E_mon=state.E.sum(axis=0),
-        grey_E_prev=state.E.sum(axis=0, keepdims=True),
+        T=state.T, T_r=state.T_r, psi=state.psi, closures=state.closures,
+        E_mon=grey_E_prev[0], grey_E_prev=grey_E_prev,
         grey_F_prev=state.F.sum(axis=0, keepdims=True),
         rule=phys.log_rule(problem.hierarchy.fine.edges))
 
@@ -421,6 +420,6 @@ def run_simulation(problem: Problem, schedule: CycleSchedule,
                                     stats.n_c - before[1],
                                     stats.n_lo - before[2]))
         if any(abs(ts - t) < 0.5 * dt * (1.0 - 1e-9) for ts in snapshot_times):
-            snapshots.append((t, state.T.copy(), state.E.sum(axis=0)))
+            snapshots.append((t, state.T, state.E.sum(axis=0)))
     return SimulationResult(steps=steps, snapshots=snapshots, conv=conv,
                             stats=stats, state=state, schedule=schedule)

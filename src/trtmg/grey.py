@@ -103,5 +103,4 @@ def solve_grey_meb(coef: loqd.LoqdCoefficients, E_star: np.ndarray,
     if np.any(T_new < 0.0):
         log.warning("negative temperature after grey update in %d cells; "
                     "flooring", int(np.sum(T_new < 0.0)))
-    return (np.maximum(T_new, T_FLOOR), sol,
-            (T_stage.copy(), sigE.copy(), emis))
+    return np.maximum(T_new, T_FLOOR), sol, (T_stage, sigE, emis)

@@ -53,9 +53,6 @@ class MomentField:
     E_face: np.ndarray   # (P, 2)
     F: np.ndarray        # (P, n_x+1)
 
-    def total_E(self) -> np.ndarray:
-        return self.E.sum(axis=0)
-
 
 def face_rosseland(sig_cell: np.ndarray, mesh: SpatialMesh) -> np.ndarray:
     """Width-weighted interpolation of cell Rosseland opacities to faces;
@@ -79,13 +76,13 @@ def build_fine_coefficients(opac: GroupOpacitySet, closure: ClosureData,
         sig_E=opac.sig_E.T.copy(),
         sig_B=opac.sig_B.T.copy(),
         B=opac.B.T.copy(),
-        f=closure.f.copy(),
-        f_face=closure.f_face.copy(),
+        f=closure.f,
+        f_face=closure.f_face,
         sig_R_face=face_rosseland(opac.sig_R.T, mesh),
         eta_hat=np.zeros((G, nx + 1)),
         eta_check=np.zeros((G, nx + 1)),
-        C=closure.C.copy(),
-        bc_in=closure.bc_in.copy(),
+        C=closure.C,
+        bc_in=closure.bc_in,
     )
 
 

@@ -113,14 +113,14 @@ def _planck_tail(x):
 def planck_groups(T, edges):
     """Group integrals of B(nu, T) for all groups at each temperature.
 
-    T has shape (n,), edges (G+1,); returns (n, G).  Any edge at or beyond
-    the exp underflow point acts as infinity, so a huge top edge closes the
-    spectrum exactly.
+    T (n,) is positive and edges (G+1,) nonnegative, as on every grid;
+    returns (n, G).  Any edge at or beyond the exp underflow point acts as
+    infinity, so a huge top edge closes the spectrum exactly.
     """
     T = np.asarray(T, dtype=float)
     edges = np.asarray(edges, dtype=float)
     x = edges[None, :] / T[:, None]
-    tails = np.where(x <= 0.0, _PI4_15, _planck_tail(np.maximum(x, 0.0)))
+    tails = _planck_tail(x)
     pref = PLANCK_PREFACTOR * T**4
     return pref[:, None] * (tails[:, :-1] - tails[:, 1:])
 

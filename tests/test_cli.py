@@ -102,6 +102,7 @@ class TestParseConfig:
         {"dt": "0.02", "tend": "0.05"},      # tend must be a multiple of dt
         {"tend": "inf"},
         {"max_outer": "0"},
+        {"grids": "256,4"},                  # grids must end in the grey grid
     ])
     def test_validation(self, tmp_path, capsys, overrides):
         # main builds the run objects that check these before any output

@@ -12,6 +12,8 @@ PROFILES = ("time_ns,x_cm,T_keV,E_total\n"
             "0.5,0.25,{},1.0\n0.5,0.75,0.5,{}\n"
             "1,0.25,2.0,4.0\n1,0.75,1.0,2.0\n")
 TOTALS = "cycle,n_grids,grids,l_max,N_ti,N_c,N_lo\nV,2,16;1,4,{},20,340\n"
+STATS = "step,t_ns,M_ti,M_c,M_lo\n1,0.02,3,{},40\n2,0.04,3,{},40\n"
+CONV = "step,s,l,dT_inf\n1,0,1,{}\n1,0,0,0.5\n{},1,1,0.25\n"
 
 
 @pytest.fixture
@@ -41,7 +43,28 @@ def test_profile_change_is_relative_to_each_snapshot_maximum(tool):
 def test_totals_change_shows_both_counter_triples(tool):
     old, new = TOTALS.format(10).encode(), TOTALS.format(11).encode()
     assert tool.change("totals.csv", old, new) == "10/20/340 -> 11/20/340"
-    assert tool.change("stats.csv", old, new) == ""
+    assert tool.change("config.txt", old, new) == ""
+
+
+def test_stats_change_names_first_step_whose_counters_moved(tool):
+    old = STATS.format(5, 5).encode()
+    assert tool.change("stats.csv", old, STATS.format(5, 6).encode()) \
+        == "step 2 M_ti/M_c/M_lo 3/5/40 -> 3/6/40"
+    shorter = b"".join(old.splitlines(keepends=True)[:-1])
+    assert tool.change("stats.csv", old, shorter) \
+        == "step 2 M_ti/M_c/M_lo 3/5/40 -> end"
+    # a time column written differently moves no counter
+    assert tool.change("stats.csv", old, old.replace(b"0.04", b"0.040001")) \
+        == "per-step counters same"
+
+
+def test_conv_hist_change_names_first_moved_row_or_dT_change(tool):
+    old = CONV.format(2.0, 1).encode()
+    assert tool.change("conv_hist.csv", old, CONV.format(2.0, 2).encode()) \
+        == "row 3 step/s/l 1/1/1 -> 2/1/1"
+    # same rows: dT_inf moves 0.5 against the file's maximum of 2.0
+    assert tool.change("conv_hist.csv", old, CONV.format(2.5, 1).encode()) \
+        == "max relative change dT_inf 2.5e-01"
 
 
 def test_config_compared_without_its_out_line(tool, tmp_path):

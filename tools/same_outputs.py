@@ -13,9 +13,12 @@ which names each side's own directory), prints one line per file, and exits
 1 if any file differs or is missing (2 if REV is not a revision).  A
 differing profiles.csv is sized by its largest relative T and E_total change
 (each snapshot against its own maximum, as perfbench checks profiles); a
-differing totals.csv shows both counter triples N_ti/N_c/N_lo.  The last
-line names the cases whose counter triple moved, or says none.  Everything
-is written under the temporary directory.
+differing totals.csv shows both counter triples N_ti/N_c/N_lo, a differing
+stats.csv the first step whose M_ti/M_c/M_lo triple moved, and a differing
+conv_hist.csv the first row whose (step, s, l) moved or else its largest
+dT_inf change against the file's maximum.  The last line names the cases
+whose counter triple moved, or says none.  Everything is written under the
+temporary directory.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -90,10 +94,37 @@ def _snapshots(data: bytes) -> dict:
     return snaps
 
 
+def _rows(data: bytes) -> list:
+    return list(csv.reader(io.StringIO(data.decode())))[1:]
+
+
+def _first_move(old: bytes, new: bytes, cols: slice):
+    """(index, old, new) of the first row whose columns cols differ, with
+    "end" past the shorter file, or None if no row's do."""
+    keys = (["/".join(r[cols]) for r in _rows(data)] for data in (old, new))
+    for i, (a, b) in enumerate(zip_longest(*keys, fillvalue="end")):
+        if a != b:
+            return i, a, b
+    return None
+
+
 def change(name: str, old: bytes, new: bytes) -> str:
     """How far a differing output file moved from old to new."""
     if name == "totals.csv":
         return f"{totals(old)} -> {totals(new)}"
+    if name == "stats.csv":
+        move = _first_move(old, new, slice(2, 5))
+        if move is None:
+            return "per-step counters same"
+        return "step {} M_ti/M_c/M_lo {} -> {}".format(move[0] + 1, *move[1:])
+    if name == "conv_hist.csv":
+        move = _first_move(old, new, slice(0, 3))
+        if move is not None:
+            return "row {} step/s/l {} -> {}".format(move[0] + 1, *move[1:])
+        a, b = (np.array([float(r[3]) for r in _rows(data)])
+                for data in (old, new))
+        err = np.max(np.abs(b - a)) / np.max(np.abs(a))
+        return f"max relative change dT_inf {err:.1e}"
     if name != "profiles.csv":
         return ""
     a, b = _snapshots(old), _snapshots(new)
