@@ -138,15 +138,15 @@ def fc_problem(config: RunConfig) -> Problem:
     """Slab benchmark: 1 keV black-body drive on the left of a cold
     (10^-3 keV) slab with sigma = 27(1 - e^(-nu/T))/nu^3 and c_v tied to the
     drive temperature; right boundary vacuum."""
-    fine = build_fc_frequency_grid(config.grids[0])
-    hier = build_hierarchy(fine, config.grids)
+    hier = build_hierarchy(build_fc_frequency_grid(config.grids[0]),
+                           config.grids)
     mesh = SpatialMesh.uniform(config.cells, config.length)
     quad = double_gauss_legendre(config.quad)
     T_b, T_0 = 1.0, 1e-3
     material = MaterialModel(c_v=0.5917 * A_RAD * T_b**3)
 
-    B_b = phys.planck_groups(np.array([T_b]), fine.edges)[0]  # (G,)
-    G, M = fine.n_groups, quad.n_dirs
+    B_b = phys.planck_groups(np.array([T_b]), hier.edges)[0]  # (G,)
+    G, M = hier.counts[0], quad.n_dirs
     inc_left = np.zeros((G, M))
     inc_left[:, quad.positive] = 0.5 * B_b[:, None]
     return Problem(mesh=mesh, quad=quad, hierarchy=hier, material=material,

@@ -122,8 +122,8 @@ class Problem:
     hierarchy: FrequencyGridHierarchy
     material: MaterialModel
     sigma: object              # callable (nu, T) -> opacity
-    inc_left: np.ndarray       # (G, M) transport inflow at x=0 (mu>0 rows used)
-    inc_right: np.ndarray      # (G, M) transport inflow at x=X (mu<0 rows used)
+    inc_left: np.ndarray       # (G, M) inflow at x=0, read in the mu>0 columns
+    inc_right: np.ndarray      # (G, M) inflow at x=X, read in the mu<0 columns
     T_init: float = phys.T_FLOOR
 
 
@@ -140,11 +140,11 @@ class SimulationState:
 def initial_state(problem: Problem) -> SimulationState:
     """Isotropic Planckian field at the initial temperature, zero flux."""
     nx = problem.mesh.n_cells
-    G = problem.hierarchy.fine.n_groups
+    G = problem.hierarchy.counts[0]
     M = problem.quad.n_dirs
     T0 = np.broadcast_to(np.asarray(problem.T_init, dtype=float),
                          (nx,)).astype(float)
-    B0 = phys.planck_groups(T0, problem.hierarchy.fine.edges)  # (nx, G)
+    B0 = phys.planck_groups(T0, problem.hierarchy.edges)  # (nx, G)
     psi = np.empty((nx, 2, G, M))
     psi[:] = (0.5 * B0)[:, None, :, None]
     E = np.ascontiguousarray(2.0 * B0.T / C_LIGHT)  # (G, nx) like every E
@@ -165,7 +165,6 @@ class _StepWork:
     E_mon: np.ndarray  # spectrum total of fine_sol; before one, of state.E
     grey_E_prev: np.ndarray
     grey_F_prev: np.ndarray
-    rule: phys.LogRule  # the fine grid's, for every T_r bundle of the step
     fine_sol: loqd.MomentField = None
     # moments of the latest grey Newton solve, which produced work.T
     grey_sol: loqd.MomentField = None
@@ -185,9 +184,8 @@ def _opacities(problem: Problem, work: _StepWork, T) -> phys.GroupOpacitySet:
     before any sweep or solve reads it.
     """
     if work.rad is None:
-        work.rad = phys.radiation_weights(work.T_r, work.rule)
-    opac = phys.build_group_opacities(T, work.rad,
-                                      problem.hierarchy.fine.edges,
+        work.rad = phys.radiation_weights(work.T_r, problem.hierarchy.rule)
+    opac = phys.build_group_opacities(T, work.rad, problem.hierarchy.edges,
                                       problem.sigma)
     for name in ("sig_B", "sig_E", "sig_R", "B"):
         x = getattr(opac, name)
@@ -339,8 +337,7 @@ def run_time_step(problem: Problem, state: SimulationState,
     work = _StepWork(
         T=state.T, T_r=state.T_r, psi=state.psi, closures=state.closures,
         E_mon=grey_E_prev[0], grey_E_prev=grey_E_prev,
-        grey_F_prev=state.F.sum(axis=0, keepdims=True),
-        rule=phys.log_rule(problem.hierarchy.fine.edges))
+        grey_F_prev=state.F.sum(axis=0, keepdims=True))
 
     converged = False
     rT = rE = np.inf

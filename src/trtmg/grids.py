@@ -1,4 +1,5 @@
-"""Frequency grids and their coarsening hierarchy, spatial mesh, angular quadrature."""
+"""The frequency-grid hierarchy (fine edges, coarsening runs and the fine
+log-frequency rule), spatial mesh, angular quadrature."""
 
 from __future__ import annotations
 
@@ -7,6 +8,8 @@ from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+
+from . import phys
 
 
 class GridError(ValueError):
@@ -18,34 +21,13 @@ def _finite_increasing(x: np.ndarray) -> bool:
     return bool(np.all(np.isfinite(x)) and np.all(np.diff(x) > 0))
 
 
-@dataclass(frozen=True)
-class FrequencyGrid:
-    """Photon-frequency group edges in keV, finite and ascending,
-    edges[0] >= 0."""
-
-    edges: np.ndarray
-
-    def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=float)
-        object.__setattr__(self, "edges", edges)
-        if edges.ndim != 1 or edges.size < 2:
-            raise GridError("frequency grid needs at least two edges")
-        if not (edges[0] >= 0 and _finite_increasing(edges)):
-            raise GridError("frequency edges must be finite, nonnegative and "
-                            "strictly increasing")
-
-    @property
-    def n_groups(self) -> int:
-        return self.edges.size - 1
-
-
-def build_fc_frequency_grid(n_groups: int) -> FrequencyGrid:
-    """Standard benchmark grid: [0, 1e-4], n-2 log-spaced groups to 10 keV,
-    and a closing group up to 1e7 keV."""
+def build_fc_frequency_grid(n_groups: int) -> np.ndarray:
+    """Edges of the standard benchmark grid: [0, 1e-4], n-2 log-spaced
+    groups to 10 keV, and a closing group up to 1e7 keV."""
     if n_groups < 3:
         raise GridError("benchmark frequency grid needs at least 3 groups")
     interior = np.logspace(-4.0, 1.0, n_groups - 1)
-    return FrequencyGrid(np.concatenate(([0.0], interior, [1e7])))
+    return np.concatenate(([0.0], interior, [1e7]))
 
 
 def _run_starts(n_fine: int, n_coarse: int) -> np.ndarray:
@@ -68,11 +50,12 @@ class FrequencyGridHierarchy:
     """Nested frequency grids; level index 0 is the fine grid, the last
     level is the single-interval grey grid.
 
-    starts_fine[L] gives, for each interval of level L, the run of fine
-    (level 0) groups it merges, as cumulative start indices.
+    edges are the fine group edges in keV, read-only.  starts_fine[L] gives,
+    for each interval of level L, the run of fine (level 0) groups it
+    merges, as cumulative start indices.
     """
 
-    fine: FrequencyGrid
+    edges: np.ndarray
     counts: tuple
     starts_fine: tuple     # starts_fine[0] is identity
 
@@ -80,21 +63,35 @@ class FrequencyGridHierarchy:
     def n_levels(self) -> int:
         return len(self.counts)
 
+    # the rule depends on the fine edges alone: built on first use (a run's
+    # first T_r weight bundle), it then serves every step
+    @cached_property
+    def rule(self) -> phys.LogRule:
+        return phys.log_rule(self.edges)
+
     def restrict(self, q: np.ndarray, level: int) -> np.ndarray:
         """Sum a fine-grid (level 0) array, groups on axis 0, onto a coarser
         level."""
         return segment_sum(q, self.starts_fine[level])
 
 
-def build_hierarchy(fine: FrequencyGrid, counts) -> FrequencyGridHierarchy:
-    """Build the multigrid-in-frequency hierarchy for the given group counts.
+def build_hierarchy(edges, counts) -> FrequencyGridHierarchy:
+    """Build the multigrid-in-frequency hierarchy on the fine group edges
+    (keV; finite, ascending, edges[0] >= 0) for the given group counts.
 
     counts must start at the fine group number, decrease strictly, and end
     at 1 (the grey grid).  Each level merges contiguous runs of the level
-    above it.
+    above it.  The hierarchy keeps a read-only copy of the edges.
     """
+    edges = np.array(edges, dtype=float)
+    if edges.ndim != 1 or edges.size < 2:
+        raise GridError("frequency grid needs at least two edges")
+    if not (edges[0] >= 0 and _finite_increasing(edges)):
+        raise GridError("frequency edges must be finite, nonnegative and "
+                        "strictly increasing")
+    edges.flags.writeable = False
     counts = tuple(int(n) for n in counts)
-    if counts[0] != fine.n_groups:
+    if counts[0] != edges.size - 1:
         raise GridError("hierarchy must start at the fine grid group count")
     if counts[-1] != 1:
         raise GridError("hierarchy must end at a single grey interval")
@@ -104,7 +101,7 @@ def build_hierarchy(fine: FrequencyGrid, counts) -> FrequencyGridHierarchy:
     for L in range(1, len(counts)):
         starts_prev = _run_starts(counts[L - 1], counts[L])
         starts_fine.append(starts_fine[L - 1][starts_prev])
-    return FrequencyGridHierarchy(fine=fine, counts=counts,
+    return FrequencyGridHierarchy(edges=edges, counts=counts,
                                   starts_fine=tuple(starts_fine))
 
 

@@ -133,8 +133,8 @@ class LogRule:
     the W wider groups is two rows, the first and last 8 nodes of the
     16-point rule.  Rows 0..G-1 hold every group's first row in group order,
     and rows G.. the second rows of the wide groups in order.  The rule
-    depends on the edges alone, so one rule serves every T_r weight bundle
-    on that grid.
+    depends on the edges alone: FrequencyGridHierarchy.rule builds the fine
+    grid's once, and every T_r weight bundle of the run shares it.
 
     A zero lower edge is clamped to 1e-12 of the upper edge; the omitted
     sliver carries a vanishing share of any Planck-weighted integral.

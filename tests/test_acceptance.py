@@ -119,7 +119,7 @@ def test_criterion_3_physics_fixed_points():
         assert np.max(np.abs(res.state.T - 1.0)) <= 1e-10
 
         # group-summed Planck emission recovers the T^4 law
-        edges = build_fc_frequency_grid(64).edges
+        edges = build_fc_frequency_grid(64)
         for T in (0.1, 1.0, 3.0):
             tot = phys.planck_groups(np.array([T]), edges).sum()
             ref = 0.5 * phys.C_LIGHT * phys.A_RAD * T**4
@@ -140,7 +140,7 @@ def test_criterion_4_consistency_oracles():
                              ConvergenceCriteria(), 2e-2, 5)
         st, hier, mesh, dt = res.state, prob.hierarchy, prob.mesh, 2e-2
 
-        edges = hier.fine.edges
+        edges = hier.edges
         rad = phys.radiation_weights(st.T_r, phys.log_rule(edges))
         opac = phys.build_group_opacities(st.T, rad, edges, prob.sigma)
         coef1 = loqd.build_fine_coefficients(opac, st.closures, mesh)

@@ -114,7 +114,7 @@ class TestInitialState:
     def test_fields(self):
         prob = _fc()
         st = initial_state(prob)
-        B0 = phys.planck_groups(st.T, prob.hierarchy.fine.edges)
+        B0 = phys.planck_groups(st.T, prob.hierarchy.edges)
         assert np.all(st.T == 1e-3)
         assert np.array_equal(st.E, 2.0 * B0.T / phys.C_LIGHT)
         assert np.all(st.F == 0.0)
@@ -332,9 +332,9 @@ class TestAccounting:
 
     @pytest.mark.parametrize("kind,counts", [("V", (16, 1)),
                                              ("F", (16, 8, 4, 1))])
-    def test_log_rule_built_once_per_step(self, monkeypatch, kind, counts):
-        # the rule depends on the fine edges alone: each time step builds it
-        # once, however many T_r weight bundles the step makes
+    def test_log_rule_built_once_per_run(self, monkeypatch, kind, counts):
+        # the rule depends on the fine edges alone: the hierarchy builds it
+        # once per run, however many steps and T_r weight bundles it takes
         log_rule, weights = phys.log_rule, phys.radiation_weights
         calls = {"rule": 0, "weights": 0}
 
@@ -352,7 +352,7 @@ class TestAccounting:
         run_simulation(_fc(counts), make_schedule(kind, counts, 2),
                        ConvergenceCriteria(), 2e-2, n_steps)
         assert calls["weights"] > n_steps
-        assert 0 < calls["rule"] <= n_steps
+        assert calls["rule"] == 1
 
 
 class TestConvergenceRecords:
@@ -396,7 +396,7 @@ class TestConvergenceRecords:
             out = phys.FleckCummingsOpacity()(nu, T)
             return np.where((nu > 0.1) & (nu < 0.15), np.nan, out)
         prob = replace(_fc(), sigma=sigma)
-        edges = prob.hierarchy.fine.edges
+        edges = prob.hierarchy.edges
         g = int(np.searchsorted(edges, 0.1))  # the group holding nu = 0.1
         assert edges[g - 1] < 0.1 < edges[g]
         calls = []
@@ -519,11 +519,14 @@ class TestRunSimulation:
     def test_step_writes_into_no_input(self, kind, counts):
         # a step shares its inputs uncopied (the state's closures go into
         # the fine coefficients as they are), so it must write into none:
-        # every input is read-only, and two steps leave each one's bytes
+        # every input is read-only, and two steps leave each one's bytes.
+        # The fine edges and their log-frequency rule outlive every step.
         prob = _fc(counts)
         sched = make_schedule(kind, counts, 2)
+        rule = prob.hierarchy.rule
         inputs = [prob.inc_left, prob.inc_right, prob.mesh.faces,
-                  prob.quad.mu, prob.quad.w]
+                  prob.quad.mu, prob.quad.w, prob.hierarchy.edges, rule.nu,
+                  rule.w, rule.wide, rule.mid, rule.p3, rule.p4]
         state = initial_state(prob)
         for _ in range(2):
             c = state.closures

@@ -3,22 +3,21 @@
 import numpy as np
 import pytest
 
-from trtmg.grids import (AngularQuadrature, FrequencyGrid, GridError,
-                         SpatialMesh, build_fc_frequency_grid, build_hierarchy,
+from trtmg.grids import (AngularQuadrature, GridError, SpatialMesh,
+                         build_fc_frequency_grid, build_hierarchy,
                          double_gauss_legendre)
 
 
 class TestFrequencyGrid:
     def test_benchmark_grid_shape(self):
-        g = build_fc_frequency_grid(256)
-        assert g.n_groups == 256
-        assert g.edges.shape == (257,)
-        assert g.edges[0] == 0.0
-        assert g.edges[1] == pytest.approx(1e-4, rel=1e-15)
-        assert g.edges[-2] == pytest.approx(10.0, rel=1e-15)
-        assert g.edges[-1] == 1e7
+        edges = build_fc_frequency_grid(256)
+        assert edges.shape == (257,)
+        assert edges[0] == 0.0
+        assert edges[1] == pytest.approx(1e-4, rel=1e-15)
+        assert edges[-2] == pytest.approx(10.0, rel=1e-15)
+        assert edges[-1] == 1e7
         # interior edges are log-uniform
-        r = np.diff(np.log(g.edges[1:-1]))
+        r = np.diff(np.log(edges[1:-1]))
         assert np.allclose(r, r[0], rtol=1e-12)
 
     def test_too_few_groups(self):
@@ -27,13 +26,13 @@ class TestFrequencyGrid:
 
     def test_edges_must_increase(self):
         with pytest.raises(GridError):
-            FrequencyGrid(np.array([0.0, 2.0, 1.0]))
+            build_hierarchy(np.array([0.0, 2.0, 1.0]), (2, 1))
         # a NaN compares false both ways, and an infinite top edge would
         # give the last group a NaN opacity
         for edges in ([0.0, np.nan, 1.0], [0.0, 1.0, np.inf],
                       [np.nan, 1.0, 2.0]):
             with pytest.raises(GridError, match="finite"):
-                FrequencyGrid(np.array(edges))
+                build_hierarchy(np.array(edges), (2, 1))
 
 
 class TestHierarchy:
@@ -64,6 +63,18 @@ class TestHierarchy:
         q2 = np.arange(20.0).reshape(10, 2)
         assert hier.restrict(q2, 1)[:, 1].tolist() == \
             hier.restrict(q2[:, 1], 1).tolist()
+
+    def test_keeps_a_read_only_copy_of_the_edges(self):
+        # the hierarchy owns its edges: the caller's array stays writable,
+        # and a later write into it does not reach the hierarchy
+        edges = build_fc_frequency_grid(4)
+        hier = build_hierarchy(edges, (4, 1))
+        assert edges.flags.writeable
+        assert not hier.edges.flags.writeable
+        edges[-1] = 2e7
+        assert hier.edges[-1] == 1e7
+        with pytest.raises(ValueError):
+            hier.edges[0] = 1.0
 
     def test_validation(self):
         fine = build_fc_frequency_grid(16)

@@ -113,8 +113,7 @@ def test_merge_consistency_fine_to_coarse_to_grey():
     # the merged system, solved with restricted previous-time data, must
     # reproduce the restriction of the source-level solution exactly
     mesh = SpatialMesh(np.array([0.0, 0.7, 1.5, 2.1]))
-    fine = build_fc_frequency_grid(4)
-    hier = build_hierarchy(fine, (4, 2, 1))
+    hier = build_hierarchy(build_fc_frequency_grid(4), (4, 2, 1))
     rng = np.random.default_rng(77)
     coef = random_coefficients(4, mesh, rng)
     E_prev = 0.2 + rng.random((4, 3))

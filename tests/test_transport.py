@@ -226,6 +226,26 @@ def test_moments_of_isotropic_field():
     assert np.allclose(F, 0.0, atol=1e-15)
 
 
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="ClosureData.isotropic hard-codes C = -1/2, 1/2 "
+                          "and f = 1/3, the isotropic closure of half ranges "
+                          "with sum w mu = sum w / 2 only")
+def test_isotropic_closure_is_the_sweep_closure_of_an_isotropic_field():
+    # on UNEVEN the closures of an isotropic field are f = 0.72 / 2 = 0.36
+    # and C = (-0.55, 0.53), so the run's first pass, which takes its
+    # closure from ClosureData.isotropic, would use another boundary closure
+    # than every later pass
+    G, M, nx = 2, UNEVEN.n_dirs, 3
+    val = np.array([3.0, 5.0])
+    psi = np.broadcast_to(val[:, None], (nx, 2, G, M)).copy()
+    inc = np.broadcast_to(val[:, None], (G, M)).copy()
+    want = transport.compute_qd_factors(psi, inc, inc, UNEVEN)
+    got = transport.ClosureData.isotropic(nx, inc, inc, UNEVEN)
+    for name in ("f", "f_face", "C", "bc_in"):
+        assert np.allclose(getattr(got, name), getattr(want, name),
+                           rtol=1e-14, atol=0.0), name
+
+
 def test_transport_solve_equilibrium_closures():
     # end to end through the opacity set: equilibrium stays put and the
     # closures come back isotropic
