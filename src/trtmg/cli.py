@@ -179,12 +179,13 @@ def write_outputs(result: SimulationResult, out_dir, x):
                ((t, *cell) for t, T, E in result.snapshots
                 for cell in zip(x, T, E)))
     _write_csv(out / "stats.csv", ("step", "t_ns", "M_ti", "M_c", "M_lo"),
-               ((r.step, r.t, r.m_ti, r.m_c, r.m_lo) for r in result.steps))
+               ((r.step, r.t, r.m_ti, r.m_c, r.m_lo)
+                for r in result.stats.steps))
     _write_csv(out / "totals.csv", ("cycle", "n_grids", "grids", "l_max",
                                     "N_ti", "N_c", "N_lo"),
                [_totals_row(result)])
     _write_csv(out / "conv_hist.csv", ("step", "s", "l", "dT_inf"),
-               ((r.step, r.s, r.cycle, r.dT) for r in result.conv))
+               ((r.step, r.s, r.cycle, r.dT) for r in result.stats.conv))
 
 
 def main(argv=None) -> int:
@@ -208,8 +209,7 @@ def main(argv=None) -> int:
     overrides = vars(args)
     try:  # every run object, each checking its own inputs, before any solve
         cfg = parse_config(overrides.pop("config"), overrides)
-        schedule = make_schedule(cfg.cycle, cfg.grids, cfg.lmax,
-                                 cfg.visits or None)
+        schedule = make_schedule(cfg.cycle, cfg.grids, cfg.lmax, cfg.visits)
         criteria = ConvergenceCriteria(cfg.eps, cfg.eps_tilde, cfg.max_outer)
         n_steps = step_count(cfg.tend, cfg.dt)
         problem = fc_problem(cfg)

@@ -16,7 +16,7 @@ n_fine + sum of coarse group counts + (K + 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,14 +49,15 @@ class CycleSchedule:
         return len(self.counts)
 
 
-def make_schedule(kind: str, counts, l_max: int, visits=None) -> CycleSchedule:
+def make_schedule(kind: str, counts, l_max: int, visits=()) -> CycleSchedule:
     counts = tuple(int(n) for n in counts)
+    visits = tuple(int(g) for g in visits)
     kind = kind.upper() if kind.upper() in ("V", "W", "F") else kind.lower()
     if l_max < 1:
         raise ScheduleError(f"l_max must be >= 1, got {l_max}")
     n = len(counts)
     if kind in ("V", "W", "F"):
-        if visits is not None:
+        if visits:
             raise ScheduleError(f"{kind} cycle takes no explicit visit list")
         if not {"V": n == 2, "W": n == 3, "F": n >= 3}[kind]:
             raise ScheduleError(f"{kind} cycle cannot use {n} grids: V uses "
@@ -64,9 +65,8 @@ def make_schedule(kind: str, counts, l_max: int, visits=None) -> CycleSchedule:
         # every intermediate grid once, coarsest first
         visits = tuple(range(n - 1, 1, -1))
     elif kind == "custom":
-        if visits is None:
+        if not visits:
             raise ScheduleError("custom schedule requires an explicit visit list")
-        visits = tuple(int(g) for g in visits)
         for g in visits:
             if not 1 < g < n:
                 raise ScheduleError(
@@ -89,13 +89,6 @@ class ConvergenceCriteria:
             raise ValueError(f"max_outer must be >= 1, got {self.max_outer}")
 
 
-@dataclass
-class IterationStats:
-    n_ti: int = 0
-    n_c: int = 0
-    n_lo: int = 0
-
-
 @dataclass(frozen=True)
 class StepRecord:
     step: int
@@ -111,6 +104,18 @@ class ConvRecord:
     s: int       # transport iteration
     cycle: int   # inner cycle index, 0 for the outer-iteration change
     dT: float    # max-norm temperature change
+
+
+@dataclass
+class IterationStats:
+    """The run's record: the N_ti/N_c/N_lo totals, one StepRecord per
+    committed step, and one ConvRecord per inner cycle and per outer
+    iteration."""
+    n_ti: int = 0
+    n_c: int = 0
+    n_lo: int = 0
+    steps: list = field(default_factory=list)
+    conv: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -275,9 +280,11 @@ def run_cycle(problem: Problem, prev: SimulationState, T_tilde, work: _StepWork,
 def run_transport_iteration(problem: Problem, prev: SimulationState,
                             work: _StepWork, schedule: CycleSchedule,
                             criteria: ConvergenceCriteria, s: int, dt: float,
-                            stats: IterationStats, conv=None, step_index=0):
-    """One outer iteration: sweep (for s > 0) then inner cycles to tolerance
-    or l_max.  Returns the outer relative changes (dT, dE)."""
+                            stats: IterationStats):
+    """One outer iteration of the step after the last recorded one: sweep
+    (for s > 0) then inner cycles to tolerance or l_max.  Returns the outer
+    relative changes (dT, dE)."""
+    step = len(stats.steps) + 1
     T_entry = T_tilde = work.T
     E_entry = work.E_mon
     for ell in range(1, schedule.l_max + 1):
@@ -297,24 +304,22 @@ def run_transport_iteration(problem: Problem, prev: SimulationState,
         dT = _dinf(T_new, T_tilde)
         dE = _dinf(work.E_mon, E_old)
         rT, rE = _rel(dT, T_new), _rel(dE, work.E_mon)
-        if conv is not None:
-            conv.append(ConvRecord(step_index, s, ell, dT))
+        stats.conv.append(ConvRecord(step, s, ell, dT))
         T_tilde = T_new
         if rT <= criteria.eps_tilde and rE <= criteria.eps_tilde:
             break
     work.T = T_tilde
     dT_out = _dinf(T_tilde, T_entry)
     dE_out = _dinf(work.E_mon, E_entry)
-    if conv is not None:
-        conv.append(ConvRecord(step_index, s, 0, dT_out))
+    stats.conv.append(ConvRecord(step, s, 0, dT_out))
     return _rel(dT_out, T_tilde), _rel(dE_out, work.E_mon)
 
 
 def run_time_step(problem: Problem, state: SimulationState,
                   schedule: CycleSchedule, criteria: ConvergenceCriteria,
-                  dt: float, stats: IterationStats = None, conv=None,
-                  step_index: int = 0) -> SimulationState:
-    """Advance one time step and return the committed new state.
+                  dt: float, stats: IterationStats = None) -> SimulationState:
+    """Advance one time step, the step after the last one stats records, and
+    return the committed new state; on commit stats records the step.
 
     At least one sweep always happens (convergence is only tested from
     s >= 1).  The committed temperature is the last grey Newton iterate, and
@@ -333,34 +338,35 @@ def run_time_step(problem: Problem, state: SimulationState,
                             f"the problem's {problem.hierarchy.counts}")
     if stats is None:
         stats = IterationStats()
+    step = len(stats.steps) + 1
+    before = (stats.n_ti, stats.n_c, stats.n_lo)
     grey_E_prev = state.E.sum(axis=0, keepdims=True)
     work = _StepWork(
         T=state.T, T_r=state.T_r, psi=state.psi, closures=state.closures,
         E_mon=grey_E_prev[0], grey_E_prev=grey_E_prev,
         grey_F_prev=state.F.sum(axis=0, keepdims=True))
 
-    converged = False
-    rT = rE = np.inf
     for s in range(criteria.max_outer + 1):
         try:
             rT, rE = run_transport_iteration(problem, state, work, schedule,
-                                             criteria, s, dt, stats, conv,
-                                             step_index)
+                                             criteria, s, dt, stats)
         except ConvergenceError as e:
-            raise ConvergenceError(f"step {step_index}: transport iteration "
+            raise ConvergenceError(f"step {step}: transport iteration "
                                    f"s={s} failed: {e}") from e
         if not (np.isfinite(rT) and np.isfinite(rE)):
             raise ConvergenceError(
-                f"step {step_index}: non-finite outer change at transport "
+                f"step {step}: non-finite outer change at transport "
                 f"iteration s={s} (dT={rT:.3e}, dE={rE:.3e})")
         if s >= 1 and rT <= criteria.eps and rE <= criteria.eps:
-            converged = True
             break
-    if not converged:
+    else:
         raise ConvergenceError(
-            f"step {step_index}: outer iterations hit the cap "
+            f"step {step}: outer iterations hit the cap "
             f"{criteria.max_outer} (dT={rT:.3e}, dE={rE:.3e})")
 
+    stats.steps.append(StepRecord(step, step * dt, stats.n_ti - before[0],
+                                  stats.n_c - before[1],
+                                  stats.n_lo - before[2]))
     # commit: T from the last grey Newton step, fine moments whose group
     # sums are that step's grey moments, so the energy budget is exact
     grey_sol = work.grey_sol
@@ -373,9 +379,7 @@ def run_time_step(problem: Problem, state: SimulationState,
 
 @dataclass
 class SimulationResult:
-    steps: list
     snapshots: list          # (t, T, E_total) tuples
-    conv: list
     stats: IterationStats
     state: SimulationState
     schedule: CycleSchedule
@@ -399,24 +403,19 @@ def run_simulation(problem: Problem, schedule: CycleSchedule,
                    criteria: ConvergenceCriteria, dt: float, n_steps: int,
                    snapshot_times: tuple = ()) -> SimulationResult:
     """n_steps fixed steps of size dt (see step_count), recording each
-    step's iteration counts, every iteration's temperature change, and
-    field snapshots at t = j dt, j = 0 (no step taken) to n_steps, for each
-    j with a requested time strictly within half a step of t."""
+    step's iteration counts and every iteration's temperature change in
+    stats, and field snapshots at t = j dt, j = 0 (no step taken) to
+    n_steps, for each j with a requested time strictly within half a step
+    of t."""
     state = initial_state(problem)
     stats = IterationStats()
-    conv = []
-    steps = []
     snapshots = []
     for j in range(n_steps + 1):
         t = j * dt  # not a running sum, which would drift
-        if j:
-            before = (stats.n_ti, stats.n_c, stats.n_lo)
+        if j:  # step j: stats records the j - 1 before it
             state = run_time_step(problem, state, schedule, criteria, dt,
-                                  stats, conv, j)
-            steps.append(StepRecord(j, t, stats.n_ti - before[0],
-                                    stats.n_c - before[1],
-                                    stats.n_lo - before[2]))
+                                  stats)
         if any(abs(ts - t) < 0.5 * dt * (1.0 - 1e-9) for ts in snapshot_times):
             snapshots.append((t, state.T, state.E.sum(axis=0)))
-    return SimulationResult(steps=steps, snapshots=snapshots, conv=conv,
-                            stats=stats, state=state, schedule=schedule)
+    return SimulationResult(snapshots=snapshots, stats=stats, state=state,
+                            schedule=schedule)

@@ -91,7 +91,7 @@ def build_hierarchy(edges, counts) -> FrequencyGridHierarchy:
                         "strictly increasing")
     edges.flags.writeable = False
     counts = tuple(int(n) for n in counts)
-    if counts[0] != edges.size - 1:
+    if not counts or counts[0] != edges.size - 1:
         raise GridError("hierarchy must start at the fine grid group count")
     if counts[-1] != 1:
         raise GridError("hierarchy must end at a single grey interval")

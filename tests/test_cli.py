@@ -187,7 +187,7 @@ class TestWriteOutputs:
         assert len(prof) == 1 + 2 * prob.mesh.n_cells
         stats = _rows(tmp_path / "stats.csv")
         assert stats[0] == ["step", "t_ns", "M_ti", "M_c", "M_lo"]
-        assert len(stats) == 1 + len(res.steps)
+        assert len(stats) == 1 + len(res.stats.steps)
         totals = _rows(tmp_path / "totals.csv")
         assert totals[0] == ["cycle", "n_grids", "grids", "l_max",
                              "N_ti", "N_c", "N_lo"]
@@ -195,7 +195,7 @@ class TestWriteOutputs:
                              str(res.stats.n_c), str(res.stats.n_lo)]
         conv = _rows(tmp_path / "conv_hist.csv")
         assert conv[0] == ["step", "s", "l", "dT_inf"]
-        assert len(conv) == 1 + len(res.conv)
+        assert len(conv) == 1 + len(res.stats.conv)
 
     def test_values_round_trip(self, small_run, tmp_path):
         # 17 significant digits reproduce the doubles exactly
@@ -207,7 +207,7 @@ class TestWriteOutputs:
         assert float(prof[0][2]) == T0[0]
         assert float(prof[0][3]) == E0[0]
         conv = _rows(tmp_path / "conv_hist.csv")[1:]
-        assert float(conv[0][3]) == res.conv[0].dT
+        assert float(conv[0][3]) == res.stats.conv[0].dT
 
     def test_no_snapshots_skips_profiles(self, small_run, tmp_path):
         # the profile rows are skipped, not the file: every run writes
@@ -231,7 +231,7 @@ class TestWriteOutputs:
         prob, res = small_run
         write_outputs(res, tmp_path, x=prob.mesh.centers)
         rows = _rows(tmp_path / name)
-        records = res.steps if record is StepRecord else res.conv
+        records = res.stats.steps if record is StepRecord else res.stats.conv
         assert len(rows[0]) == len(fields(record))
         assert len(rows) == 1 + len(records)
         for row, rec in zip(rows[1:], records):

@@ -1,6 +1,6 @@
 """Cycle schedules, iteration accounting, time stepping, and the outer loop."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -42,6 +42,14 @@ class TestMakeSchedule:
         c = make_schedule("custom", (16, 8, 4, 1), 1, visits=(2, 3, 2))
         assert c.kind == "custom" and c.visits == (2, 3, 2)
 
+    def test_empty_visit_list_is_no_list(self):
+        # () is the one "no visit list" value, the default and what an
+        # empty `visits =` line parses to: V, W and F take it
+        assert make_schedule("V", (16, 1), 1, ()).visits == ()
+        assert make_schedule("F", (16, 8, 4, 1), 1, ()).visits == (3, 2)
+
+    # None in these tables names "no visit list" in the test ids; the
+    # schedule is given () for it
     @pytest.mark.parametrize("kind,counts,visits", [
         ("V", (256, 32, 1), None),     # V is strictly two grids
         ("W", (256, 1), None),
@@ -53,10 +61,11 @@ class TestMakeSchedule:
         ("custom", (16, 8, 1), None),  # visits required
         ("custom", (16, 8, 1), (1,)),  # fine grid is not a visit target
         ("custom", (16, 8, 1), (3,)),  # neither is the grey grid
+        ("custom", (4, 2, 1), None),
     ])
     def test_rejects(self, kind, counts, visits):
         with pytest.raises(ScheduleError):
-            make_schedule(kind, counts, 1, visits)
+            make_schedule(kind, counts, 1, visits or ())
 
     def test_rejects_bad_lmax(self):
         with pytest.raises(ScheduleError):
@@ -143,7 +152,7 @@ class TestEquilibrium:
         drift = np.max(np.abs(res.state.E - E0)) / np.max(E0)
         assert drift <= 1e-11
         # nothing changes, so each step converges on its first tested sweep
-        assert all(rec.m_ti == 1 for rec in res.steps)
+        assert all(rec.m_ti == 1 for rec in res.stats.steps)
 
     def test_perturbed_start_relaxes(self):
         # a start 1e-10 off the bath temperature must not grow: the commit
@@ -186,7 +195,7 @@ def _small_runs(draw):
     mids = draw(st.lists(st.integers(2, groups - 1), min_size=n_mid,
                          max_size=n_mid, unique=True))
     counts = (groups, *sorted(mids, reverse=True), 1)
-    visits = None
+    visits = ()
     if kind == "custom":
         visits = draw(st.lists(st.integers(2, len(counts) - 1), min_size=1,
                                max_size=3))
@@ -213,7 +222,7 @@ def test_invariants_across_inputs(run):
         reject()
     assert len(taken) == n_steps
     cost = per_cycle_cost(sched)
-    assert all(rec.m_lo == cost * rec.m_c for rec in res.steps)
+    assert all(rec.m_lo == cost * rec.m_c for rec in res.stats.steps)
 
 
 @pytest.mark.xfail(raises=ConvergenceError, strict=True,
@@ -239,10 +248,10 @@ class TestAccounting:
         sched = make_schedule(kind, counts, 2)
         res = run_simulation(prob, sched, ConvergenceCriteria(), 2e-2, 5)
         assert res.stats.n_lo == res.stats.n_c * per_cycle_cost(sched)
-        assert res.stats.n_ti >= len(res.steps)
+        assert res.stats.n_ti >= len(res.stats.steps)
 
     @pytest.mark.parametrize("kind,counts,visits", [
-        ("V", (16, 1), None),
+        ("V", (16, 1), None),          # None: no visit list, given as ()
         ("W", (16, 4, 1), None),
         ("F", (16, 8, 4, 1), None),
         ("custom", (16, 8, 4, 1), (2, 3, 2)),
@@ -264,7 +273,7 @@ class TestAccounting:
 
         monkeypatch.setattr(loqd, "solve_moment_system", solve_moment_system)
         monkeypatch.setattr(grey, "solve_grey_meb", solve_grey_meb)
-        sched = make_schedule(kind, counts, 2, visits)
+        sched = make_schedule(kind, counts, 2, visits or ())
         res = run_simulation(_fc(counts), sched, ConvergenceCriteria(),
                              2e-2, 2)
         assert res.stats.n_c > 0
@@ -275,9 +284,9 @@ class TestAccounting:
         prob = _fc((16, 4, 1))
         sched = make_schedule("W", (16, 4, 1), 2)
         res = run_simulation(prob, sched, ConvergenceCriteria(), 2e-2, 5)
-        assert sum(r.m_ti for r in res.steps) == res.stats.n_ti
-        assert sum(r.m_c for r in res.steps) == res.stats.n_c
-        assert sum(r.m_lo for r in res.steps) == res.stats.n_lo
+        assert sum(r.m_ti for r in res.stats.steps) == res.stats.n_ti
+        assert sum(r.m_c for r in res.stats.steps) == res.stats.n_c
+        assert sum(r.m_lo for r in res.stats.steps) == res.stats.n_lo
 
     def test_lmax_caps_cycles_per_outer(self):
         # with an unreachable inner tolerance every outer pass runs exactly
@@ -286,7 +295,7 @@ class TestAccounting:
         sched = make_schedule("V", (16, 1), 3)
         crit = ConvergenceCriteria(eps=1e-6, eps_tilde=1e-30)
         res = run_simulation(prob, sched, crit, 2e-2, 3)
-        n_outer = res.stats.n_ti + len(res.steps)
+        n_outer = res.stats.n_ti + len(res.stats.steps)
         assert res.stats.n_c == 3 * n_outer
 
     @pytest.mark.parametrize("kind,counts", [("V", (16, 1)),
@@ -356,12 +365,33 @@ class TestAccounting:
 
 
 class TestConvergenceRecords:
+    def test_direct_steps_record_as_the_driver(self):
+        # a time step numbers itself from the record it extends, so two
+        # direct steps on one record are the driver's two-step run, records
+        # and states bit for bit
+        prob = _fc()
+        sched = make_schedule("V", (16, 1), 4)
+        crit = ConvergenceCriteria()
+        res = run_simulation(prob, sched, crit, 2e-2, 2)
+        stats = IterationStats()
+        state = initial_state(prob)
+        for _ in range(2):
+            state = run_time_step(prob, state, sched, crit, 2e-2, stats)
+        assert [r.step for r in stats.steps] == [1, 2]
+        assert {r.step for r in stats.conv} == {1, 2}
+        assert stats == res.stats  # the totals and every record
+        for a, b in ((state, res.state), (state.closures, res.state.closures)):
+            for f in fields(a):
+                if f.name != "closures":
+                    assert getattr(a, f.name).tobytes() == \
+                        getattr(b, f.name).tobytes()
+
     def test_rows_per_step(self):
         prob = _fc()
         sched = make_schedule("V", (16, 1), 4)
         res = run_simulation(prob, sched, ConvergenceCriteria(), 2e-2, 2)
-        for rec in res.steps:
-            rows = [r for r in res.conv if r.step == rec.step]
+        for rec in res.stats.steps:
+            rows = [r for r in res.stats.conv if r.step == rec.step]
             outer = [r for r in rows if r.cycle == 0]
             assert [r.s for r in outer] == list(range(rec.m_ti + 1))
             assert len([r for r in rows if r.cycle > 0]) == rec.m_c
@@ -383,9 +413,9 @@ class TestConvergenceRecords:
         prob = replace(_fc(), sigma=nan_sigma)
         sched = make_schedule("V", (16, 1), 4)
         stats = IterationStats()
-        with pytest.raises(ConvergenceError, match=r"step 3: .* s=0 "):
+        with pytest.raises(ConvergenceError, match=r"step 1: .* s=0 "):
             run_time_step(prob, initial_state(prob), sched,
-                          ConvergenceCriteria(), 2e-2, stats, step_index=3)
+                          ConvergenceCriteria(), 2e-2, stats)
         assert stats.n_ti <= 1
         assert stats.n_c <= sched.l_max
 
@@ -406,12 +436,12 @@ class TestConvergenceRecords:
                             lambda *a: calls.append(a))
         stats = IterationStats()
         with pytest.raises(ConvergenceError,
-                           match=rf"^step 2: transport iteration s=0 failed: "
+                           match=rf"^step 1: transport iteration s=0 failed: "
                                  rf"opacity build: sig_B is nan in cell 0, "
                                  rf"group {g - 1}$"):
             run_time_step(prob, initial_state(prob),
                           make_schedule("V", (16, 1), 4),
-                          ConvergenceCriteria(), 2e-2, stats, step_index=2)
+                          ConvergenceCriteria(), 2e-2, stats)
         assert calls == []
         assert (stats.n_ti, stats.n_c, stats.n_lo) == (0, 0, 0)
 

@@ -80,6 +80,8 @@ class TestHierarchy:
         fine = build_fc_frequency_grid(16)
         with pytest.raises(GridError):
             build_hierarchy(fine, (8, 4, 1))     # wrong fine count
+        with pytest.raises(GridError, match="start at the fine grid"):
+            build_hierarchy(fine, ())            # no grid at all
         with pytest.raises(GridError):
             build_hierarchy(fine, (16, 4))       # must end at grey
         with pytest.raises(GridError):
