@@ -292,12 +292,14 @@ def run_transport_iteration(problem: Problem, prev: SimulationState,
         opac = _opacities(problem, work, T_tilde)
         if ell == 1 and s > 0:
             # the sweep shares the first cycle's opacities; that cycle's fine
-            # solve moves T_r, so the weights go now, before the sweep's
-            # large temporaries
+            # solve moves T_r, so the weights go now.  The step's first sweep
+            # writes a new psi, each later one over the step's spent psi:
+            # the committed prev.psi is never written
             work.rad = None
             work.psi, work.closures = transport.transport_solve(
                 prev.psi, problem.inc_left, problem.inc_right, opac,
-                problem.mesh, problem.quad, dt)
+                problem.mesh, problem.quad, dt,
+                out=None if work.psi is prev.psi else work.psi)
             stats.n_ti += 1
         T_new = run_cycle(problem, prev, T_tilde, work, schedule, dt, stats,
                           opac)

@@ -23,12 +23,14 @@ solve with an effective absorption opacity and emission source.
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 
 from . import loqd
 from .grids import SpatialMesh
 from .phys import A_RAD, C_LIGHT, T_FLOOR, MaterialModel
+from .transport import ConvergenceError
 
 log = logging.getLogger(__name__)
 
@@ -70,7 +72,8 @@ def solve_grey_meb(coef: loqd.LoqdCoefficients, E_star: np.ndarray,
     fall back to the quartic slope at frozen sigma_B).  E_prev/F_prev are
     the grey (spectrum-summed) moments at the previous time step.
 
-    Returns (T_new, grey MomentField, this stage).
+    Returns (T_new, grey MomentField, this stage).  Raises ConvergenceError
+    at the first cell whose T_new is not finite.
     """
     c, a_R = C_LIGHT, A_RAD
     cv_dt = material.c_v / dt
@@ -100,6 +103,11 @@ def solve_grey_meb(coef: loqd.LoqdCoefficients, E_star: np.ndarray,
                                    np.atleast_2d(F_prev), dt, mesh,
                                    sig_E=sig_eff[None], source=S_eff[None])
     T_new = T_stage + (c * sigE * sol.E[0] - r) / chi
+    if not math.isfinite(T_new.sum()):  # the scan decides: a sum can overflow
+        bad = np.flatnonzero(~np.isfinite(T_new))
+        if bad.size:
+            raise ConvergenceError(f"grey Newton step: T_new is "
+                                   f"{T_new[bad[0]]} in cell {bad[0]}")
     if np.any(T_new < 0.0):
         log.warning("negative temperature after grey update in %d cells; "
                     "flooring", int(np.sum(T_new < 0.0)))

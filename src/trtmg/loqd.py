@@ -14,13 +14,14 @@ E_g = 2 B_g / c, so the spectrum-integrated energy density is a_R T^4.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grids import SpatialMesh, segment_sum
 from .phys import C_LIGHT, GroupOpacitySet
-from .transport import ClosureData
+from .transport import ClosureData, ConvergenceError
 
 
 @dataclass
@@ -110,7 +111,9 @@ def solve_moment_system(coef: LoqdCoefficients, E_prev: np.ndarray,
     Face fluxes are eliminated from the first-moment equations, leaving a
     tridiagonal system in [E_left_face, E_cells..., E_right_face] per
     interval.  sig_E/source override the absorption and emission density
-    (used by the grey solve); source defaults to 2 sigma_B B.
+    (used by the grey solve); source defaults to 2 sigma_B B.  Raises
+    ConvergenceError at the first non-finite E, E_face or F, naming the
+    level, interval and cell or face (E_face's 0 is x = 0, 1 is x = X).
     """
     c = C_LIGHT
     P = coef.n_intervals
@@ -160,7 +163,19 @@ def solve_moment_system(coef: LoqdCoefficients, E_prev: np.ndarray,
     # back to one row per interval, in the memory layout callers sum over
     u = np.array(_thomas(*bands)).reshape(-1, P).T.copy()
     F = (R + ca1 * u[:, :-1] - ca2 * u[:, 1:]) / D
-    return MomentField(E=u[:, 1:-1], E_face=u[:, [0, -1]], F=F)
+    sol = MomentField(E=u[:, 1:-1], E_face=u[:, [0, -1]], F=F)
+    # one cheap sum guards the scan, which alone decides: a sum can overflow
+    if not math.isfinite(u.sum() + F.sum()):
+        for name, at in (("E", "cell"), ("E_face", "boundary face"),
+                         ("F", "face")):
+            x = getattr(sol, name)
+            bad = np.argwhere(~np.isfinite(x))
+            if bad.size:
+                p, i = bad[0]
+                raise ConvergenceError(
+                    f"low-order solve on level {coef.level}: {name} is "
+                    f"{float(x[p, i])} in interval {p}, {at} {i}")
+    return sol
 
 
 def _wmean(values: np.ndarray, weights: np.ndarray, den: np.ndarray,

@@ -12,6 +12,13 @@ contiguous (n_groups, n_dirs) block and each step of the sweep's cell loop
 reads and writes whole blocks.  Directions run in ascending mu, so the
 mu < 0 half range comes first.  Its sweep is the mu > 0 sweep of the
 mirrored slab: cells and corners reversed and |mu| as the cosine.
+
+The sweep's working set is one cell: each temporary is formed for one
+cell's (2, n_groups, m) block inside the cell loop, and both corners are
+divided straight into psi.  psi itself is written into a caller's array
+when one is given, so a time step's later sweeps overwrite the psi of its
+earlier ones instead of allocating anew; the closure extraction fills its
+cell average through a view in psi's own order.
 """
 
 from __future__ import annotations
@@ -69,40 +76,47 @@ def _sweep_rightward(psi, psi_prev, sigma, q, hdx, tau, mu, inflow):
     """Corner-balance sweep of one half range from the left face to the
     right: psi and psi_prev (n_x, 2, G, m), sigma and q (n_x, G), hdx
     (n_x, 1) half cell widths, mu (m,) > 0, inflow (G, m) entering the left
-    face."""
+    face.  mu, mu/2 and (mu/2)^2 are tiled to (G, m) once, since the
+    loop's products with them run faster on whole blocks than broadcast row
+    by row."""
+    G = inflow.shape[0]
     a = ((sigma + tau) * hdx)[:, :, None]        # (n_x, G, 1)
-    # b = hdx (q/2 + tau psi_prev), built in place as a contiguous block of
-    # this half range; addition and multiplication commute, so each element
-    # rounds exactly as in that formula
-    b = tau * psi_prev
-    b += 0.5 * q[:, None, :, None]
-    b *= hdx[:, None, :, None]
-    half = 0.5 * mu
-    half_a = half + a                            # (n_x, G, m)
-    det = half_a**2 + half**2
+    qh = 0.5 * q[:, None, :, None]               # (n_x, 1, G, 1)
+    half = np.tile(0.5 * mu, (G, 1))
+    half2 = half**2
+    mu = np.tile(mu, (G, 1))
     for i in range(psi.shape[0]):
-        sL = b[i, 0] + mu * inflow
-        bR = b[i, 1]
-        ha = half_a[i]
-        psi[i, 0] = (sL * ha - half * bR) / det[i]
-        psi[i, 1] = (ha * bR + half * sL) / det[i]
+        # b = hdx (q/2 + tau psi_prev); addition and multiplication
+        # commute, so each element rounds exactly as in that formula
+        b = tau * psi_prev[i]
+        b += qh[i]
+        b *= hdx[i]
+        sL, bR = b                               # the left corner in place
+        sL += mu * inflow
+        ha = half + a[i]
+        det = ha**2
+        det += half2
+        np.divide(sL * ha - half * bR, det, out=psi[i, 0])
+        np.divide(ha * bR + half * sL, det, out=psi[i, 1])
         inflow = psi[i, 1]
 
 
 def sweep_all(psi_prev: np.ndarray, inc_left: np.ndarray, inc_right: np.ndarray,
               sigma: np.ndarray, q: np.ndarray, mesh: SpatialMesh,
-              quad: AngularQuadrature, dt) -> np.ndarray:
+              quad: AngularQuadrature, dt, out: np.ndarray = None) -> np.ndarray:
     """Corner-balance sweep of every group and direction for one time level.
 
     Each half cell balances streaming through its faces against absorption
     (sigma plus the implicit time term) and the source q/2 + psi_prev/(c dt);
     the mid-cell face value is the average of the two corner values, cell
     faces are upwinded.  dt = inf gives the steady-state sweep.  sigma and q
-    are (n_x, G), psi_prev and the result (n_x, 2, G, M).
+    are (n_x, G), psi_prev and the result (n_x, 2, G, M).  The result is
+    written into out when given (its old values are never read) and into a
+    new array otherwise.
     """
     tau = 1.0 / (C_LIGHT * dt)
     hdx = 0.5 * mesh.dx[:, None]
-    psi = np.empty_like(psi_prev)
+    psi = np.empty_like(psi_prev) if out is None else out
     n = int(np.searchsorted(quad.mu, 0.0))       # directions with mu < 0
     _sweep_rightward(psi[..., n:], psi_prev[..., n:], sigma, q, hdx, tau,
                      quad.mu[n:], inc_left[:, n:])
@@ -129,12 +143,12 @@ def compute_qd_factors(psi: np.ndarray, inc_left: np.ndarray, inc_right: np.ndar
     """
     w, mu, pos = quad.w, quad.mu, quad.positive
     wmu2 = w * mu * mu
-    # summed straight into (G, M, n_x) order: the einsums then add up the
-    # directions in the order of the groups-leading closure reference, and
-    # the output bytes depend on that order
+    # a C-ordered (G, M, n_x) array, filled through its (n_x, G, M) view so
+    # that the corner sum reads psi in its own order: the einsums then add
+    # up the directions in the order of the groups-leading closure
+    # reference, and the output bytes depend on that order
     psi_bar = np.empty(psi.shape[2:] + psi.shape[:1])
-    np.add(psi[:, 0].transpose(1, 2, 0), psi[:, 1].transpose(1, 2, 0),
-           out=psi_bar)
+    np.add(psi[:, 0], psi[:, 1], out=psi_bar.transpose(2, 0, 1))
     psi_bar *= 0.5
 
     moment0 = np.einsum("m,gmi->gi", w, psi_bar)
@@ -166,9 +180,10 @@ def compute_qd_factors(psi: np.ndarray, inc_left: np.ndarray, inc_right: np.ndar
 
 def transport_solve(psi_prev: np.ndarray, inc_left: np.ndarray, inc_right: np.ndarray,
                     opac: GroupOpacitySet, mesh: SpatialMesh, quad: AngularQuadrature,
-                    dt):
+                    dt, out: np.ndarray = None):
     """One transport solve at fixed coefficients: sweep all groups with the
-    absorption opacity and emission source sigma_B*B, then extract closures."""
+    absorption opacity and emission source sigma_B*B, into out if given,
+    then extract closures."""
     psi = sweep_all(psi_prev, inc_left, inc_right, opac.sig_E,
-                    opac.sig_B * opac.B, mesh, quad, dt)
+                    opac.sig_B * opac.B, mesh, quad, dt, out=out)
     return psi, compute_qd_factors(psi, inc_left, inc_right, quad)

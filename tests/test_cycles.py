@@ -551,6 +551,8 @@ class TestRunSimulation:
         # the fine coefficients as they are), so it must write into none:
         # every input is read-only, and two steps leave each one's bytes.
         # The fine edges and their log-frequency rule outlive every step.
+        # Each step sweeps at least three times, so the sweeps that write
+        # over the step's own spent psi run too.
         prob = _fc(counts)
         sched = make_schedule(kind, counts, 2)
         rule = prob.hierarchy.rule
@@ -558,6 +560,7 @@ class TestRunSimulation:
                   prob.quad.mu, prob.quad.w, prob.hierarchy.edges, rule.nu,
                   rule.w, rule.wide, rule.mid, rule.p3, rule.p4]
         state = initial_state(prob)
+        stats = IterationStats()
         for _ in range(2):
             c = state.closures
             inputs += [state.T, state.T_r, state.psi, state.E, state.F,
@@ -566,8 +569,37 @@ class TestRunSimulation:
                 a.flags.writeable = False
             before = [a.tobytes() for a in inputs]
             state = run_time_step(prob, state, sched, ConvergenceCriteria(),
-                                  2e-2)
+                                  2e-2, stats)
             assert [a.tobytes() for a in inputs] == before
+            assert stats.steps[-1].m_ti >= 3
+
+    def test_later_sweeps_of_a_step_reuse_its_first_psi(self, monkeypatch):
+        # a step's first sweep writes a new psi; each later sweep of that
+        # step writes over the array the first one returned, and no sweep
+        # writes into the committed psi the step started from
+        solve, sweeps = transport.transport_solve, []
+
+        def spy(*args, out=None):
+            psi, closures = solve(*args, out=out)
+            sweeps.append((out, psi))
+            return psi, closures
+
+        monkeypatch.setattr(transport, "transport_solve", spy)
+        prob = _fc()
+        sched = make_schedule("V", (16, 1), 2)
+        stats = IterationStats()
+        state = initial_state(prob)
+        for _ in range(2):
+            del sweeps[:]
+            new = run_time_step(prob, state, sched, ConvergenceCriteria(),
+                                2e-2, stats)
+            assert len(sweeps) == stats.steps[-1].m_ti >= 3
+            (out, first), later = sweeps[0], sweeps[1:]
+            assert out is None
+            assert all(out is psi is first for out, psi in later)
+            assert not np.shares_memory(first, state.psi)
+            assert new.psi is first
+            state = new
 
 
 class TestEnergyBookkeeping:

@@ -199,3 +199,38 @@ def test_temperature_floor():
         coef, np.zeros(1), None, np.full(1, 0.5), np.zeros((1, 1)),
         np.zeros((1, 2)), np.full(1, 0.5), 10.0, mat, mesh)
     assert T_new[0] >= phys.T_FLOOR
+
+
+def test_nan_coefficient_fails_the_newton_step():
+    # a NaN grey emission opacity in one cell stops the Newton step at its
+    # moment solve, which names the grey level, instead of handing a NaN
+    # temperature to the next stage
+    mesh = SpatialMesh.uniform(4, 2.0)
+    rng = np.random.default_rng(8)
+    coef = _one_group_coef(mesh, rng)
+    coef.sig_B[0, 2] = np.nan
+    T = np.full(4, 0.3)
+    with pytest.raises(transport.ConvergenceError,
+                       match=r"^low-order solve on level 1: E is nan in "
+                             r"interval 0, cell 0$"):
+        grey.solve_grey_meb(coef, np.ones(4), None, T, np.ones((1, 4)),
+                            np.zeros((1, 5)), T, 0.05,
+                            MaterialModel(c_v=0.01), mesh)
+
+
+def test_overflowing_update_names_its_cell():
+    # the update can leave the floats while its moment solve stays finite:
+    # with a subnormal heat capacity and no emission, the one absorbing
+    # cell divides its absorption by the tiny c_v/dt
+    mesh = SpatialMesh.uniform(4, 2.0)
+    coef = _one_group_coef(mesh, np.random.default_rng(8))
+    coef.sig_B[:] = 0.0
+    coef.sig_E[:] = 0.0
+    coef.sig_E[0, 2] = 1.0
+    T = np.full(4, 0.3)
+    with np.errstate(over="ignore"), \
+            pytest.raises(transport.ConvergenceError,
+                          match=r"^grey Newton step: T_new is inf in cell 2$"):
+        grey.solve_grey_meb(coef, np.ones(4), None, T, np.ones((1, 4)),
+                            np.zeros((1, 5)), T, 0.05,
+                            MaterialModel(c_v=5e-324), mesh)

@@ -63,6 +63,22 @@ def test_solver_matches_dense_oracle():
     assert residual_norms(coef, got, E_prev, F_prev, dt, mesh) <= 1e-12
 
 
+@pytest.mark.parametrize("field", ["sig_E", "f", "sig_R_face"])
+def test_nan_coefficient_fails_the_solve(field):
+    # a NaN coefficient of one interval stops the solve at once; the
+    # elimination carries it to every row of that interval only, so the
+    # first non-finite entry is the interval's first cell
+    mesh = SpatialMesh(np.array([0.0, 0.7, 1.5, 2.1]))
+    rng = np.random.default_rng(5)
+    coef = dataclasses.replace(random_coefficients(3, mesh, rng), level=1)
+    getattr(coef, field)[2, 1] = np.nan
+    with pytest.raises(transport.ConvergenceError,
+                       match=r"^low-order solve on level 1: E is nan in "
+                             r"interval 2, cell 0$"):
+        loqd.solve_moment_system(coef, 0.2 + rng.random((3, 3)),
+                                 np.zeros((3, 4)), 0.03, mesh)
+
+
 def test_solver_override_paths():
     mesh = SpatialMesh.uniform(3, 1.5)
     rng = np.random.default_rng(5)

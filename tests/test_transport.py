@@ -3,10 +3,12 @@ against a dense solve of its corner equations, a group energy balance and,
 bit for bit, the two-loop sweep in oracles.py, and the closures bit for bit
 against that sweep's closure extraction."""
 
+import tracemalloc
+
 import numpy as np
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import compute_moments, dense_sweep_oracle, group_balance_residual
 
@@ -124,7 +126,10 @@ def test_sweep_matches_dense_solve():
        quad=st.sampled_from(sorted(QUADRATURES)),
        dt=st.sampled_from([np.inf, 0.05]),
        seed=st.integers(0, 2**32 - 1))
+@example(G=2, dx=[0.7], quad="uneven", dt=0.05, seed=5)
 def test_sweep_matches_two_loop_reference(G, dx, quad, dt, seed):
+    # bit for bit, into a new array and over a NaN-filled one (the path
+    # that reuses a spent psi), one cell included
     quad = QUADRATURES[quad]
     mesh = SpatialMesh(np.concatenate(([0.0], np.cumsum(dx))))
     M, nx = quad.n_dirs, len(dx)
@@ -132,11 +137,39 @@ def test_sweep_matches_two_loop_reference(G, dx, quad, dt, seed):
     psi_prev, inc_left, inc_right = (rng.random((G, M, nx, 2)),
                                      rng.random((G, M)), rng.random((G, M)))
     sigma, q = 0.1 + 5.0 * rng.random((G, nx)), rng.random((G, nx))
-    ref = oracles.sweep_all(psi_prev, inc_left, inc_right, sigma, q, mesh,
-                            quad, dt)
-    got = transport.sweep_all(_relayout(psi_prev), inc_left, inc_right,
-                              sigma.T.copy(), q.T.copy(), mesh, quad, dt)
-    assert np.array_equal(got, _relayout(ref))
+    ref = _relayout(oracles.sweep_all(psi_prev, inc_left, inc_right, sigma,
+                                      q, mesh, quad, dt))
+    args = (_relayout(psi_prev), inc_left, inc_right, sigma.T.copy(),
+            q.T.copy(), mesh, quad, dt)
+    assert np.array_equal(transport.sweep_all(*args), ref)
+    out = np.full_like(ref, np.nan)
+    assert transport.sweep_all(*args, out=out) is out
+    assert np.array_equal(out, ref)
+
+
+def test_sweep_working_set_is_one_cell():
+    # S128 on 20 cells and 64 groups, the v1_s128 benchmark's sizes: a sweep
+    # into a given array holds under a quarter of psi in temporaries, since
+    # each is one cell's block, and returns that array, NaN-filled before,
+    # with the bytes of a sweep into a new array
+    quad = double_gauss_legendre(64)
+    nx, G, M = 20, 64, quad.n_dirs
+    rng = np.random.default_rng(17)
+    psi_prev = rng.random((nx, 2, G, M))
+    args = (rng.random((G, M)), rng.random((G, M)),
+            0.1 + 5.0 * rng.random((nx, G)), rng.random((nx, G)),
+            SpatialMesh.uniform(nx, 2.0), quad, 0.02)
+    want = transport.sweep_all(psi_prev, *args)
+    out = np.full_like(psi_prev, np.nan)
+    tracemalloc.start()
+    try:
+        got = transport.sweep_all(psi_prev, *args, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < psi_prev.nbytes / 4
+    assert got is out
+    assert np.array_equal(got, want)
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
