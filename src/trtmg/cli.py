@@ -145,7 +145,7 @@ def fc_problem(config: RunConfig) -> Problem:
     T_b, T_0 = 1.0, 1e-3
     material = MaterialModel(c_v=0.5917 * A_RAD * T_b**3)
 
-    B_b = phys.planck_groups(np.array([T_b]), hier.edges)[0]  # (G,)
+    B_b = phys.planck_groups(np.array([T_b]), hier.rule, hier.edges)[0]
     G, M = hier.counts[0], quad.n_dirs
     inc_left = np.zeros((G, M))
     inc_left[:, quad.positive] = 0.5 * B_b[:, None]

@@ -145,11 +145,14 @@ class SimulationState:
 def initial_state(problem: Problem) -> SimulationState:
     """Isotropic Planckian field at the initial temperature, zero flux."""
     nx = problem.mesh.n_cells
-    G = problem.hierarchy.counts[0]
+    hier = problem.hierarchy
+    G = hier.counts[0]
     M = problem.quad.n_dirs
-    T0 = np.broadcast_to(np.asarray(problem.T_init, dtype=float),
-                         (nx,)).astype(float)
-    B0 = phys.planck_groups(T0, problem.hierarchy.edges)  # (nx, G)
+    T_init = np.asarray(problem.T_init, dtype=float).reshape(-1)
+    T0 = np.broadcast_to(T_init, (nx,)).astype(float)
+    # a scalar start temperature takes its emission once, not per cell
+    B0 = np.broadcast_to(phys.planck_groups(T_init, hier.rule, hier.edges),
+                         (nx, G))
     psi = np.empty((nx, 2, G, M))
     psi[:] = (0.5 * B0)[:, None, :, None]
     E = np.ascontiguousarray(2.0 * B0.T / C_LIGHT)  # (G, nx) like every E

@@ -63,8 +63,9 @@ class FrequencyGridHierarchy:
     def n_levels(self) -> int:
         return len(self.counts)
 
-    # the rule depends on the fine edges alone: built on first use (a run's
-    # first T_r weight bundle), it then serves every step
+    # the rule depends on the fine edges alone: built on first use (for the
+    # benchmark, the boundary inflow's Planck integrals during set-up), it
+    # then serves every step
     @cached_property
     def rule(self) -> phys.LogRule:
         return phys.log_rule(self.edges)

@@ -78,17 +78,19 @@ _BERN_C = np.array([
 _TAIL_N = np.arange(20.0, 0.0, -1.0)[:, None]
 
 
-def _planck_tail(x):
-    """Integral of t^3/(e^t - 1) over [x, inf).
+def _planck_series(x):
+    """The integrals of t^3/(e^t - 1) at each x >= 0, as (head, tail): the
+    head over [0, x] where x < 2 (0 elsewhere), the tail over [x, inf).
 
-    Below x = 2 the complement is integrated by the Bernoulli power series
-    of the integrand; from 2 on, the exponential series
+    Below x = 2 the head is the Bernoulli power series of the integrand and
+    the tail its complement; from 2 on, the tail is the exponential series
     sum_n exp(-n x)(x^3/n + 3x^2/n^2 + 6x/n^3 + 6/n^4) with 20 terms.  Both
     truncations sit at or below 1e-15 relative.  Each series runs on its own
     entries only; from x = 746 on every exp(-n x) underflows to 0, so the
     tail there is exactly 0 (a NaN stays NaN).
     """
-    out = np.zeros_like(x)
+    head = np.zeros_like(x)
+    tail = np.zeros_like(x)
 
     small = x < 2.0
     xs = x[small]
@@ -96,7 +98,8 @@ def _planck_tail(x):
     acc = np.zeros_like(xs)
     for c in _BERN_C[::-1]:
         acc = (acc + c) * x2
-    out[small] = _PI4_15 - xs**3 * (1.0 / 3.0 - xs / 8.0 + acc)
+    head[small] = xs**3 * (1.0 / 3.0 - xs / 8.0 + acc)
+    tail[small] = _PI4_15 - head[small]
 
     big = ~small & ~(x >= 746.0)
     xb = x[big]
@@ -106,23 +109,8 @@ def _planck_tail(x):
     terms *= ((c3 / n + c2 / n**2) + c1 / n**3) + 6.0 / n**4
     # an axis-0 reduce of a C-ordered block adds whole rows one after
     # another, n = 20 first, so the smallest terms are summed first
-    out[big] = terms.sum(axis=0)
-    return out
-
-
-def planck_groups(T, edges):
-    """Group integrals of B(nu, T) for all groups at each temperature.
-
-    T (n,) is positive and edges (G+1,) nonnegative, as on every grid;
-    returns (n, G).  Any edge at or beyond the exp underflow point acts as
-    infinity, so a huge top edge closes the spectrum exactly.
-    """
-    T = np.asarray(T, dtype=float)
-    edges = np.asarray(edges, dtype=float)
-    x = edges[None, :] / T[:, None]
-    tails = _planck_tail(x)
-    pref = PLANCK_PREFACTOR * T**4
-    return pref[:, None] * (tails[:, :-1] - tails[:, 1:])
+    tail[big] = terms.sum(axis=0)
+    return head, tail
 
 
 @dataclass(frozen=True)
@@ -134,10 +122,14 @@ class LogRule:
     16-point rule.  Rows 0..G-1 hold every group's first row in group order,
     and rows G.. the second rows of the wide groups in order.  The rule
     depends on the edges alone: FrequencyGridHierarchy.rule builds the fine
-    grid's once, and every T_r weight bundle of the run shares it.
+    grid's once, and every T_r weight bundle and Planck group integral of
+    the run shares it.
 
     A zero lower edge is clamped to 1e-12 of the upper edge; the omitted
-    sliver carries a vanishing share of any Planck-weighted integral.
+    sliver carries a vanishing share of any Planck-weighted integral.  A
+    wide group's Planck integral comes from a series at its two edges
+    instead (planck_groups), so the rule also lists the E distinct edges
+    that bound a wide group, and the series runs once per listed edge.
     """
 
     nu: np.ndarray      # (8, R) nodes
@@ -146,6 +138,9 @@ class LogRule:
     mid: np.ndarray     # (G,) geometric midpoint of the (clamped) group
     p3: np.ndarray      # (8, R) PLANCK_PREFACTOR * nu^3
     p4: np.ndarray      # (8, R) PLANCK_PREFACTOR * nu^4
+    bounds: np.ndarray  # (E,) edges that bound a wide group, indices in order
+    span: np.ndarray    # (2, W) each wide group's lower and upper edge, as
+                        # indices into bounds
 
 
 def log_rule(edges) -> LogRule:
@@ -163,8 +158,13 @@ def log_rule(edges) -> LogRule:
     h = half[group]
     nu = np.exp(u0[group] + h * (_ROW_NODES.take(kind, axis=1) + 1.0))
     w = h * _ROW_WEIGHTS.take(kind, axis=1) * nu
+    bound = np.zeros(edges.size, dtype=bool)
+    bound[wide] = bound[wide + 1] = True
+    bounds = np.flatnonzero(bound)
+    span = np.searchsorted(bounds, [wide, wide + 1])
     return LogRule(nu=nu, w=w, wide=wide, mid=np.sqrt(lo * hi),
-                   p3=PLANCK_PREFACTOR * nu**3, p4=PLANCK_PREFACTOR * nu**4)
+                   p3=PLANCK_PREFACTOR * nu**3, p4=PLANCK_PREFACTOR * nu**4,
+                   bounds=bounds, span=span)
 
 
 def _group_sum(rule: LogRule, q):
@@ -214,6 +214,38 @@ def _planck_weights(rule: LogRule, T, rosseland=False):
     return w_B, w_dB
 
 
+def _planck_integrals(rule: LogRule, edges, T, sums):
+    """Group integrals of B(nu, T), (n, G), from sums, the (n, G) group sums
+    of B(nu, T) w on rule: a narrow group keeps its sum, and a wide group
+    takes P T^4 times the integral of t^3/(e^t - 1) between its edges
+    x = nu/T, the difference of the heads where both edges lie below 2 and
+    of the tails elsewhere, with _planck_series run once per distinct edge.
+    Any edge at or beyond the exp underflow point acts as infinity, so a
+    huge top edge closes the spectrum exactly."""
+    x = np.asarray(edges, dtype=float)[rule.bounds] / T[:, None]  # (n, E)
+    lo, hi = rule.span
+    head, tail = _planck_series(x)
+    series = np.where(x[:, hi] < 2.0, head[:, hi] - head[:, lo],
+                      tail[:, lo] - tail[:, hi])
+    B = sums.copy()
+    B[:, rule.wide] = (PLANCK_PREFACTOR * T**4)[:, None] * series
+    return B
+
+
+def planck_groups(T, rule: LogRule, edges):
+    """Group integrals of B(nu, T) for all groups at each temperature.
+
+    T (n,) is positive and edges (G+1,) nonnegative, as on every grid, and
+    rule is log_rule(edges); returns (n, G).  A narrow group takes the
+    8-point sum of the rule, a wide group the series between its edges
+    (_planck_integrals).  build_group_opacities forms the same integrals
+    from its own sums, bit for bit.
+    """
+    T = np.asarray(T, dtype=float)
+    return _planck_integrals(rule, edges, T,
+                             _group_sum(rule, _planck_weights(rule, T)))
+
+
 @dataclass(frozen=True)
 class RadiationWeights:
     """The T_r side of build_group_opacities, built once per radiation
@@ -260,7 +292,9 @@ def build_group_opacities(T, rad: RadiationWeights, edges,
     tail) use sigma at the geometric midpoint of the (clamped) group.  The
     sigma(nu, T) samples are shared by the three averages, and the T_r
     weights by every build at one T_r, since this sits on the hot path of
-    every cycle.
+    every cycle.  B is planck_groups(T, rad.rule, edges): a narrow group's
+    integral is sig_B's own denominator, so only the wide groups evaluate a
+    series, while sig_B keeps the quadrature denominator on every group.
     """
     T = np.asarray(T, dtype=float)
     rule = rad.rule
@@ -276,11 +310,12 @@ def build_group_opacities(T, rad: RadiationWeights, edges,
         return np.where(empty, fallback, num / np.where(empty, 1.0, den))
 
     w_loc = _planck_weights(rule, T)
+    loc_sum = _group_sum(rule, w_loc)
     return GroupOpacitySet(
-        sig_B=avg(w_loc, _group_sum(rule, w_loc), False),
+        sig_B=avg(w_loc, loc_sum, False),
         sig_E=avg(rad.w_rad, rad.rad_sum, False),
         sig_R=avg(rad.w_ros, rad.ros_sum, True),
-        B=planck_groups(T, edges),
+        B=_planck_integrals(rule, edges, T, loc_sum),
     )
 
 

@@ -388,6 +388,33 @@ def log_nodes(edges, n=16):
     return nu, half[:, None] * gl_weights[None, :] * nu
 
 
+def planck_groups(T, edges, panel=0.01, n=16):
+    """Group integrals of planck_B(nu, T), (n_T, G): each group cut into
+    equal panels at most panel wide in log(nu), each on the n-point
+    Gauss-Legendre rule.  Panel widths come from log1p of the group's
+    relative width, so a narrow group keeps its width to round-off.  A zero
+    lower edge is first moved up to 1e-12 of the upper edge, as in
+    phys.log_rule, and the sliver below it takes the n-point rule in nu."""
+    T = np.asarray(T, dtype=float)
+    edges = np.asarray(edges, dtype=float)
+    lo = np.maximum(edges[:-1], edges[1:] * 1e-12)
+    width = np.log1p((edges[1:] - lo) / lo)
+    panels = np.ceil(width / panel).astype(int)
+    group = np.repeat(np.arange(lo.size), panels)
+    k = np.arange(group.size) - np.repeat(np.cumsum(panels) - panels, panels)
+    h = (width / panels)[group][:, None]
+    x, wgl = leggauss(n)
+    nu = lo[group][:, None] * np.exp(h * (k[:, None] + 0.5 * (x + 1.0)))
+    w = 0.5 * h * wgl * nu
+    # the sliver [0, lo] of a zero lower edge, as one more panel
+    cut = edges[:-1] < lo
+    nu = np.vstack([nu, 0.5 * lo[cut][:, None] * (x + 1.0)])
+    w = np.vstack([w, 0.5 * lo[cut][:, None] * wgl])
+    group = np.concatenate([group, np.flatnonzero(cut)])
+    return np.array([np.bincount(group, (planck_B(nu, t) * w).sum(axis=1),
+                                 minlength=lo.size) for t in T])
+
+
 def _node_weights(T, T_r, nu, w):
     """B(nu, T) w, B(nu, T_r) w and dB/dT(nu, T_r) w, each (n, G, nodes)."""
     T = np.asarray(T, dtype=float)[:, None, None]
@@ -408,8 +435,8 @@ def weight_shares(T, T_r, edges, nodes=128):
 def build_group_opacities(T, T_r, edges, sigma,
                           nodes=16) -> phys.GroupOpacitySet:
     """Every group average evaluated from scratch with the nodes-point rule
-    of log_nodes on every group: pointwise Planck weights at T and T_r and
-    the Planck group integrals, with nothing shared between builds."""
+    of log_nodes on every group, from pointwise Planck weights at T and
+    T_r, with nothing shared between builds; B is planck_groups above."""
     T = np.asarray(T, dtype=float)
     edges = np.asarray(edges, dtype=float)
     nu, w = log_nodes(edges, nodes)
@@ -426,14 +453,11 @@ def build_group_opacities(T, T_r, edges, sigma,
         empty = den_w < 1e-300
         return np.where(empty, fallback, num / np.where(empty, 1.0, den))
 
-    x = edges[None, :] / T[:, None]
-    tails = np.where(x <= 0.0, phys._PI4_15, planck_tail(np.maximum(x, 0.0)))
-    pref = phys.PLANCK_PREFACTOR * T**4
-    B = pref[:, None] * (tails[:, :-1] - tails[:, 1:])
     w_loc, w_rad, w_ros = _node_weights(T, T_r, nu, w)
     return phys.GroupOpacitySet(sig_B=avg(w_loc, False),
                                 sig_E=avg(w_rad, False),
-                                sig_R=avg(w_ros, True), B=B)
+                                sig_R=avg(w_ros, True),
+                                B=planck_groups(T, edges))
 
 
 # The low-order solve and merge as they stood before their per-call cost was

@@ -18,7 +18,7 @@ def equilibrium_problem(T0=1.0, cells=4, grids=(16, 1)):
     hier = build_hierarchy(build_fc_frequency_grid(grids[0]), grids)
     mesh = SpatialMesh.uniform(cells, 2.0)
     quad = double_gauss_legendre(4)
-    B0 = phys.planck_groups(np.array([T0]), hier.edges)[0]
+    B0 = phys.planck_groups(np.array([T0]), hier.rule, hier.edges)[0]
     G, M = hier.counts[0], quad.n_dirs
     inc_left = np.zeros((G, M))
     inc_left[:, quad.positive] = 0.5 * B0[:, None]

@@ -147,7 +147,8 @@ class TestFcProblem:
         assert prob.hierarchy.counts == (16, 4, 1)
         assert prob.material.c_v == pytest.approx(0.5917 * phys.A_RAD)
         assert prob.T_init == 1e-3
-        B_b = phys.planck_groups(np.array([1.0]), prob.hierarchy.edges)[0]
+        B_b = phys.planck_groups(np.array([1.0]), prob.hierarchy.rule,
+                                  prob.hierarchy.edges)[0]
         pos = prob.quad.positive
         assert np.all(prob.inc_left[:, pos] == 0.5 * B_b[:, None])
         assert np.all(prob.inc_left[:, ~pos] == 0.0)

@@ -123,7 +123,8 @@ class TestInitialState:
     def test_fields(self):
         prob = _fc()
         st = initial_state(prob)
-        B0 = phys.planck_groups(st.T, prob.hierarchy.edges)
+        hier = prob.hierarchy
+        B0 = phys.planck_groups(st.T, hier.rule, hier.edges)
         assert np.all(st.T == 1e-3)
         assert np.array_equal(st.E, 2.0 * B0.T / phys.C_LIGHT)
         assert np.all(st.F == 0.0)
@@ -181,6 +182,23 @@ def test_multigrid_fixed_point_and_energy_balance(kind, counts, lmax):
     with energy_balance(1e-12) as taken:
         run_simulation(_fc(counts), sched, ConvergenceCriteria(), dt, 10)
     assert len(taken) == 10
+
+
+@pytest.mark.parametrize("kind,counts,lmax", [
+    ("V", (256, 1), 4),
+    ("F", (256, 128, 32, 16, 8, 4, 1), 1),
+], ids=["V", "F"])
+def test_fixed_point_on_narrow_groups(kind, counts, lmax):
+    # at 256 groups nearly every group is narrow and takes its emission B_g
+    # from the rule's own sums, on which sig_B and sig_E also run: the
+    # equilibrium slab stays at its temperature and every step closes its
+    # energy budget to round-off
+    prob = equilibrium_problem(T0=1.0, grids=counts)
+    with energy_balance(1e-12) as taken:
+        res = run_simulation(prob, make_schedule(kind, counts, lmax),
+                             ConvergenceCriteria(), 2e-2, 10)
+    assert len(taken) == 10
+    assert np.max(np.abs(res.state.T - 1.0)) <= 1e-12
 
 
 @st.composite

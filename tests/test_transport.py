@@ -87,7 +87,7 @@ def test_equilibrium_intensity_is_fixed_point():
     edges = np.concatenate(([0.0], np.logspace(-4, 1, 15), [1e7]))
     G, M, nx = 16, quad.n_dirs, 10
     T = 0.7
-    B = phys.planck_groups(np.array([T]), edges)[0]
+    B = phys.planck_groups(np.array([T]), phys.log_rule(edges), edges)[0]
     sigma = np.tile(np.linspace(0.5, 3.0, G), (nx, 1))
     q = sigma * B
     psi_eq = np.broadcast_to(0.5 * B[:, None], (nx, 2, G, M)).copy()

@@ -6,7 +6,8 @@ as the sources of git revision REV?
 Extracts `src` of REV with `git archive` into a temporary directory, then
 runs each case below with both source trees through the command-line driver:
 the three perfbench workloads at 0.6 ns (configs from
-perfbench/harness.py) and the V2, V4, W2 and F2 benchmark runs at 3 ns.
+perfbench/harness.py), the V2, V4, W2 and F2 benchmark runs at 3 ns, and
+V4096, V on 4096;1 to 0.2 ns, where nearly every group is narrow.
 Compares every file the driver writes byte for byte (profiles.csv,
 stats.csv, totals.csv, conv_hist.csv, and config.txt less its `out = ` line,
 which names each side's own directory), prints one line per file, and exits
@@ -42,14 +43,17 @@ import numpy as np  # noqa: E402
 FILES = ("profiles.csv", "stats.csv", "totals.csv", "conv_hist.csv",
          "config.txt")
 FULL = {
-    "V2": {"cycle": "V", "grids": "256,1", "lmax": 4, "dt": 0.02},
-    "V4": {"cycle": "V", "grids": "256,1", "lmax": 6, "dt": 0.04},
-    "W2": {"cycle": "W", "grids": "256,32,1", "lmax": 2, "dt": 0.02},
+    "V2": {"cycle": "V", "grids": "256,1", "lmax": 4, "dt": 0.02, "tend": 3.0},
+    "V4": {"cycle": "V", "grids": "256,1", "lmax": 6, "dt": 0.04, "tend": 3.0},
+    "W2": {"cycle": "W", "grids": "256,32,1", "lmax": 2, "dt": 0.02,
+           "tend": 3.0},
     "F2": {"cycle": "F", "grids": "256,128,32,16,8,4,1", "lmax": 1,
-           "dt": 0.02},
+           "dt": 0.02, "tend": 3.0},
+    "V4096": {"cycle": "V", "grids": "4096,1", "lmax": 4, "dt": 0.02,
+              "tend": 0.2},
 }
 CASES = {**{name: harness.workload_config(name) for name in harness.WORKLOADS},
-         **{name: dict(cfg, tend=3.0) for name, cfg in FULL.items()}}
+         **FULL}
 RUN = "import sys; from trtmg.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
