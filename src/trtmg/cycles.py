@@ -148,10 +148,9 @@ def initial_state(problem: Problem) -> SimulationState:
     hier = problem.hierarchy
     G = hier.counts[0]
     M = problem.quad.n_dirs
-    T_init = np.asarray(problem.T_init, dtype=float).reshape(-1)
-    T0 = np.broadcast_to(T_init, (nx,)).astype(float)
-    # a scalar start temperature takes its emission once, not per cell
-    B0 = np.broadcast_to(phys.planck_groups(T_init, hier.rule, hier.edges),
+    T0 = np.full(nx, float(problem.T_init))
+    # the start temperature is one scalar, so its emission is formed once
+    B0 = np.broadcast_to(phys.planck_groups(T0[:1], hier.rule, hier.edges),
                          (nx, G))
     psi = np.empty((nx, 2, G, M))
     psi[:] = (0.5 * B0)[:, None, :, None]

@@ -17,8 +17,9 @@ The sweep's working set is one cell: each temporary is formed for one
 cell's (2, n_groups, m) block inside the cell loop, and both corners are
 divided straight into psi.  psi itself is written into a caller's array
 when one is given, so a time step's later sweeps overwrite the psi of its
-earlier ones instead of allocating anew; the closure extraction fills its
-cell average through a view in psi's own order.
+earlier ones instead of allocating anew.  The closure extraction, too,
+works in psi's layout: its cell average is (n_cells, n_groups, n_dirs), and
+its angular moments are matrix-vector products over the direction axis.
 """
 
 from __future__ import annotations
@@ -143,22 +144,17 @@ def compute_qd_factors(psi: np.ndarray, inc_left: np.ndarray, inc_right: np.ndar
     """
     w, mu, pos = quad.w, quad.mu, quad.positive
     wmu2 = w * mu * mu
-    # a C-ordered (G, M, n_x) array, filled through its (n_x, G, M) view so
-    # that the corner sum reads psi in its own order: the einsums then add
-    # up the directions in the order of the groups-leading closure
-    # reference, and the output bytes depend on that order
-    psi_bar = np.empty(psi.shape[2:] + psi.shape[:1])
-    np.add(psi[:, 0], psi[:, 1], out=psi_bar.transpose(2, 0, 1))
+    psi_bar = psi[:, 0] + psi[:, 1]              # (n_x, G, M)
     psi_bar *= 0.5
 
-    moment0 = np.einsum("m,gmi->gi", w, psi_bar)
-    bad = ~np.isfinite(moment0)
+    moment0 = psi_bar @ w                        # (n_x, G)
+    bad = ~np.isfinite(moment0.T)
     if bad.any():
         g, i = np.argwhere(bad)[0]
         raise ConvergenceError(
             f"transport sweep: non-finite zeroth angular moment in group {g}, "
             f"cell {i}")
-    f = _ratio(np.einsum("m,gmi->gi", wmu2, psi_bar), moment0, 1.0 / 3.0)
+    f = _ratio(psi_bar @ wmu2, moment0, 1.0 / 3.0).T
 
     # boundary-face intensities: the inflow where it enters, exit corners
     # where it leaves
@@ -167,10 +163,7 @@ def compute_qd_factors(psi: np.ndarray, inc_left: np.ndarray, inc_right: np.ndar
     f_face = np.stack([_ratio(fl @ wmu2, fl @ w, 1.0 / 3.0),
                        _ratio(fr @ wmu2, fr @ w, 1.0 / 3.0)], axis=1)
 
-    # Fortran order, the order of the groups-leading reference's gathers;
-    # the matrix-vector products sum in an order set by the layout
-    exit_l = np.asfortranarray(psi[0, 0][:, ~pos])
-    exit_r = np.asfortranarray(psi[-1, 1][:, pos])
+    exit_l, exit_r = psi[0, 0][:, ~pos], psi[-1, 1][:, pos]
     C = np.column_stack([
         _ratio(exit_l @ (w * mu)[~pos], exit_l @ w[~pos], -0.5),
         _ratio(exit_r @ (w * mu)[pos], exit_r @ w[pos], 0.5)])

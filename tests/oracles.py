@@ -160,8 +160,9 @@ def _ratio(num, den, fallback):
 def compute_qd_factors(psi, inc_left, inc_right, quad):
     """Closures of a groups-leading psi (G, M, n_x, 2), gathering the exit
     corners through the mu > 0 mask, and the inflow source of each face
-    written out per side: the bitwise reference for
-    transport.compute_qd_factors."""
+    written out per side: the reference for transport.compute_qd_factors,
+    bit for bit in f_face, C and bc_in; f, whose direction sums run in
+    another order there, to within the round-off of that order."""
     w, mu, pos = quad.w, quad.mu, quad.positive
     wmu2 = w * mu * mu
     psi_bar = 0.5 * (psi[..., 0] + psi[..., 1])

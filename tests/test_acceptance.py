@@ -109,6 +109,14 @@ def test_criterion_2_benchmark_iteration_totals(full_v2, full_v4, full_w2,
         for res in (full_w2, full_f2):
             assert res.stats.n_ti <= 1.3 * full_v2.stats.n_ti
             assert res.stats.n_lo < 0.75 * full_v2.stats.n_lo
+        # the exact totals (N_ti, N_c, N_lo): the numerics are fixed, so any
+        # move is a change of behaviour; a change that argues for a move
+        # updates these numbers together with its argument
+        totals = {name: (res.stats.n_ti, res.stats.n_c, res.stats.n_lo)
+                  for name, res in (("V2", full_v2), ("V4", full_v4),
+                                    ("W2", full_w2), ("F2", full_f2))}
+        assert totals == {"V2": (356, 1618, 415826), "V4": (206, 1367, 351319),
+                          "W2": (393, 1009, 292610), "F2": (438, 588, 264600)}
 
 
 def test_criterion_3_physics_fixed_points():

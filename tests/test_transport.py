@@ -1,9 +1,11 @@
 """Corner-balance sweep and angular-moment closures; the sweep is checked
 against a dense solve of its corner equations, a group energy balance and,
-bit for bit, the two-loop sweep in oracles.py, and the closures bit for bit
-against that sweep's closure extraction."""
+bit for bit, the two-loop sweep in oracles.py, and the closures against
+that sweep's closure extraction (bit for bit but for the order of the cell
+Eddington factor's sums) and against the quadrature's own moments."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import oracles
@@ -31,6 +33,15 @@ QUADRATURES = {
     "negative": AngularQuadrature(mu=np.array([-0.9, -0.1]),
                                   w=np.array([1.0, 1.0])),
 }
+# the closure tests add the v1_s128 benchmark's rule, 64 directions per
+# half range
+CLOSURE_QUADRATURES = {**QUADRATURES, "S128": double_gauss_legendre(64)}
+
+
+def _order_bound(quad):
+    """(2M - 1) eps: how far apart a ratio of two M-term sums of positive
+    terms may come out when its sums are added in another order."""
+    return (2 * quad.n_dirs - 1) * np.finfo(float).eps
 
 
 def _relayout(psi):
@@ -176,8 +187,12 @@ def test_sweep_working_set_is_one_cell():
 @given(G=st.integers(1, 3), nx=st.integers(1, 6),
        quad=st.sampled_from(sorted(QUADRATURES)),
        seed=st.integers(0, 2**32 - 1))
+@example(G=64, nx=20, quad="S128", seed=128)
 def test_closures_match_groups_leading_reference(G, nx, quad, seed):
-    quad = QUADRATURES[quad]
+    # f_face, C and bc_in bit for bit; f sums its directions in psi's
+    # layout, in another order than the reference, so it is held to that
+    # order's round-off
+    quad = CLOSURE_QUADRATURES[quad]
     M = quad.n_dirs
     rng = np.random.default_rng(seed)
     psi = rng.random((nx, 2, G, M))
@@ -186,8 +201,42 @@ def test_closures_match_groups_leading_reference(G, nx, quad, seed):
     got = transport.compute_qd_factors(psi, inc_left, inc_right, quad)
     ref = oracles.compute_qd_factors(_relayout(psi), inc_left, inc_right,
                                      quad)
-    for name in ("f", "f_face", "C", "bc_in"):
+    for name in ("f_face", "C", "bc_in"):
         assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+    assert got.f.shape == ref.f.shape
+    assert np.all(np.abs(got.f - ref.f) <= _order_bound(quad) * ref.f)
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_QUADRATURES))
+def test_closures_of_an_isotropic_field_are_the_quadrature_moments(name):
+    # psi isotropic per group, entering as it leaves: every Eddington factor
+    # is sum w mu^2 / sum w and each exit ratio C is sum w mu / sum w over
+    # its half range, or the fallback -1/2, 1/2 where that range is empty;
+    # the exact values come from the rationals of the rule's own floats, so
+    # no summation order is assumed
+    quad = CLOSURE_QUADRATURES[name]
+    G, M, nx = 3, quad.n_dirs, 4
+    val = np.random.default_rng(23).uniform(0.5, 2.0, G)
+    psi = np.broadcast_to(val[:, None], (nx, 2, G, M)).copy()
+    inc = np.broadcast_to(val[:, None], (G, M)).copy()
+    clo = transport.compute_qd_factors(psi, inc, inc, quad)
+
+    w = [Fraction(x) for x in quad.w]
+    mu = [Fraction(x) for x in quad.mu]
+
+    def ratio(power, dirs, fallback=None):
+        if len(dirs) == 0:
+            return fallback
+        return float(sum(w[m] * mu[m]**power for m in dirs)
+                     / sum(w[m] for m in dirs))
+
+    f = ratio(2, range(M))
+    for got, want in ((clo.f, f), (clo.f_face, f),
+                      (clo.C[:, 0], ratio(1, np.flatnonzero(~quad.positive),
+                                          -0.5)),
+                      (clo.C[:, 1], ratio(1, np.flatnonzero(quad.positive),
+                                          0.5))):
+        assert np.all(np.abs(got - want) <= _order_bound(quad) * abs(want))
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
