@@ -17,16 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from . import phys
-from .cycles import (ConvergenceCriteria, ConvergenceError, Problem,
-                     SimulationResult, make_schedule, run_simulation,
-                     step_count)
+from .cycles import (ConvergenceCriteria, Problem, SimulationResult,
+                     make_schedule, run_simulation, step_count)
 from .grids import (SpatialMesh, build_fc_frequency_grid, build_hierarchy,
                     double_gauss_legendre)
-from .phys import A_RAD, FleckCummingsOpacity, MaterialModel
-
-
-class ConfigError(ValueError):
-    pass
+from .phys import A_RAD, ConvergenceError, FleckCummingsOpacity, MaterialModel
 
 
 DEFAULT_SNAPSHOTS = (0.2, 0.4, 0.6, 1.0, 2.0, 3.0)
@@ -77,18 +72,18 @@ def _read_config_file(path) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as e:
-        raise ConfigError(f"cannot read config file {path}: {e}") from e
+        raise ValueError(f"cannot read config file {path}: {e}") from e
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
         if key in seen:
-            raise ConfigError(f"{path}:{lineno}: key {key!r} already set on "
-                              f"line {seen[key]}")
+            raise ValueError(f"{path}:{lineno}: key {key!r} already set on "
+                             f"line {seen[key]}")
         seen[key] = lineno
         raw[key] = value.strip()
     return raw
@@ -109,11 +104,11 @@ def parse_config(path=None, overrides=None) -> RunConfig:
     for key, text in raw.items():
         parser = _PARSERS.get(key)
         if parser is None:
-            raise ConfigError(f"unknown configuration key {key!r}")
+            raise ValueError(f"unknown configuration key {key!r}")
         try:
             values[key] = parser(str(text))
         except ValueError as e:
-            raise ConfigError(f"bad value for {key!r}: {e}") from e
+            raise ValueError(f"bad value for {key!r}: {e}") from e
     return RunConfig(**values)
 
 

@@ -22,12 +22,7 @@ import numpy as np
 
 from . import grey, loqd, phys, transport
 from .grids import AngularQuadrature, FrequencyGridHierarchy, SpatialMesh
-from .phys import C_LIGHT, MaterialModel
-from .transport import ConvergenceError
-
-
-class ScheduleError(ValueError):
-    pass
+from .phys import C_LIGHT, ConvergenceError, MaterialModel
 
 
 @dataclass(frozen=True)
@@ -54,25 +49,25 @@ def make_schedule(kind: str, counts, l_max: int, visits=()) -> CycleSchedule:
     visits = tuple(int(g) for g in visits)
     kind = kind.upper() if kind.upper() in ("V", "W", "F") else kind.lower()
     if l_max < 1:
-        raise ScheduleError(f"l_max must be >= 1, got {l_max}")
+        raise ValueError(f"l_max must be >= 1, got {l_max}")
     n = len(counts)
     if kind in ("V", "W", "F"):
         if visits:
-            raise ScheduleError(f"{kind} cycle takes no explicit visit list")
+            raise ValueError(f"{kind} cycle takes no explicit visit list")
         if not {"V": n == 2, "W": n == 3, "F": n >= 3}[kind]:
-            raise ScheduleError(f"{kind} cycle cannot use {n} grids: V uses "
-                                "two, W three, F three or more")
+            raise ValueError(f"{kind} cycle cannot use {n} grids: V uses "
+                             "two, W three, F three or more")
         # every intermediate grid once, coarsest first
         visits = tuple(range(n - 1, 1, -1))
     elif kind == "custom":
         if not visits:
-            raise ScheduleError("custom schedule requires an explicit visit list")
+            raise ValueError("custom schedule requires an explicit visit list")
         for g in visits:
             if not 1 < g < n:
-                raise ScheduleError(
+                raise ValueError(
                     f"visit {g} outside intermediate grid range 2..{n - 1}")
     else:
-        raise ScheduleError(f"unknown cycle kind {kind!r}")
+        raise ValueError(f"unknown cycle kind {kind!r}")
     return CycleSchedule(kind=kind, counts=counts, visits=visits, l_max=l_max)
 
 
@@ -96,6 +91,11 @@ class StepRecord:
     m_ti: int
     m_c: int
     m_lo: int
+    failed = False  # a class attribute: stats.csv has no column for it
+
+
+class FailedStepRecord(StepRecord):
+    failed = True  # the step raised and committed nothing
 
 
 @dataclass(frozen=True)
@@ -109,8 +109,8 @@ class ConvRecord:
 @dataclass
 class IterationStats:
     """The run's record: the N_ti/N_c/N_lo totals, one StepRecord per
-    committed step, and one ConvRecord per inner cycle and per outer
-    iteration."""
+    attempted step (a failed one marked so), and one ConvRecord per inner
+    cycle and per outer iteration; the totals are the step records' sums."""
     n_ti: int = 0
     n_c: int = 0
     n_lo: int = 0
@@ -130,6 +130,11 @@ class Problem:
     inc_left: np.ndarray       # (G, M) inflow at x=0, read in the mu>0 columns
     inc_right: np.ndarray      # (G, M) inflow at x=X, read in the mu<0 columns
     T_init: float = phys.T_FLOOR
+
+    def __post_init__(self):
+        if not 0.0 < self.T_init < np.inf:
+            raise ValueError(
+                f"T_init must be positive and finite, got {self.T_init}")
 
 
 @dataclass
@@ -183,28 +188,11 @@ class _StepWork:
 
 
 def _opacities(problem: Problem, work: _StepWork, T) -> phys.GroupOpacitySet:
-    """Group opacities at cell temperatures T and the current work.T_r.
-
-    Raises ConvergenceError, naming the field and its first bad (cell,
-    group), unless every mean is finite and positive and every emission
-    integral finite and nonnegative, so that a bad opacity stops the step
-    before any sweep or solve reads it.
-    """
+    """Group opacities at cell temperatures T and the current work.T_r."""
     if work.rad is None:
         work.rad = phys.radiation_weights(work.T_r, problem.hierarchy.rule)
-    opac = phys.build_group_opacities(T, work.rad, problem.hierarchy.edges,
+    return phys.build_group_opacities(T, work.rad, problem.hierarchy.edges,
                                       problem.sigma)
-    for name in ("sig_B", "sig_E", "sig_R", "B"):
-        x = getattr(opac, name)
-        low = x.min()  # NaN if any entry is, and NaN fails every comparison
-        if (low >= 0.0 if name == "B" else low > 0.0) and x.max() < np.inf:
-            continue
-        sound = np.isfinite(x) & (x >= 0.0 if name == "B" else x > 0.0)
-        i, g = np.argwhere(~sound)[0]
-        raise ConvergenceError(
-            f"opacity build: {name} is {float(x[i, g])} in cell {i}, "
-            f"group {g}")
-    return opac
 
 
 def _dinf(new, old) -> float:
@@ -323,7 +311,7 @@ def run_time_step(problem: Problem, state: SimulationState,
                   schedule: CycleSchedule, criteria: ConvergenceCriteria,
                   dt: float, stats: IterationStats = None) -> SimulationState:
     """Advance one time step, the step after the last one stats records, and
-    return the committed new state; on commit stats records the step.
+    return the committed new state; stats records the step, failed or not.
 
     At least one sweep always happens (convergence is only tested from
     s >= 1).  The committed temperature is the last grey Newton iterate, and
@@ -338,8 +326,8 @@ def run_time_step(problem: Problem, state: SimulationState,
     inside a transport iteration is raised again naming the step and s.
     """
     if schedule.counts != problem.hierarchy.counts:
-        raise ScheduleError(f"schedule grids {schedule.counts} differ from "
-                            f"the problem's {problem.hierarchy.counts}")
+        raise ValueError(f"schedule grids {schedule.counts} differ from "
+                         f"the problem's {problem.hierarchy.counts}")
     if stats is None:
         stats = IterationStats()
     step = len(stats.steps) + 1
@@ -350,25 +338,29 @@ def run_time_step(problem: Problem, state: SimulationState,
         E_mon=grey_E_prev[0], grey_E_prev=grey_E_prev,
         grey_F_prev=state.F.sum(axis=0, keepdims=True))
 
-    for s in range(criteria.max_outer + 1):
-        try:
-            rT, rE = run_transport_iteration(problem, state, work, schedule,
-                                             criteria, s, dt, stats)
-        except ConvergenceError as e:
-            raise ConvergenceError(f"step {step}: transport iteration "
-                                   f"s={s} failed: {e}") from e
-        if not (np.isfinite(rT) and np.isfinite(rE)):
+    record = FailedStepRecord  # until the outer iterations converge
+    try:
+        for s in range(criteria.max_outer + 1):
+            try:
+                rT, rE = run_transport_iteration(problem, state, work,
+                                                 schedule, criteria, s, dt,
+                                                 stats)
+            except ConvergenceError as e:
+                raise ConvergenceError(f"step {step}: transport iteration "
+                                       f"s={s} failed: {e}") from e
+            if not (np.isfinite(rT) and np.isfinite(rE)):
+                raise ConvergenceError(
+                    f"step {step}: non-finite outer change at transport "
+                    f"iteration s={s} (dT={rT:.3e}, dE={rE:.3e})")
+            if s >= 1 and rT <= criteria.eps and rE <= criteria.eps:
+                break
+        else:
             raise ConvergenceError(
-                f"step {step}: non-finite outer change at transport "
-                f"iteration s={s} (dT={rT:.3e}, dE={rE:.3e})")
-        if s >= 1 and rT <= criteria.eps and rE <= criteria.eps:
-            break
-    else:
-        raise ConvergenceError(
-            f"step {step}: outer iterations hit the cap "
-            f"{criteria.max_outer} (dT={rT:.3e}, dE={rE:.3e})")
-
-    stats.steps.append(StepRecord(step, step * dt, stats.n_ti - before[0],
+                f"step {step}: outer iterations hit the cap "
+                f"{criteria.max_outer} (dT={rT:.3e}, dE={rE:.3e})")
+        record = StepRecord
+    finally:
+        stats.steps.append(record(step, step * dt, stats.n_ti - before[0],
                                   stats.n_c - before[1],
                                   stats.n_lo - before[2]))
     # commit: T from the last grey Newton step, fine moments whose group

@@ -29,8 +29,7 @@ import numpy as np
 
 from . import loqd
 from .grids import SpatialMesh
-from .phys import A_RAD, C_LIGHT, T_FLOOR, MaterialModel
-from .transport import ConvergenceError
+from .phys import A_RAD, C_LIGHT, T_FLOOR, ConvergenceError, MaterialModel
 
 log = logging.getLogger(__name__)
 

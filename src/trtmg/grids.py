@@ -12,10 +12,6 @@ from numpy.polynomial.legendre import leggauss
 from . import phys
 
 
-class GridError(ValueError):
-    pass
-
-
 def _finite_increasing(x: np.ndarray) -> bool:
     """Every entry finite and each one above the last (False on any NaN)."""
     return bool(np.all(np.isfinite(x)) and np.all(np.diff(x) > 0))
@@ -25,7 +21,7 @@ def build_fc_frequency_grid(n_groups: int) -> np.ndarray:
     """Edges of the standard benchmark grid: [0, 1e-4], n-2 log-spaced
     groups to 10 keV, and a closing group up to 1e7 keV."""
     if n_groups < 3:
-        raise GridError("benchmark frequency grid needs at least 3 groups")
+        raise ValueError("benchmark frequency grid needs at least 3 groups")
     interior = np.logspace(-4.0, 1.0, n_groups - 1)
     return np.concatenate(([0.0], interior, [1e7]))
 
@@ -86,18 +82,18 @@ def build_hierarchy(edges, counts) -> FrequencyGridHierarchy:
     """
     edges = np.array(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2:
-        raise GridError("frequency grid needs at least two edges")
+        raise ValueError("frequency grid needs at least two edges")
     if not (edges[0] >= 0 and _finite_increasing(edges)):
-        raise GridError("frequency edges must be finite, nonnegative and "
-                        "strictly increasing")
+        raise ValueError("frequency edges must be finite, nonnegative and "
+                         "strictly increasing")
     edges.flags.writeable = False
     counts = tuple(int(n) for n in counts)
     if not counts or counts[0] != edges.size - 1:
-        raise GridError("hierarchy must start at the fine grid group count")
+        raise ValueError("hierarchy must start at the fine grid group count")
     if counts[-1] != 1:
-        raise GridError("hierarchy must end at a single grey interval")
+        raise ValueError("hierarchy must end at a single grey interval")
     if any(b >= a for a, b in zip(counts, counts[1:])):
-        raise GridError("hierarchy group counts must be strictly decreasing")
+        raise ValueError("hierarchy group counts must be strictly decreasing")
     starts_fine = [np.arange(counts[0] + 1)]
     for L in range(1, len(counts)):
         starts_prev = _run_starts(counts[L - 1], counts[L])
@@ -117,7 +113,8 @@ class SpatialMesh:
         faces = np.asarray(self.faces, dtype=float)
         object.__setattr__(self, "faces", faces)
         if faces.ndim != 1 or faces.size < 2 or not _finite_increasing(faces):
-            raise GridError("mesh faces must be finite and strictly increasing")
+            raise ValueError(
+                "mesh faces must be finite and strictly increasing")
 
     @property
     def n_cells(self) -> int:
@@ -149,9 +146,9 @@ class SpatialMesh:
     def uniform(cls, n_cells: int, length: float) -> "SpatialMesh":
         # checked before linspace, which warns on an infinite length
         if n_cells < 1:
-            raise GridError(f"n_cells must be >= 1, got {n_cells}")
+            raise ValueError(f"n_cells must be >= 1, got {n_cells}")
         if not 0.0 < length < np.inf:
-            raise GridError(
+            raise ValueError(
                 f"length must be positive and finite, got {length}")
         return cls(np.linspace(0.0, length, n_cells + 1))
 
@@ -170,13 +167,13 @@ class AngularQuadrature:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "w", w)
         if mu.shape != w.shape or mu.ndim != 1:
-            raise GridError("quadrature nodes and weights must align")
+            raise ValueError("quadrature nodes and weights must align")
         if not _finite_increasing(mu) or np.any(mu == 0.0):
-            raise GridError("direction cosines must be finite, ascending and "
-                            "nonzero")
+            raise ValueError("direction cosines must be finite, ascending "
+                             "and nonzero")
         if not (np.all(w > 0.0) and abs(w.sum() - 2.0) <= 2.0 * 1e-12):
-            raise GridError(f"quadrature weights must be positive and sum to "
-                            f"2, got {w.tolist()}")
+            raise ValueError(f"quadrature weights must be positive and sum "
+                             f"to 2, got {w.tolist()}")
 
     @property
     def n_dirs(self) -> int:
@@ -190,7 +187,7 @@ class AngularQuadrature:
 def double_gauss_legendre(n_per_half: int) -> AngularQuadrature:
     """Gauss-Legendre rule applied separately on each half range of mu."""
     if n_per_half < 1:
-        raise GridError("need at least one direction per half range")
+        raise ValueError("need at least one direction per half range")
     x, w = leggauss(n_per_half)
     mu_pos = 0.5 * (x + 1.0)
     w_pos = 0.5 * w

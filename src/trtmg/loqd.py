@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import SpatialMesh, segment_sum
-from .phys import C_LIGHT, GroupOpacitySet
-from .transport import ClosureData, ConvergenceError
+from .phys import C_LIGHT, ConvergenceError, GroupOpacitySet
+from .transport import ClosureData
 
 
 @dataclass

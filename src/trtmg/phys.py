@@ -41,11 +41,20 @@ _ROW_NODES, _ROW_WEIGHTS = (np.column_stack([r8, r16[:8], r16[8:]])
                             for r8, r16 in zip(leggauss(8), leggauss(16)))
 
 
+class ConvergenceError(RuntimeError):
+    """A time step cannot finish; the message names where and why."""
+
+
 @dataclass(frozen=True)
 class MaterialModel:
     """Material energy closure eps(T) = c_v * T with constant heat capacity."""
 
     c_v: float  # jerks/(cm^3 keV)
+
+    def __post_init__(self):
+        if not 0.0 < self.c_v < np.inf:
+            raise ValueError(
+                f"c_v must be positive and finite, got {self.c_v}")
 
     def energy(self, T):
         return self.c_v * np.asarray(T, dtype=float)
@@ -295,6 +304,10 @@ def build_group_opacities(T, rad: RadiationWeights, edges,
     every cycle.  B is planck_groups(T, rad.rule, edges): a narrow group's
     integral is sig_B's own denominator, so only the wide groups evaluate a
     series, while sig_B keeps the quadrature denominator on every group.
+
+    Raises ConvergenceError naming the field and its first bad (cell, group)
+    unless every mean is finite and positive and every B finite and
+    nonnegative, so that no sweep or solve reads a bad opacity.
     """
     T = np.asarray(T, dtype=float)
     rule = rad.rule
@@ -311,12 +324,20 @@ def build_group_opacities(T, rad: RadiationWeights, edges,
 
     w_loc = _planck_weights(rule, T)
     loc_sum = _group_sum(rule, w_loc)
-    return GroupOpacitySet(
+    opac = GroupOpacitySet(
         sig_B=avg(w_loc, loc_sum, False),
         sig_E=avg(rad.w_rad, rad.rad_sum, False),
         sig_R=avg(rad.w_ros, rad.ros_sum, True),
         B=_planck_integrals(rule, edges, T, loc_sum),
     )
+    for name, x in vars(opac).items():  # sig_B, sig_E, sig_R, B
+        sound = np.isfinite(x) & (x >= 0.0 if name == "B" else x > 0.0)
+        if not sound.all():
+            i, g = np.argwhere(~sound)[0]
+            raise ConvergenceError(
+                f"opacity build: {name} is {float(x[i, g])} in cell {i}, "
+                f"group {g}")
+    return opac
 
 
 def radiation_temperature(E_total):

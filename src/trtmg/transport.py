@@ -29,12 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import AngularQuadrature, SpatialMesh
-from .phys import C_LIGHT, GroupOpacitySet
-
-
-class ConvergenceError(RuntimeError):
-    """A time step cannot finish: a non-finite sweep or outer change, or the
-    outer iteration cap."""
+from .phys import C_LIGHT, ConvergenceError, GroupOpacitySet
 
 
 @dataclass

@@ -72,3 +72,27 @@ def test_src_functions_read_their_parameters():
     paths = sorted(SRC.glob("*.py"))
     assert paths
     assert unread_parameters(paths) == []
+
+
+def unused_imports(paths) -> list:
+    """(file, name) for every name a module imports and never reads; a
+    `from __future__` import is a compiler directive, not a name."""
+    found = []
+    for p in paths:
+        tree = ast.parse(p.read_text())
+        imported = [a.asname or a.name.partition(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for a in node.names]
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [(p.name, name) for name in imported if name not in read]
+    return found
+
+
+def test_src_imports_only_what_it_uses():
+    # __init__ imports its names to re-export them
+    paths = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert paths
+    assert unused_imports(paths) == []

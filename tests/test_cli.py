@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from trtmg import cli, cycles, phys
-from trtmg.cli import (_PARSERS, ConfigError, RunConfig, fc_problem, main,
-                       parse_config, write_config, write_outputs)
+from trtmg.cli import (_PARSERS, RunConfig, fc_problem, main, parse_config,
+                       write_config, write_outputs)
 from trtmg.cycles import (ConvergenceCriteria, ConvRecord, StepRecord,
                           initial_state, make_schedule, run_simulation)
 
@@ -51,7 +51,7 @@ class TestParseConfig:
         assert cfg.cells == 20      # unset flag falls through to the file
 
     def test_unknown_key(self):
-        with pytest.raises(ConfigError, match="wavelength"):
+        with pytest.raises(ValueError, match="wavelength"):
             parse_config(None, {"wavelength": "3"})
 
     @pytest.mark.parametrize("line", ["deterministic = true",
@@ -62,31 +62,31 @@ class TestParseConfig:
         p = tmp_path / "old.cfg"
         p.write_text(f"grids = 16,1\n{line}\n")
         key = line.split()[0]
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ValueError, match=key):
             parse_config(p)
         assert main(["--config", str(p), "--out", str(tmp_path)]) == 2
         assert key in capsys.readouterr().err
 
     def test_bad_value_names_key(self):
-        with pytest.raises(ConfigError, match="lmax"):
+        with pytest.raises(ValueError, match="lmax"):
             parse_config(None, {"lmax": "four"})
 
     def test_malformed_line_names_location(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("grids = 16,1\nnonsense line\n")
-        with pytest.raises(ConfigError, match=r"run\.cfg:2"):
+        with pytest.raises(ValueError, match=r"run\.cfg:2"):
             parse_config(p)
 
     def test_repeated_key_names_both_lines(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("dt = 0.02\ngrids = 16,1\n\ndt = 0.04\n")
-        with pytest.raises(ConfigError,
+        with pytest.raises(ValueError,
                            match=r"run\.cfg:4: key 'dt' already set on line 1"):
             parse_config(p)
         assert main(["--config", str(p)]) == 2
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="cannot read config file"):
             parse_config(tmp_path / "absent.cfg")
 
     @pytest.mark.parametrize("overrides", [

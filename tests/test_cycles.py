@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from oracles import per_cycle_cost
 from problems import energy_balance, equilibrium_problem
 
-from trtmg import grey, loqd, phys, transport
+from trtmg import cycles, grey, loqd, phys, transport
 from trtmg.cli import RunConfig, fc_problem
 from trtmg.cycles import (ConvergenceCriteria, ConvergenceError,
-                          IterationStats, ScheduleError, initial_state,
+                          FailedStepRecord, IterationStats, initial_state,
                           make_schedule, run_simulation, run_time_step,
                           step_count)
 
@@ -49,26 +49,34 @@ class TestMakeSchedule:
         assert make_schedule("F", (16, 8, 4, 1), 1, ()).visits == (3, 2)
 
     # None in these tables names "no visit list" in the test ids; the
-    # schedule is given () for it
-    @pytest.mark.parametrize("kind,counts,visits", [
-        ("V", (256, 32, 1), None),     # V is strictly two grids
-        ("W", (256, 1), None),
-        ("W", (256, 32, 16, 1), None),
-        ("F", (256, 1), None),         # F needs an intermediate grid
-        ("Q", (16, 1), None),
-        ("V", (256,), None),
-        ("W", (16, 8, 1), (2,)),       # only custom takes a visit list
-        ("custom", (16, 8, 1), None),  # visits required
-        ("custom", (16, 8, 1), (1,)),  # fine grid is not a visit target
-        ("custom", (16, 8, 1), (3,)),  # neither is the grey grid
-        ("custom", (4, 2, 1), None),
-    ])
+    # schedule is given () for it.  Each case maps to its message.
+    REJECTED = {
+        # V is strictly two grids
+        ("V", (256, 32, 1), None): "V cycle cannot use 3 grids",
+        ("W", (256, 1), None): "W cycle cannot use 2 grids",
+        ("W", (256, 32, 16, 1), None): "W cycle cannot use 4 grids",
+        # F needs an intermediate grid
+        ("F", (256, 1), None): "F cycle cannot use 2 grids",
+        ("Q", (16, 1), None): "unknown cycle kind 'q'",
+        ("V", (256,), None): "V cycle cannot use 1 grids",
+        # only custom takes a visit list
+        ("W", (16, 8, 1), (2,)): "W cycle takes no explicit visit list",
+        # visits required
+        ("custom", (16, 8, 1), None): "custom schedule requires an explicit",
+        # the fine grid is not a visit target, and neither is the grey grid
+        ("custom", (16, 8, 1), (1,)): r"visit 1 outside .* range 2\.\.2$",
+        ("custom", (16, 8, 1), (3,)): r"visit 3 outside .* range 2\.\.2$",
+        ("custom", (4, 2, 1), None): "custom schedule requires an explicit",
+    }
+
+    @pytest.mark.parametrize("kind,counts,visits", list(REJECTED))
     def test_rejects(self, kind, counts, visits):
-        with pytest.raises(ScheduleError):
+        with pytest.raises(ValueError,
+                           match=self.REJECTED[kind, counts, visits]):
             make_schedule(kind, counts, 1, visits or ())
 
     def test_rejects_bad_lmax(self):
-        with pytest.raises(ScheduleError):
+        with pytest.raises(ValueError, match="l_max must be >= 1, got 0"):
             make_schedule("V", (16, 1), 0)
 
 
@@ -416,11 +424,49 @@ class TestConvergenceRecords:
             assert all(np.isfinite(r.dT) and r.dT >= 0.0 for r in rows)
 
     def test_outer_cap_raises(self):
+        # a step that hits the outer cap keeps its work as one record marked
+        # failed, so the totals stay the sums of the step records, and the
+        # next step on the same record is step 2
         prob = _fc()
         sched = make_schedule("V", (16, 1), 4)
-        crit = ConvergenceCriteria(max_outer=1)
-        with pytest.raises(ConvergenceError):
-            run_time_step(prob, initial_state(prob), sched, crit, 2e-2)
+        state = initial_state(prob)
+        stats = IterationStats()
+        with pytest.raises(ConvergenceError,
+                           match=r"^step 1: outer iterations hit the cap 1 "):
+            run_time_step(prob, state, sched, ConvergenceCriteria(max_outer=1),
+                          2e-2, stats)
+        cost = per_cycle_cost(sched)
+        assert stats.steps == [FailedStepRecord(1, 2e-2, 1, 8, 8 * cost)]
+        assert len(stats.conv) == 10
+        run_time_step(prob, state, sched, ConvergenceCriteria(), 2e-2, stats)
+        assert [(r.step, r.failed) for r in stats.steps] == [(1, True),
+                                                              (2, False)]
+        assert {r.step for r in stats.conv[10:]} == {2}
+        assert (stats.n_ti, stats.n_c, stats.n_lo) == tuple(
+            sum(getattr(r, k) for r in stats.steps)
+            for k in ("m_ti", "m_c", "m_lo"))
+
+    def test_non_finite_outer_change_is_recorded(self, monkeypatch):
+        # a non-finite outer change records the failed step the same way
+        # (test_nan_opacity_fails_at_the_build covers a failed iteration)
+        iterate = cycles.run_transport_iteration
+
+        def second_fails(*args):
+            rT, rE = iterate(*args)
+            return (rT if args[5] == 0 else np.nan), rE  # args[5] is s
+
+        monkeypatch.setattr(cycles, "run_transport_iteration", second_fails)
+        prob = _fc()
+        stats = IterationStats()
+        with pytest.raises(ConvergenceError,
+                           match=r"^step 1: non-finite outer change at "
+                                 r"transport iteration s=1 "):
+            run_time_step(prob, initial_state(prob),
+                          make_schedule("V", (16, 1), 4),
+                          ConvergenceCriteria(), 2e-2, stats)
+        assert stats.steps == [FailedStepRecord(1, 2e-2, 1, stats.n_c,
+                                                stats.n_lo)]
+        assert stats.n_ti == 1 and stats.n_c > 0
 
     def test_nan_fails_fast(self):
         # a NaN opacity stops the step at the first outer change instead of
@@ -461,6 +507,7 @@ class TestConvergenceRecords:
                           make_schedule("V", (16, 1), 4),
                           ConvergenceCriteria(), 2e-2, stats)
         assert calls == []
+        assert stats.steps == [FailedStepRecord(1, 2e-2, 0, 0, 0)]
         assert (stats.n_ti, stats.n_c, stats.n_lo) == (0, 0, 0)
 
     def test_nan_inflow_fails_at_first_sweep(self):
@@ -521,6 +568,14 @@ class TestRunSimulation:
                              snapshot_times=(0.009, 0.031))
         assert [t for t, _, _ in res.snapshots] == [0.0, 0.04]
 
+    @pytest.mark.parametrize("T_init", [0.0, -1.0, np.nan, np.inf])
+    def test_problem_rejects_bad_start_temperature(self, T_init):
+        # checked where it enters, before the first Planck integrals warn on
+        # 0 or -1, or a NaN builds an all-NaN state
+        with pytest.raises(ValueError,
+                           match="^T_init must be positive and finite"):
+            replace(_fc(), T_init=T_init)
+
     @pytest.mark.parametrize("t_end", [0.05, 0.0, -0.02])
     def test_bad_t_end(self, t_end):
         # the run's step count, which run_simulation takes, comes from here
@@ -546,7 +601,7 @@ class TestRunSimulation:
     def test_schedule_must_match_hierarchy(self, grids, kind, counts):
         prob = _fc(grids)
         sched = make_schedule(kind, counts, 2)
-        with pytest.raises(ScheduleError) as err:
+        with pytest.raises(ValueError, match="^schedule grids") as err:
             run_simulation(prob, sched, ConvergenceCriteria(), 2e-2, 1)
         assert str(counts) in str(err.value)
         assert str(grids) in str(err.value)

@@ -304,3 +304,42 @@ def test_material_energy():
     T = np.array([1e-3, 0.5, 1.0])
     assert np.array_equal(mat.energy(T), mat.c_v * T)
     assert mat.energy(0.5) == mat.c_v * 0.5
+
+
+@pytest.mark.parametrize("c_v", [0.0, -1e-3, np.nan, np.inf])
+def test_material_rejects_bad_heat_capacity(c_v):
+    # checked where it enters, so that a c_v <= 0 cannot run a step into
+    # the outer cap, nor a NaN fail as if a low-order solve were at fault
+    with pytest.raises(ValueError, match="^c_v must be positive and finite"):
+        phys.MaterialModel(c_v=c_v)
+
+
+@pytest.mark.parametrize("bad,shown", [(0.0, "0.0"), (-1.0, "-1.0"),
+                                       (np.nan, "nan"), (np.inf, "inf")])
+def test_build_names_its_first_bad_value(bad, shown):
+    # the build checks its own output: a sigma that is bad in one group at
+    # one cell's temperature makes sig_B, the first field checked, bad in
+    # that cell and group.  The harmonic Rosseland mean divides by that
+    # sigma, so the floating-point warnings on the way are silenced here.
+    edges = _fc_edges(256)
+    lo, hi = edges[100], edges[101]
+    T = np.array([0.1, 0.2, 0.3])
+
+    def sigma(nu, T):
+        return np.where((nu >= lo) & (nu <= hi) & (T > 0.25), bad, FC(nu, T))
+
+    rad = phys.radiation_weights(T, phys.log_rule(edges))
+    with np.errstate(divide="ignore", invalid="ignore"), \
+            pytest.raises(phys.ConvergenceError,
+                          match=rf"^opacity build: sig_B is {shown} in cell 2, "
+                                rf"group 100$"):
+        phys.build_group_opacities(T, rad, edges, sigma)
+
+
+def test_build_passes_zero_emission_in_the_wien_tail():
+    # B is exactly 0 far in the Wien tail of a cold cell, and that is sound
+    edges = _fc_edges(256)
+    T = np.full(2, 1e-3)
+    opac = phys.build_group_opacities(
+        T, phys.radiation_weights(T, phys.log_rule(edges)), edges, FC)
+    assert np.any(opac.B == 0.0) and np.all(opac.B >= 0.0)
