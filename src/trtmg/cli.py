@@ -13,6 +13,7 @@ import csv
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -29,9 +30,10 @@ DEFAULT_SNAPSHOTS = (0.2, 0.4, 0.6, 1.0, 2.0, 3.0)
 
 @dataclass(frozen=True)
 class RunConfig:
-    grids: tuple = (256, 1)      # group counts, fine grid first
+    """The run's keys; each annotation is the type its value parses to."""
+    grids: tuple[int, ...] = (256, 1)   # group counts, fine grid first
     cycle: str = "V"
-    visits: tuple = ()           # custom schedules only
+    visits: tuple[int, ...] = ()        # custom schedules only
     lmax: int = 4
     cells: int = 10
     length: float = 4.0
@@ -42,7 +44,7 @@ class RunConfig:
     eps_tilde: float = ConvergenceCriteria.eps_tilde
     max_outer: int = ConvergenceCriteria.max_outer
     out: str = "out"
-    snapshots: tuple = DEFAULT_SNAPSHOTS
+    snapshots: tuple[float, ...] = DEFAULT_SNAPSHOTS
 
     @property
     def grid_counts(self) -> tuple:
@@ -50,21 +52,18 @@ class RunConfig:
         return self.grids
 
 
-def _parse_list(item):
-    """Parser of a comma-separated list of item values; empty gives ()."""
-    def parse(s):
-        s = s.strip()
-        return tuple(item(x) for x in s.split(",")) if s else ()
-    return parse
+def _parser(kind):
+    """Parser of a value of type kind; tuple[item, ...] takes a
+    comma-separated list of item values, and empty text gives ()."""
+    if get_origin(kind) is not tuple:
+        return kind
+    item = get_args(kind)[0]
+    return lambda s: (tuple(map(item, s.strip().split(",")))
+                      if s.strip() else ())
 
 
-_PARSERS = {
-    "grids": _parse_list(int), "cycle": str, "visits": _parse_list(int),
-    "lmax": int, "cells": int, "length": float, "quad": int,
-    "dt": float, "tend": float, "eps": float,
-    "eps_tilde": float, "max_outer": int,
-    "out": str, "snapshots": _parse_list(float),
-}
+_PARSERS = {key: _parser(kind)
+            for key, kind in get_type_hints(RunConfig).items()}
 
 
 def _read_config_file(path) -> dict:

@@ -108,14 +108,13 @@ class ConvRecord:
 
 @dataclass
 class IterationStats:
-    """The run's record: the N_ti/N_c/N_lo totals, one StepRecord per
-    attempted step (a failed one marked so), and one ConvRecord per inner
-    cycle and per outer iteration; the totals are the step records' sums."""
-    n_ti: int = 0
-    n_c: int = 0
-    n_lo: int = 0
+    """The run's record: one StepRecord per attempted step (a failed one
+    marked so) and one ConvRecord per inner cycle and per outer iteration."""
     steps: list = field(default_factory=list)
     conv: list = field(default_factory=list)
+    n_ti = property(lambda self: sum(r.m_ti for r in self.steps))
+    n_c = property(lambda self: sum(r.m_c for r in self.steps))
+    n_lo = property(lambda self: sum(r.m_lo for r in self.steps))
 
 
 @dataclass(frozen=True)
@@ -169,7 +168,8 @@ def initial_state(problem: Problem) -> SimulationState:
 
 @dataclass
 class _StepWork:
-    """Mutable scratch shared by the stages of one time step."""
+    """Scratch shared by the stages of one time step, and its own record."""
+    step: int
     T: np.ndarray
     T_r: np.ndarray
     psi: np.ndarray
@@ -185,6 +185,10 @@ class _StepWork:
     stage: tuple = None
     # opacity weights of T_r, built on first use and kept until T_r changes
     rad: phys.RadiationWeights = None
+    m_ti: int = 0
+    m_c: int = 0
+    m_lo: int = 0
+    conv: list = field(default_factory=list)
 
 
 def _opacities(problem: Problem, work: _StepWork, T) -> phys.GroupOpacitySet:
@@ -217,21 +221,19 @@ def _match_sum(parts, total):
 
 
 def _grey_stage(problem: Problem, prev: SimulationState, coef_src, sol_src,
-                E_src, T_stage, dt, stats, work):
-    """Grey Newton update from one level's solution, whose spectrum total is
-    E_src; advances the stage history in work.stage and returns the new
-    temperature."""
+                T_stage, dt, work):
+    """Grey Newton update from one level's solution; advances the stage
+    history in work.stage and returns the new temperature."""
     coef = grey.form_grey(sol_src, coef_src, problem.hierarchy.n_levels - 1)
     T_new, work.grey_sol, work.stage = grey.solve_grey_meb(
-        coef, E_src, work.stage, prev.T, work.grey_E_prev,
+        coef, sol_src.E.sum(axis=0), work.stage, prev.T, work.grey_E_prev,
         work.grey_F_prev, T_stage, dt, problem.material, problem.mesh)
-    stats.n_lo += 1
+    work.m_lo += 1
     return T_new
 
 
 def run_cycle(problem: Problem, prev: SimulationState, T_tilde, work: _StepWork,
-              schedule: CycleSchedule, dt: float, stats: IterationStats,
-              opac: phys.GroupOpacitySet):
+              schedule: CycleSchedule, dt: float, opac: phys.GroupOpacitySet):
     """One inner cycle: fine-grid spectrum, grey temperature update, then the
     scheduled coarse grids (each followed by a grey update).  opac holds the
     opacities at (T_tilde, work.T_r).  Sets work.E_mon to the fine spectrum
@@ -241,14 +243,13 @@ def run_cycle(problem: Problem, prev: SimulationState, T_tilde, work: _StepWork,
 
     coef1 = loqd.build_fine_coefficients(opac, work.closures, mesh)
     sol1 = loqd.solve_moment_system(coef1, prev.E, prev.F, dt, mesh)
-    stats.n_lo += coef1.n_intervals
+    work.m_lo += coef1.n_intervals
     work.fine_sol = sol1
     work.E_mon = sol1.E.sum(axis=0)
     work.T_r = phys.radiation_temperature(work.E_mon)
     work.rad = None  # the weights of the old T_r
 
-    T_cur = _grey_stage(problem, prev, coef1, sol1, work.E_mon, T_tilde, dt,
-                        stats, work)
+    T_cur = _grey_stage(problem, prev, coef1, sol1, T_tilde, dt, work)
     for gnum in schedule.visits:
         level = gnum - 1
         # spectral coefficients refresh at the newest temperature, weighted
@@ -260,50 +261,46 @@ def run_cycle(problem: Problem, prev: SimulationState, T_tilde, work: _StepWork,
         E_pk = hier.restrict(prev.E, level)
         F_pk = hier.restrict(prev.F, level)
         solk = loqd.solve_moment_system(coefk, E_pk, F_pk, dt, mesh)
-        stats.n_lo += coefk.n_intervals
-        T_cur = _grey_stage(problem, prev, coefk, solk, solk.E.sum(axis=0),
-                            T_cur, dt, stats, work)
-    stats.n_c += 1
+        work.m_lo += coefk.n_intervals
+        T_cur = _grey_stage(problem, prev, coefk, solk, T_cur, dt, work)
+    work.m_c += 1
     return T_cur
 
 
 def run_transport_iteration(problem: Problem, prev: SimulationState,
                             work: _StepWork, schedule: CycleSchedule,
-                            criteria: ConvergenceCriteria, s: int, dt: float,
-                            stats: IterationStats):
-    """One outer iteration of the step after the last recorded one: sweep
-    (for s > 0) then inner cycles to tolerance or l_max.  Returns the outer
-    relative changes (dT, dE)."""
-    step = len(stats.steps) + 1
+                            criteria: ConvergenceCriteria, s: int, dt: float):
+    """One outer iteration of work's step: sweep (for s > 0) then inner
+    cycles to tolerance or l_max; returns its relative changes (dT, dE)."""
     T_entry = T_tilde = work.T
     E_entry = work.E_mon
     for ell in range(1, schedule.l_max + 1):
         E_old = work.E_mon
         opac = _opacities(problem, work, T_tilde)
         if ell == 1 and s > 0:
-            # the sweep shares the first cycle's opacities; that cycle's fine
-            # solve moves T_r, so the weights go now.  The step's first sweep
-            # writes a new psi, each later one over the step's spent psi:
-            # the committed prev.psi is never written
+            # the sweep shares the first cycle's opacities.  The weights of
+            # the old T_r, which that cycle's fine solve replaces, go first
+            # so that the sweep's working set does not stack on them.  The
+            # step's first sweep writes a new psi, each later one over the
+            # step's spent psi: the committed prev.psi is never written
             work.rad = None
             work.psi, work.closures = transport.transport_solve(
                 prev.psi, problem.inc_left, problem.inc_right, opac,
                 problem.mesh, problem.quad, dt,
                 out=None if work.psi is prev.psi else work.psi)
-            stats.n_ti += 1
-        T_new = run_cycle(problem, prev, T_tilde, work, schedule, dt, stats,
-                          opac)
+            work.m_ti += 1
+        T_new = run_cycle(problem, prev, T_tilde, work, schedule, dt, opac)
         dT = _dinf(T_new, T_tilde)
         dE = _dinf(work.E_mon, E_old)
         rT, rE = _rel(dT, T_new), _rel(dE, work.E_mon)
-        stats.conv.append(ConvRecord(step, s, ell, dT))
+        work.conv.append(ConvRecord(work.step, s, ell, dT))
         T_tilde = T_new
         if rT <= criteria.eps_tilde and rE <= criteria.eps_tilde:
             break
     work.T = T_tilde
     dT_out = _dinf(T_tilde, T_entry)
     dE_out = _dinf(work.E_mon, E_entry)
-    stats.conv.append(ConvRecord(step, s, 0, dT_out))
+    work.conv.append(ConvRecord(work.step, s, 0, dT_out))
     return _rel(dT_out, T_tilde), _rel(dE_out, work.E_mon)
 
 
@@ -331,11 +328,10 @@ def run_time_step(problem: Problem, state: SimulationState,
     if stats is None:
         stats = IterationStats()
     step = len(stats.steps) + 1
-    before = (stats.n_ti, stats.n_c, stats.n_lo)
     grey_E_prev = state.E.sum(axis=0, keepdims=True)
     work = _StepWork(
-        T=state.T, T_r=state.T_r, psi=state.psi, closures=state.closures,
-        E_mon=grey_E_prev[0], grey_E_prev=grey_E_prev,
+        step=step, T=state.T, T_r=state.T_r, psi=state.psi,
+        closures=state.closures, E_mon=grey_E_prev[0], grey_E_prev=grey_E_prev,
         grey_F_prev=state.F.sum(axis=0, keepdims=True))
 
     record = FailedStepRecord  # until the outer iterations converge
@@ -343,8 +339,7 @@ def run_time_step(problem: Problem, state: SimulationState,
         for s in range(criteria.max_outer + 1):
             try:
                 rT, rE = run_transport_iteration(problem, state, work,
-                                                 schedule, criteria, s, dt,
-                                                 stats)
+                                                 schedule, criteria, s, dt)
             except ConvergenceError as e:
                 raise ConvergenceError(f"step {step}: transport iteration "
                                        f"s={s} failed: {e}") from e
@@ -360,9 +355,9 @@ def run_time_step(problem: Problem, state: SimulationState,
                 f"{criteria.max_outer} (dT={rT:.3e}, dE={rE:.3e})")
         record = StepRecord
     finally:
-        stats.steps.append(record(step, step * dt, stats.n_ti - before[0],
-                                  stats.n_c - before[1],
-                                  stats.n_lo - before[2]))
+        stats.steps.append(record(step, step * dt, work.m_ti, work.m_c,
+                                  work.m_lo))
+        stats.conv.extend(work.conv)
     # commit: T from the last grey Newton step, fine moments whose group
     # sums are that step's grey moments, so the energy budget is exact
     grey_sol = work.grey_sol

@@ -271,9 +271,14 @@ class RadiationWeights:
 
 def radiation_weights(T_r, rule: LogRule) -> RadiationWeights:
     """Weight bundle of cell radiation temperatures T_r > 0 at the nodes of
-    rule, the grid's log_rule(edges)."""
-    w_rad, w_ros = _planck_weights(rule, np.asarray(T_r, dtype=float),
-                                   rosseland=True)
+    rule, the grid's log_rule(edges); ConvergenceError names the first cell
+    whose T_r is not finite and positive, which would get all-zero weights."""
+    T_r = np.asarray(T_r, dtype=float)
+    bad = np.flatnonzero(~((T_r > 0.0) & (T_r < np.inf)))
+    if bad.size:
+        raise ConvergenceError(
+            f"radiation weights: T_r is {T_r[bad[0]]} in cell {bad[0]}")
+    w_rad, w_ros = _planck_weights(rule, T_r, rosseland=True)
     return RadiationWeights(rule=rule, w_rad=w_rad, w_ros=w_ros,
                             rad_sum=_group_sum(rule, w_rad),
                             ros_sum=_group_sum(rule, w_ros))
@@ -324,12 +329,12 @@ def build_group_opacities(T, rad: RadiationWeights, edges,
 
     w_loc = _planck_weights(rule, T)
     loc_sum = _group_sum(rule, w_loc)
-    opac = GroupOpacitySet(
-        sig_B=avg(w_loc, loc_sum, False),
-        sig_E=avg(rad.w_rad, rad.rad_sum, False),
-        sig_R=avg(rad.w_ros, rad.ros_sum, True),
-        B=_planck_integrals(rule, edges, T, loc_sum),
-    )
+    with np.errstate(divide="ignore", invalid="ignore"):  # checked below
+        means = (avg(w_loc, loc_sum, False),
+                 avg(rad.w_rad, rad.rad_sum, False),
+                 avg(rad.w_ros, rad.ros_sum, True))
+    opac = GroupOpacitySet(*means, B=_planck_integrals(rule, edges, T,
+                                                       loc_sum))
     for name, x in vars(opac).items():  # sig_B, sig_E, sig_R, B
         sound = np.isfinite(x) & (x >= 0.0 if name == "B" else x > 0.0)
         if not sound.all():

@@ -120,8 +120,9 @@ class TestParseConfig:
 
 class TestWriteConfig:
     def test_round_trip_exact(self, tmp_path):
-        cfg = parse_config(None, {"cycle": "F", "grids": "64,16,4,1",
-                                  "lmax": "2", "dt": "0.019999999999",
+        cfg = parse_config(None, {"cycle": "custom", "grids": "64,16,4,1",
+                                  "visits": "3,2", "lmax": "2",
+                                  "dt": "0.019999999999",
                                   "snapshots": "0.2,3.0", "eps": "2e-6"})
         p = tmp_path / "eff.cfg"
         write_config(cfg, p)

@@ -413,15 +413,23 @@ class TestConvergenceRecords:
                         getattr(b, f.name).tobytes()
 
     def test_rows_per_step(self):
+        # converged steps, and a step that hits the outer cap, each hold one
+        # row per cycle and one per outer iteration up to their last sweep
         prob = _fc()
         sched = make_schedule("V", (16, 1), 4)
         res = run_simulation(prob, sched, ConvergenceCriteria(), 2e-2, 2)
-        for rec in res.stats.steps:
-            rows = [r for r in res.stats.conv if r.step == rec.step]
-            outer = [r for r in rows if r.cycle == 0]
-            assert [r.s for r in outer] == list(range(rec.m_ti + 1))
-            assert len([r for r in rows if r.cycle > 0]) == rec.m_c
-            assert all(np.isfinite(r.dT) and r.dT >= 0.0 for r in rows)
+        capped = IterationStats()
+        with pytest.raises(ConvergenceError, match=r"hit the cap 1 "):
+            run_time_step(prob, initial_state(prob), sched,
+                          ConvergenceCriteria(max_outer=1), 2e-2, capped)
+        assert [r.failed for r in capped.steps] == [True]
+        for stats in (res.stats, capped):
+            for rec in stats.steps:
+                rows = [r for r in stats.conv if r.step == rec.step]
+                outer = [r for r in rows if r.cycle == 0]
+                assert [r.s for r in outer] == list(range(rec.m_ti + 1))
+                assert len([r for r in rows if r.cycle > 0]) == rec.m_c
+                assert all(np.isfinite(r.dT) and r.dT >= 0.0 for r in rows)
 
     def test_outer_cap_raises(self):
         # a step that hits the outer cap keeps its work as one record marked
@@ -445,6 +453,8 @@ class TestConvergenceRecords:
         assert (stats.n_ti, stats.n_c, stats.n_lo) == tuple(
             sum(getattr(r, k) for r in stats.steps)
             for k in ("m_ti", "m_c", "m_lo"))
+        # the totals are sums of the step records, never stored beside them
+        assert [f.name for f in fields(IterationStats)] == ["steps", "conv"]
 
     def test_non_finite_outer_change_is_recorded(self, monkeypatch):
         # a non-finite outer change records the failed step the same way

@@ -320,7 +320,7 @@ def test_build_names_its_first_bad_value(bad, shown):
     # the build checks its own output: a sigma that is bad in one group at
     # one cell's temperature makes sig_B, the first field checked, bad in
     # that cell and group.  The harmonic Rosseland mean divides by that
-    # sigma, so the floating-point warnings on the way are silenced here.
+    # sigma, and no floating-point warning may preempt the build's error.
     edges = _fc_edges(256)
     lo, hi = edges[100], edges[101]
     T = np.array([0.1, 0.2, 0.3])
@@ -329,11 +329,21 @@ def test_build_names_its_first_bad_value(bad, shown):
         return np.where((nu >= lo) & (nu <= hi) & (T > 0.25), bad, FC(nu, T))
 
     rad = phys.radiation_weights(T, phys.log_rule(edges))
-    with np.errstate(divide="ignore", invalid="ignore"), \
-            pytest.raises(phys.ConvergenceError,
-                          match=rf"^opacity build: sig_B is {shown} in cell 2, "
-                                rf"group 100$"):
+    with pytest.raises(phys.ConvergenceError,
+                       match=rf"^opacity build: sig_B is {shown} in cell 2, "
+                             rf"group 100$"):
         phys.build_group_opacities(T, rad, edges, sigma)
+
+
+@pytest.mark.parametrize("bad,shown", [(np.nan, "nan"), (0.0, "0.0"),
+                                       (-1.0, "-1.0"), (np.inf, "inf")])
+def test_radiation_weights_name_a_bad_temperature(bad, shown):
+    # a T_r that is not finite and positive would give all-zero weights,
+    # and the build would pass its check on sigma at the group midpoints
+    msg = rf"^radiation weights: T_r is {shown} in cell 1$"
+    with pytest.raises(phys.ConvergenceError, match=msg):
+        phys.radiation_weights(np.array([0.2, bad, bad]),
+                               phys.log_rule(_fc_edges(16)))
 
 
 def test_build_passes_zero_emission_in_the_wien_tail():
