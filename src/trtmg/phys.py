@@ -146,7 +146,6 @@ class LogRule:
     wide: np.ndarray    # (W,) the wide groups, in order
     mid: np.ndarray     # (G,) geometric midpoint of the (clamped) group
     p3: np.ndarray      # (8, R) PLANCK_PREFACTOR * nu^3
-    p4: np.ndarray      # (8, R) PLANCK_PREFACTOR * nu^4
     bounds: np.ndarray  # (E,) edges that bound a wide group, indices in order
     span: np.ndarray    # (2, W) each wide group's lower and upper edge, as
                         # indices into bounds
@@ -172,8 +171,7 @@ def log_rule(edges) -> LogRule:
     bounds = np.flatnonzero(bound)
     span = np.searchsorted(bounds, [wide, wide + 1])
     return LogRule(nu=nu, w=w, wide=wide, mid=np.sqrt(lo * hi),
-                   p3=PLANCK_PREFACTOR * nu**3, p4=PLANCK_PREFACTOR * nu**4,
-                   bounds=bounds, span=span)
+                   p3=PLANCK_PREFACTOR * nu**3, bounds=bounds, span=span)
 
 
 def _group_sum(rule: LogRule, q):
@@ -188,38 +186,30 @@ def _group_sum(rule: LogRule, q):
     return first
 
 
-def _positive_div(num, den):
-    """num / den where den > 0, else 0, written into num."""
-    ok = den > 0
-    np.divide(num, den, out=num, where=ok)
-    np.copyto(num, 0.0, where=~ok)
-    return num
-
-
 def _planck_weights(rule: LogRule, T, rosseland=False):
     """B(nu, T) w at every node of rule for cell temperatures T > 0 of shape
     (n,), as an (8, n, R) array; with rosseland, the pair of it and
     dB/dT(nu, T) w.
 
-    B = p3 e^-x / (1 - e^-x) and dB/dT = p4 / T^2 e^-x / (1 - e^-x)^2 with
-    x = nu/T share one exp(-x) and one expm1(-x).  Each is 0 where its
-    denominator is not positive, and in the deep Wien tail, where e^-x
-    underflows.  The arithmetic runs in place: this is the hot path of every
-    build, and fresh (8, n, R) temporaries cost as much as the math.
+    With x = nu/T and d = expm1(x), B = p3 / d and dB/dT = B (nu/T^2)
+    (1 + 1/d): one transcendental and one division per node.  Where e^x
+    overflows, d is inf and both are exactly 0.  The arithmetic runs in
+    place: this is the hot path of every build, and fresh (8, n, R)
+    temporaries cost as much as the math.
     """
     Tc = T[None, :, None]
-    e = np.divide(rule.nu[:, None, :], -Tc)  # -x
-    d = np.expm1(e)
-    np.exp(e, out=e)                         # e^-x
-    np.negative(d, out=d)                    # 1 - e^-x
-    w_B = _positive_div(rule.p3[:, None, :] * e, d)
+    x = np.divide(rule.nu[:, None, :], Tc)
+    with np.errstate(over="ignore"):  # d = inf: B and dB/dT are 0
+        d = np.expm1(x)
+    w_B = np.divide(rule.p3[:, None, :], d)
     w_B *= rule.w[:, None, :]
     if not rosseland:
         return w_B
-    w_dB = np.divide(rule.p4[:, None, :], Tc**2)
-    w_dB *= e
-    _positive_div(w_dB, np.multiply(d, d, out=d))
-    w_dB *= rule.w[:, None, :]
+    w_dB = np.divide(1.0, d, out=d)
+    w_dB += 1.0
+    w_dB *= x
+    w_dB /= Tc
+    w_dB *= w_B
     return w_B, w_dB
 
 
@@ -269,15 +259,20 @@ class RadiationWeights:
     ros_sum: np.ndarray  # (n_x, G)
 
 
+def _check_temperature(T, what):
+    """ConvergenceError naming what and the first cell whose temperature T
+    is not finite and positive, where the Planck weights have no meaning."""
+    bad = np.flatnonzero(~((T > 0.0) & (T < np.inf)))
+    if bad.size:
+        raise ConvergenceError(f"{what} is {T[bad[0]]} in cell {bad[0]}")
+
+
 def radiation_weights(T_r, rule: LogRule) -> RadiationWeights:
     """Weight bundle of cell radiation temperatures T_r > 0 at the nodes of
     rule, the grid's log_rule(edges); ConvergenceError names the first cell
-    whose T_r is not finite and positive, which would get all-zero weights."""
+    whose T_r is not finite and positive."""
     T_r = np.asarray(T_r, dtype=float)
-    bad = np.flatnonzero(~((T_r > 0.0) & (T_r < np.inf)))
-    if bad.size:
-        raise ConvergenceError(
-            f"radiation weights: T_r is {T_r[bad[0]]} in cell {bad[0]}")
+    _check_temperature(T_r, "radiation weights: T_r")
     w_rad, w_ros = _planck_weights(rule, T_r, rosseland=True)
     return RadiationWeights(rule=rule, w_rad=w_rad, w_ros=w_ros,
                             rad_sum=_group_sum(rule, w_rad),
@@ -310,11 +305,13 @@ def build_group_opacities(T, rad: RadiationWeights, edges,
     integral is sig_B's own denominator, so only the wide groups evaluate a
     series, while sig_B keeps the quadrature denominator on every group.
 
-    Raises ConvergenceError naming the field and its first bad (cell, group)
+    Raises ConvergenceError naming the first cell whose T is not finite and
+    positive, and afterwards the field and its first bad (cell, group)
     unless every mean is finite and positive and every B finite and
     nonnegative, so that no sweep or solve reads a bad opacity.
     """
     T = np.asarray(T, dtype=float)
+    _check_temperature(T, "opacity build: T")
     rule = rad.rule
     sig = sigma(rule.nu[:, None, :], T[None, :, None])
     fallback = sigma(rule.mid[None, :], T[:, None])

@@ -641,7 +641,7 @@ class TestRunSimulation:
         rule = prob.hierarchy.rule
         inputs = [prob.inc_left, prob.inc_right, prob.mesh.faces,
                   prob.quad.mu, prob.quad.w, prob.hierarchy.edges, rule.nu,
-                  rule.w, rule.wide, rule.mid, rule.p3, rule.p4]
+                  rule.w, rule.wide, rule.mid, rule.p3]
         state = initial_state(prob)
         stats = IterationStats()
         for _ in range(2):

@@ -3,10 +3,13 @@
 Reference values were frozen from 40-digit mpmath quadrature of the same
 integrands (prefactor A = 15 c a_R / (2 pi^4), B = A nu^3/(e^(nu/T)-1)).
 The pointwise Planck functions are the references in oracles.py.  The build
-evaluates them at its nodes bit for bit, and its group means agree with
-their one-pass composition on the 16-point rule, and with a 128-node rule,
-to round-off.
+evaluates them at its nodes to a few ulps (it writes B as P nu^3/expm1(x),
+they as P nu^3 e^-x/(1 - e^-x)), and its group means agree with their
+one-pass composition on the 16-point rule, and with a 128-node rule, to
+round-off.
 """
+
+import warnings
 
 import numpy as np
 import oracles
@@ -191,11 +194,18 @@ def test_build_matches_one_pass_reference(log_T, log_T_r, log_edges):
         assert np.all(np.isfinite(mean) & (mean > 0.0)), name
         held = share > 1e-20
         assert np.all(np.abs(mean - ref)[held] <= 1e-13 * ref[held]), name
+    # the node weights are P nu^3/expm1(x) and the oracles P nu^3 e^-x/(1 -
+    # e^-x), equally accurate: a few ulps apart wherever the weight is a
+    # normal number, and exactly 0 wherever the oracle's weight is
     nu, w = rad.rule.nu[:, None, :], rad.rule.w[:, None, :]
-    assert np.array_equal(rad.w_rad,
-                          oracles.planck_B(nu, T_r[None, :, None]) * w)
-    assert np.array_equal(rad.w_ros,
-                          oracles.planck_dB_dT(nu, T_r[None, :, None]) * w)
+    T_c = T_r[None, :, None]
+    for got, ref in ((rad.w_rad, oracles.planck_B(nu, T_c) * w),
+                     (rad.w_ros, oracles.planck_dB_dT(nu, T_c) * w)):
+        err = np.abs(got - ref)
+        normal = ref > 1e-290
+        assert np.all(err[normal] <= 8.0 * np.finfo(float).eps * ref[normal])
+        assert np.all(err[~normal] <= 1e-290)
+        assert np.all(got[ref == 0.0] == 0.0)
 
 
 def _rows(rule, g):
@@ -338,12 +348,57 @@ def test_build_names_its_first_bad_value(bad, shown):
 @pytest.mark.parametrize("bad,shown", [(np.nan, "nan"), (0.0, "0.0"),
                                        (-1.0, "-1.0"), (np.inf, "inf")])
 def test_radiation_weights_name_a_bad_temperature(bad, shown):
-    # a T_r that is not finite and positive would give all-zero weights,
-    # and the build would pass its check on sigma at the group midpoints
+    # a T_r that is not finite and positive gives weights with no meaning;
+    # at T_r = 0 they are all zero, and the build would pass its check on
+    # sigma at the group midpoints
     msg = rf"^radiation weights: T_r is {shown} in cell 1$"
     with pytest.raises(phys.ConvergenceError, match=msg):
         phys.radiation_weights(np.array([0.2, bad, bad]),
                                phys.log_rule(_fc_edges(16)))
+
+
+@pytest.mark.parametrize("bad,shown", [(np.nan, "nan"), (0.0, "0.0"),
+                                       (-1.0, "-1.0"), (np.inf, "inf")])
+def test_build_names_a_bad_temperature(bad, shown):
+    # checked on entry, so that neither a floating-point warning nor a
+    # later field (B, sig_B) names the fault in T's place
+    edges = _fc_edges(16)
+    rad = phys.radiation_weights(np.full(3, 0.2), phys.log_rule(edges))
+    msg = rf"^opacity build: T is {shown} in cell 1$"
+    with pytest.raises(phys.ConvergenceError, match=msg):
+        phys.build_group_opacities(np.array([0.2, bad, bad]), rad, edges, FC)
+
+
+@pytest.mark.parametrize("G", [16, 64, 256])
+def test_emission_mean_at_equal_temperatures_is_the_planck_mean(G):
+    # the T_r bundle and the build's T-side weights come from one function,
+    # so at T_r = T sig_E is sig_B bit for bit: the equilibrium fixed point
+    # rests on this
+    edges = _fc_edges(G)
+    T = np.logspace(-6.0, 1.0, 12)
+    opac = phys.build_group_opacities(
+        T, phys.radiation_weights(T, phys.log_rule(edges)), edges, FC)
+    assert np.array_equal(opac.sig_E, opac.sig_B)
+
+
+def test_planck_weights_vanish_where_exp_overflows():
+    # at the floor temperature e^(nu/T) overflows on most of the 256-group
+    # grid up to 1e7 keV: every weight stays finite, is exactly 0 there, and
+    # no floating-point warning is raised
+    edges = _fc_edges(256)
+    rule = phys.log_rule(edges)
+    T = np.full(2, phys.T_FLOOR)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rad = phys.radiation_weights(T, rule)
+        w_loc = phys._planck_weights(rule, T)
+        phys.build_group_opacities(T, rad, edges, FC)
+    x = rule.nu[:, None, :] / T[None, :, None]
+    over = x > np.log(np.finfo(float).max)
+    assert over.any() and not over.all()
+    for w in (w_loc, rad.w_rad, rad.w_ros):
+        assert np.all(np.isfinite(w))
+        assert np.all(w[over] == 0.0)
 
 
 def test_build_passes_zero_emission_in_the_wien_tail():

@@ -115,9 +115,24 @@ def test_last_line_names_cases_whose_counters_moved(tool, monkeypatch,
                                         "B": {"name": "B"}})
     assert tool.main(["HEAD"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-2:] == ["2 of 10 files differ from HEAD",
+    # the summary follows the per-file lines: A's T moves 0.5 against its
+    # snapshot maximum of 1.0
+    assert lines[-3:] == ["largest profile change: 5.0e-01 (A, T)",
+                          "2 of 10 files differ from HEAD",
                           "counter triples moved: B"]
     monkeypatch.setattr(tool, "CASES", {"A": {"name": "A"}})
     assert tool.main(["HEAD"]) == 1
     assert capsys.readouterr().out.splitlines()[-1] \
         == "counter triples moved: none"
+    monkeypatch.setattr(tool, "CASES", {"B": {"name": "B"}})
+    assert tool.main(["HEAD"]) == 1
+    assert capsys.readouterr().out.splitlines()[-3] \
+        == "largest profile change: none"
+
+
+def test_largest_profile_change_over_cases_and_fields(tool):
+    old = PROFILES.format(1.0, 1.0).encode()
+    assert tool.profile_change(old, PROFILES.format(1.25, 1.5).encode()) \
+        == {"T": 0.25, "E_total": 0.5}
+    shorter = "\n".join(PROFILES.splitlines()[:-1]).format(1.0, 1.0).encode()
+    assert tool.profile_change(old, shorter) is None

@@ -18,9 +18,13 @@ differing profiles.csv is sized by its largest relative T and E_total change
 differing totals.csv shows both counter triples N_ti/N_c/N_lo, a differing
 stats.csv the first step whose M_ti/M_c/M_lo triple moved, and a differing
 conv_hist.csv the first row whose (step, s, l) moved or else its largest
-dT_inf change against the file's maximum.  The last line names the cases
-whose counter triple moved, or says none.  Everything is written under the
-temporary directory.
+dT_inf change against the file's maximum.  After the per-file lines, one
+line gives the largest relative profile change over all cases with its case
+and field (e.g. "largest profile change: 2.2e-12 (V4, T)"), the one number
+that sizes a round-off change, or says none; inf with the field "snapshots"
+stands for a profiles.csv whose snapshot times or cell counts differ.  The
+last line names the cases whose counter triple moved, or says none.
+Everything is written under the temporary directory.
 """
 
 from __future__ import annotations
@@ -134,12 +138,22 @@ def change(name: str, old: bytes, new: bytes) -> str:
         return f"max relative change dT_inf {err:.1e}"
     if name != "profiles.csv":
         return ""
+    err = profile_change(old, new)
+    if err is None:
+        return "snapshot times or cell counts differ"
+    return "max relative change T {T:.1e}, E_total {E_total:.1e}".format(**err)
+
+
+def profile_change(old: bytes, new: bytes):
+    """The largest relative T and E_total change of a profiles.csv, each
+    snapshot against its own maximum, as {field: change}; None if the
+    snapshot times or cell counts differ."""
     a, b = _snapshots(old), _snapshots(new)
     if a.keys() != b.keys() or any(len(a[t][0]) != len(b[t][0]) for t in a):
-        return "snapshot times or cell counts differ"
-    err = [max(np.max(np.abs(np.subtract(b[t][k], a[t][k])))
-               / np.max(np.abs(a[t][k])) for t in a) for k in (0, 1)]
-    return f"max relative change T {err[0]:.1e}, E_total {err[1]:.1e}"
+        return None
+    return {field: max(np.max(np.abs(np.subtract(b[t][k], a[t][k])))
+                       / np.max(np.abs(a[t][k])) for t in a)
+            for k, field in enumerate(("T", "E_total"))}
 
 
 def main(argv) -> int:
@@ -149,6 +163,7 @@ def main(argv) -> int:
     rev = argv[0] if argv else "HEAD"
     differ = 0
     moved = []  # cases whose totals.csv counter triple differs
+    largest = []  # (change, case, field) of each differing profiles.csv
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         try:
@@ -168,12 +183,20 @@ def main(argv) -> int:
                     status, note = "DIFFERS", change(name, old, new)
                     if name == "totals.csv" and totals(old) != totals(new):
                         moved.append(case)
+                    if name == "profiles.csv":
+                        err = (profile_change(old, new)
+                               or {"snapshots": float("inf")})
+                        largest += [(e, case, f) for f, e in err.items()]
                 else:
                     status = "same"
                     note = totals(old) if name == "totals.csv" else ""
                 differ += status != "same"
                 print(f"{status:8} {case:8} {name:14} {note}".rstrip(),
                       flush=True)
+    if largest:
+        print("largest profile change: {:.1e} ({}, {})".format(*max(largest)))
+    else:
+        print("largest profile change: none")
     print(f"{differ} of {len(CASES) * len(FILES)} files differ from {rev}")
     print(f"counter triples moved: {', '.join(moved) or 'none'}")
     return 1 if differ else 0
