@@ -126,6 +126,8 @@ class Problem:
     hierarchy: FrequencyGridHierarchy
     material: MaterialModel
     sigma: object              # callable (nu, T) -> opacity
+    # the inflows are (G, M), groups before directions, while psi is
+    # (n_x, 2, M, G)
     inc_left: np.ndarray       # (G, M) inflow at x=0, read in the mu>0 columns
     inc_right: np.ndarray      # (G, M) inflow at x=X, read in the mu<0 columns
     T_init: float = phys.T_FLOOR
@@ -140,7 +142,7 @@ class Problem:
 class SimulationState:
     T: np.ndarray            # (n_x,)
     T_r: np.ndarray          # (n_x,) radiation temperature for opacity weights
-    psi: np.ndarray          # (n_x, 2, G, M) corner intensities
+    psi: np.ndarray          # (n_x, 2, M, G) corner intensities
     E: np.ndarray            # (G, n_x) committed fine moments
     F: np.ndarray            # (G, n_x+1)
     closures: transport.ClosureData
@@ -156,8 +158,8 @@ def initial_state(problem: Problem) -> SimulationState:
     # the start temperature is one scalar, so its emission is formed once
     B0 = np.broadcast_to(phys.planck_groups(T0[:1], hier.rule, hier.edges),
                          (nx, G))
-    psi = np.empty((nx, 2, G, M))
-    psi[:] = (0.5 * B0)[:, None, :, None]
+    psi = np.empty((nx, 2, M, G))
+    psi[:] = (0.5 * B0)[:, None, None, :]
     E = np.ascontiguousarray(2.0 * B0.T / C_LIGHT)  # (G, nx) like every E
     F = np.zeros((G, nx + 1))
     return SimulationState(

@@ -6,20 +6,24 @@ has psi = B_g/2 in every direction.  The Eddington factors and boundary
 flux ratios handed to the moment solver are ratios of angular moments and
 do not depend on that normalization; the boundary inflow source does.
 
-psi is stored cells-leading as (n_cells, 2, n_groups, n_dirs): axis 1 holds
-the left/right corner of each cell, so one corner of one cell is a
-contiguous (n_groups, n_dirs) block and each step of the sweep's cell loop
-reads and writes whole blocks.  Directions run in ascending mu, so the
-mu < 0 half range comes first.  Its sweep is the mu > 0 sweep of the
-mirrored slab: cells and corners reversed and |mu| as the cosine.
+psi is stored cells-leading and directions before groups, as (n_cells, 2,
+n_dirs, n_groups): axis 1 holds the left/right corner of each cell, and
+directions run in ascending mu, so the mu < 0 half range comes first and
+one half range of one cell corner, psi[i, c, :n] or psi[i, c, n:], is a
+single contiguous (m, n_groups) block for every quadrature, uneven and
+one-sided ones included.  Each step of the sweep's cell loop reads and
+writes whole blocks.  The mu < 0 sweep is the mu > 0 sweep of the mirrored
+slab: cells and corners reversed and |mu| as the cosine.
 
 The sweep's working set is one cell: each temporary is formed for one
-cell's (2, n_groups, m) block inside the cell loop, and both corners are
+cell's (2, m, n_groups) block inside the cell loop, and both corners are
 divided straight into psi.  psi itself is written into a caller's array
 when one is given, so a time step's later sweeps overwrite the psi of its
 earlier ones instead of allocating anew.  The closure extraction, too,
-works in psi's layout: its cell average is (n_cells, n_groups, n_dirs), and
-its angular moments are matrix-vector products over the direction axis.
+works in psi's layout: its cell average is (n_cells, n_dirs, n_groups), and
+its angular moments are vector-matrix products over the direction axis.
+The inflows are (n_groups, n_dirs), as the problem declares them; the
+sweep reads each entering half range as an (m, n_groups) transpose.
 """
 
 from __future__ import annotations
@@ -70,17 +74,16 @@ def _inflow_source(C, inc_left, inc_right, quad):
 
 def _sweep_rightward(psi, psi_prev, sigma, q, hdx, tau, mu, inflow):
     """Corner-balance sweep of one half range from the left face to the
-    right: psi and psi_prev (n_x, 2, G, m), sigma and q (n_x, G), hdx
-    (n_x, 1) half cell widths, mu (m,) > 0, inflow (G, m) entering the left
-    face.  mu, mu/2 and (mu/2)^2 are tiled to (G, m) once, since the
-    loop's products with them run faster on whole blocks than broadcast row
-    by row."""
-    G = inflow.shape[0]
-    a = ((sigma + tau) * hdx)[:, :, None]        # (n_x, G, 1)
-    qh = 0.5 * q[:, None, :, None]               # (n_x, 1, G, 1)
-    half = np.tile(0.5 * mu, (G, 1))
+    right: psi and psi_prev (n_x, 2, m, G), sigma and q (n_x, G), hdx
+    (n_x, 1) half cell widths, mu (m,) > 0, inflow (m, G) entering the left
+    face.  mu, mu/2 and (mu/2)^2 are tiled to (m, G) once, since the
+    loop's products with them run faster on whole blocks than broadcast."""
+    G = inflow.shape[1]
+    a = ((sigma + tau) * hdx)[:, None, :]        # (n_x, 1, G)
+    qh = 0.5 * q[:, None, None, :]               # (n_x, 1, 1, G)
+    half = np.tile(0.5 * mu[:, None], (1, G))
     half2 = half**2
-    mu = np.tile(mu, (G, 1))
+    mu = np.tile(mu[:, None], (1, G))
     for i in range(psi.shape[0]):
         # b = hdx (q/2 + tau psi_prev); addition and multiplication
         # commute, so each element rounds exactly as in that formula
@@ -106,19 +109,19 @@ def sweep_all(psi_prev: np.ndarray, inc_left: np.ndarray, inc_right: np.ndarray,
     (sigma plus the implicit time term) and the source q/2 + psi_prev/(c dt);
     the mid-cell face value is the average of the two corner values, cell
     faces are upwinded.  dt = inf gives the steady-state sweep.  sigma and q
-    are (n_x, G), psi_prev and the result (n_x, 2, G, M).  The result is
-    written into out when given (its old values are never read) and into a
-    new array otherwise.
+    are (n_x, G), inc_left and inc_right (G, M), psi_prev and the result
+    (n_x, 2, M, G).  The result is written into out when given (its old
+    values are never read) and into a new array otherwise.
     """
     tau = 1.0 / (C_LIGHT * dt)
     hdx = 0.5 * mesh.dx[:, None]
     psi = np.empty_like(psi_prev) if out is None else out
     n = int(np.searchsorted(quad.mu, 0.0))       # directions with mu < 0
-    _sweep_rightward(psi[..., n:], psi_prev[..., n:], sigma, q, hdx, tau,
-                     quad.mu[n:], inc_left[:, n:])
-    _sweep_rightward(psi[::-1, ::-1, :, :n], psi_prev[::-1, ::-1, :, :n],
+    _sweep_rightward(psi[:, :, n:], psi_prev[:, :, n:], sigma, q, hdx, tau,
+                     quad.mu[n:], inc_left[:, n:].T)
+    _sweep_rightward(psi[::-1, ::-1, :n], psi_prev[::-1, ::-1, :n],
                      sigma[::-1], q[::-1], hdx[::-1], tau, -quad.mu[:n],
-                     inc_right[:, :n])
+                     inc_right[:, :n].T)
     return psi
 
 
@@ -139,26 +142,28 @@ def compute_qd_factors(psi: np.ndarray, inc_left: np.ndarray, inc_right: np.ndar
     """
     w, mu, pos = quad.w, quad.mu, quad.positive
     wmu2 = w * mu * mu
-    psi_bar = psi[:, 0] + psi[:, 1]              # (n_x, G, M)
+    psi_bar = psi[:, 0] + psi[:, 1]              # (n_x, M, G)
     psi_bar *= 0.5
 
-    moment0 = psi_bar @ w                        # (n_x, G)
+    moment0 = w @ psi_bar                        # (n_x, G)
     bad = ~np.isfinite(moment0.T)
     if bad.any():
         g, i = np.argwhere(bad)[0]
         raise ConvergenceError(
             f"transport sweep: non-finite zeroth angular moment in group {g}, "
             f"cell {i}")
-    f = _ratio(psi_bar @ wmu2, moment0, 1.0 / 3.0).T
+    f = _ratio(wmu2 @ psi_bar, moment0, 1.0 / 3.0).T
 
     # boundary-face intensities: the inflow where it enters, exit corners
     # where it leaves
-    fl = np.where(pos[None, :], inc_left, psi[0, 0])
-    fr = np.where(pos[None, :], psi[-1, 1], inc_right)
+    fl = np.where(pos[None, :], inc_left, psi[0, 0].T)
+    fr = np.where(pos[None, :], psi[-1, 1].T, inc_right)
     f_face = np.stack([_ratio(fl @ wmu2, fl @ w, 1.0 / 3.0),
                        _ratio(fr @ wmu2, fr @ w, 1.0 / 3.0)], axis=1)
 
-    exit_l, exit_r = psi[0, 0][:, ~pos], psi[-1, 1][:, pos]
+    # exit rows as (G, k) transposes: F-ordered like a boolean column
+    # gather of a (G, M) array, which fixes the order of BLAS's sums in C
+    exit_l, exit_r = psi[0, 0][~pos].T, psi[-1, 1][pos].T
     C = np.column_stack([
         _ratio(exit_l @ (w * mu)[~pos], exit_l @ w[~pos], -0.5),
         _ratio(exit_r @ (w * mu)[pos], exit_r @ w[pos], 0.5)])

@@ -27,24 +27,24 @@ def _rel_defect(terms: np.ndarray) -> float:
 
 
 def compute_moments(psi, inc_left, inc_right, quad):
-    """(E, E_face, F) of the sweep intensity psi (n_x, 2, G, M); fluxes at
+    """(E, E_face, F) of the sweep intensity psi (n_x, 2, M, G); fluxes at
     cell faces use the upwind corner values, boundary faces the incoming data
     where it enters."""
     w, mu, pos = quad.w, quad.mu, quad.positive
     psi_bar = 0.5 * (psi[:, 0] + psi[:, 1])
-    E = np.einsum("m,igm->gi", w, psi_bar) / phys.C_LIGHT
+    E = np.einsum("m,img->gi", w, psi_bar) / phys.C_LIGHT
 
-    fl = np.where(pos[None, :], inc_left, psi[0, 0])
-    fr = np.where(pos[None, :], psi[-1, 1], inc_right)
+    fl = np.where(pos[None, :], inc_left, psi[0, 0].T)
+    fr = np.where(pos[None, :], psi[-1, 1].T, inc_right)
     E_face = np.stack([fl @ w, fr @ w], axis=1) / phys.C_LIGHT
 
-    nx, G, _ = psi_bar.shape
+    nx, _, G = psi_bar.shape
     F = np.empty((G, nx + 1))
     wmu_p, wmu_n = (w * mu)[pos], (w * mu)[~pos]
-    F[:, 0] = inc_left[:, pos] @ wmu_p + psi[0, 0][:, ~pos] @ wmu_n
+    F[:, 0] = inc_left[:, pos] @ wmu_p + wmu_n @ psi[0, 0, ~pos]
     for f in range(1, nx):
-        F[:, f] = psi[f - 1, 1][:, pos] @ wmu_p + psi[f, 0][:, ~pos] @ wmu_n
-    F[:, nx] = psi[nx - 1, 1][:, pos] @ wmu_p + inc_right[:, ~pos] @ wmu_n
+        F[:, f] = wmu_p @ psi[f - 1, 1, pos] + wmu_n @ psi[f, 0, ~pos]
+    F[:, nx] = wmu_p @ psi[nx - 1, 1, pos] + inc_right[:, ~pos] @ wmu_n
     return E, E_face, F
 
 
@@ -67,7 +67,7 @@ def dense_sweep_oracle(psi_prev, inc_left, inc_right, sigma, q, mesh, quad,
     """Assemble every corner equation of one group/direction pair into a
     dense matrix and solve it outright; arguments and result laid out as for
     transport.sweep_all."""
-    nx, _, G, M = psi_prev.shape
+    nx, _, M, G = psi_prev.shape
     tau = 1.0 / (phys.C_LIGHT * dt)
     dx = mesh.dx
     out = np.empty_like(psi_prev)
@@ -80,7 +80,7 @@ def dense_sweep_oracle(psi_prev, inc_left, inc_right, sigma, q, mesh, quad,
             for i in range(nx):
                 a = (sigma[i, g] + tau) * dx[i] / 2.0
                 bsrc = 0.5 * dx[i] * (0.5 * q[i, g]
-                                      + tau * psi_prev[i, :, g, m])
+                                      + tau * psi_prev[i, :, m, g])
                 L, R = 2 * i, 2 * i + 1
                 if mu > 0:
                     A[L, L], A[L, R] = h + a, h
@@ -100,7 +100,7 @@ def dense_sweep_oracle(psi_prev, inc_left, inc_right, sigma, q, mesh, quad,
                         A[R, L + 2] = -abs(mu)
                     A[L, R], A[L, L] = -h, h + a
                     b[L] = bsrc[0]
-            out[:, :, g, m] = np.linalg.solve(A, b).reshape(nx, 2)
+            out[:, :, m, g] = np.linalg.solve(A, b).reshape(nx, 2)
     return out
 
 

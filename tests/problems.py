@@ -1,15 +1,41 @@
-"""Small problems and the energy-balance check shared by the test
-modules."""
+"""Small problems, angular rules and the energy-balance check shared by
+the test modules."""
 
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 
 from trtmg import cycles, phys
+from trtmg.cli import RunConfig, fc_problem
 from trtmg.cycles import Problem
-from trtmg.grids import (SpatialMesh, build_fc_frequency_grid, build_hierarchy,
+from trtmg.grids import (AngularQuadrature, SpatialMesh,
+                         build_fc_frequency_grid, build_hierarchy,
                          double_gauss_legendre)
 from trtmg.phys import FleckCummingsOpacity, MaterialModel
+
+# half ranges of unequal size: two directions with mu < 0, three with mu > 0
+UNEVEN = AngularQuadrature(mu=np.array([-0.8, -0.3, 0.2, 0.5, 0.9]),
+                           w=np.array([0.5, 0.5, 0.3, 0.4, 0.3]))
+QUADRATURES = {
+    "symmetric": double_gauss_legendre(2),
+    "uneven": UNEVEN,
+    "positive": AngularQuadrature(mu=np.array([0.3, 0.7]),
+                                  w=np.array([1.0, 1.0])),
+    "negative": AngularQuadrature(mu=np.array([-0.9, -0.1]),
+                                  w=np.array([1.0, 1.0])),
+}
+
+
+def benchmark_on(quad, grids, cells=4):
+    """fc_problem's slab on the angular rule quad: its drive B_b/2 enters
+    in every mu > 0 direction and nothing enters at x = X."""
+    prob = fc_problem(RunConfig(grids=grids, cells=cells))
+    drive = prob.inc_left[:, prob.quad.positive][:, :1]
+    inc_left = np.zeros((len(drive), quad.n_dirs))
+    inc_left[:, quad.positive] = drive
+    return replace(prob, quad=quad, inc_left=inc_left,
+                   inc_right=np.zeros_like(inc_left))
 
 
 def equilibrium_problem(T0=1.0, cells=4, grids=(16, 1)):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from oracles import per_cycle_cost
-from problems import energy_balance, equilibrium_problem
+from problems import (QUADRATURES, benchmark_on, energy_balance,
+                      equilibrium_problem)
 
 from trtmg import cycles, grey, loqd, phys, transport
 from trtmg.cli import RunConfig, fc_problem
@@ -137,8 +138,8 @@ class TestInitialState:
         assert np.array_equal(st.E, 2.0 * B0.T / phys.C_LIGHT)
         assert np.all(st.F == 0.0)
         # the radiation field starts isotropic at psi = B/2 per direction
-        assert np.array_equal(st.psi[..., 0], st.psi[..., -1])
-        assert np.all(st.psi[:, 0] == 0.5 * B0[:, :, None])
+        assert np.array_equal(st.psi[:, :, 0], st.psi[:, :, -1])
+        assert np.all(st.psi[:, 0] == 0.5 * B0[:, None, :])
         assert np.all(st.closures.f == 1.0 / 3.0)
         assert np.all(st.closures.f_face == 1.0 / 3.0)
         assert np.all(st.closures.C == [-0.5, 0.5])
@@ -207,6 +208,24 @@ def test_fixed_point_on_narrow_groups(kind, counts, lmax):
                              ConvergenceCriteria(), 2e-2, 10)
     assert len(taken) == 10
     assert np.max(np.abs(res.state.T - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("name,kind,counts,lmax,totals", [
+    ("uneven", "V", (16, 1), 4, (15, 61, 1037)),
+    ("uneven", "F", (16, 8, 4, 1), 1, (37, 42, 1302)),
+    ("positive", "V", (16, 1), 4, (14, 61, 1037)),
+    ("positive", "F", (16, 8, 4, 1), 1, (39, 44, 1364)),
+], ids=["uneven-V", "uneven-F", "positive-V", "positive-F"])
+def test_whole_runs_on_uneven_half_ranges(name, kind, counts, lmax, totals):
+    # every other whole run sweeps a double Gauss-Legendre rule; on half
+    # ranges of unequal size and on a one-sided rule the steps close their
+    # energy budget and take the iteration counts measured for them
+    prob = benchmark_on(QUADRATURES[name], counts)
+    with energy_balance(1e-12) as taken:
+        res = run_simulation(prob, make_schedule(kind, counts, lmax),
+                             ConvergenceCriteria(), 2e-2, 5)
+    assert len(taken) == 5
+    assert (res.stats.n_ti, res.stats.n_c, res.stats.n_lo) == totals
 
 
 @st.composite

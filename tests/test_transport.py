@@ -13,8 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import compute_moments, dense_sweep_oracle, group_balance_residual
+from problems import QUADRATURES, UNEVEN, benchmark_on
 
 from trtmg import phys, transport
+from trtmg.cycles import initial_state
 from trtmg.grids import AngularQuadrature, SpatialMesh, double_gauss_legendre
 
 
@@ -22,17 +24,6 @@ def _two_dir_quad():
     return AngularQuadrature(mu=np.array([-1.0, 1.0]), w=np.array([1.0, 1.0]))
 
 
-# half ranges of unequal size: two directions with mu < 0, three with mu > 0
-UNEVEN = AngularQuadrature(mu=np.array([-0.8, -0.3, 0.2, 0.5, 0.9]),
-                           w=np.array([0.5, 0.5, 0.3, 0.4, 0.3]))
-QUADRATURES = {
-    "symmetric": double_gauss_legendre(2),
-    "uneven": UNEVEN,
-    "positive": AngularQuadrature(mu=np.array([0.3, 0.7]),
-                                  w=np.array([1.0, 1.0])),
-    "negative": AngularQuadrature(mu=np.array([-0.9, -0.1]),
-                                  w=np.array([1.0, 1.0])),
-}
 # the closure tests add the v1_s128 benchmark's rule, 64 directions per
 # half range
 CLOSURE_QUADRATURES = {**QUADRATURES, "S128": double_gauss_legendre(64)}
@@ -44,11 +35,11 @@ def _order_bound(quad):
     return (2 * quad.n_dirs - 1) * np.finfo(float).eps
 
 
-def _relayout(psi):
-    """Between the groups-leading (G, M, n_x, 2) layout of the oracles and
-    the cells-leading (n_x, 2, G, M) one of transport; the transpose is its
-    own inverse."""
-    return np.ascontiguousarray(psi.transpose(2, 3, 0, 1))
+def _relayout(psi, inverse=False):
+    """From the groups-leading (G, M, n_x, 2) layout of the oracles to the
+    cells-leading (n_x, 2, M, G) one of transport, or back if inverse."""
+    return np.ascontiguousarray(psi.transpose((3, 2, 0, 1) if inverse
+                                              else (2, 3, 1, 0)))
 
 
 def test_hand_corner_values():
@@ -56,15 +47,15 @@ def test_hand_corner_values():
     # (h+a) L + h R = mu, -h L + (h+a) R = 0 with h = 1/2, a = 1
     quad = _two_dir_quad()
     mesh = SpatialMesh.uniform(1, 1.0)
-    psi_prev = np.zeros((1, 2, 1, 2))      # (n_x, 2, G, M)
+    psi_prev = np.zeros((1, 2, 2, 1))      # (n_x, 2, M, G)
     inc_left = np.array([[0.0, 1.0]])
     inc_right = np.zeros((1, 2))
     sigma = np.full((1, 1), 2.0)
     q = np.zeros((1, 1))
     psi = transport.sweep_all(psi_prev, inc_left, inc_right, sigma, q, mesh,
                               quad, np.inf)
-    assert psi[0, 0, 0, 1] == pytest.approx(0.6, rel=1e-14)
-    assert psi[0, 1, 0, 1] == pytest.approx(0.2, rel=1e-14)
+    assert psi[0, 0, 1, 0] == pytest.approx(0.6, rel=1e-14)
+    assert psi[0, 1, 1, 0] == pytest.approx(0.2, rel=1e-14)
     # mirrored problem: unit inflow from the right into mu = -1
     psi = transport.sweep_all(psi_prev, np.zeros((1, 2)),
                               np.array([[1.0, 0.0]]), sigma, q, mesh, quad,
@@ -80,14 +71,14 @@ def test_free_streaming():
     rng = np.random.default_rng(11)
     inc_left = rng.random((G, M))
     inc_right = rng.random((G, M))
-    psi = transport.sweep_all(np.zeros((nx, 2, G, M)), inc_left, inc_right,
+    psi = transport.sweep_all(np.zeros((nx, 2, M, G)), inc_left, inc_right,
                               np.zeros((nx, G)), np.zeros((nx, G)), mesh,
                               quad, np.inf)
     pos = quad.positive
     for m in np.flatnonzero(pos):
-        assert np.allclose(psi[..., m], inc_left[:, m], rtol=1e-13)
+        assert np.allclose(psi[:, :, m], inc_left[:, m], rtol=1e-13)
     for m in np.flatnonzero(~pos):
-        assert np.allclose(psi[..., m], inc_right[:, m], rtol=1e-13)
+        assert np.allclose(psi[:, :, m], inc_right[:, m], rtol=1e-13)
 
 
 def test_equilibrium_intensity_is_fixed_point():
@@ -101,7 +92,7 @@ def test_equilibrium_intensity_is_fixed_point():
     B = phys.planck_groups(np.array([T]), phys.log_rule(edges), edges)[0]
     sigma = np.tile(np.linspace(0.5, 3.0, G), (nx, 1))
     q = sigma * B
-    psi_eq = np.broadcast_to(0.5 * B[:, None], (nx, 2, G, M)).copy()
+    psi_eq = np.broadcast_to(0.5 * B, (nx, 2, M, G)).copy()
     inc = np.broadcast_to(0.5 * B[:, None], (G, M)).copy()
     for dt in (np.inf, 0.02):
         psi = transport.sweep_all(psi_eq, inc, inc, sigma, q, mesh, quad, dt)
@@ -118,7 +109,7 @@ def test_sweep_matches_dense_solve():
     for quad in (double_gauss_legendre(2), UNEVEN):
         G, M, nx = 2, quad.n_dirs, 4
         rng = np.random.default_rng(7)
-        psi_prev = rng.random((nx, 2, G, M))
+        psi_prev = rng.random((nx, 2, M, G))
         inc_left = rng.random((G, M))
         inc_right = rng.random((G, M))
         sigma = 0.1 + 3.0 * rng.random((nx, G))
@@ -166,7 +157,7 @@ def test_sweep_working_set_is_one_cell():
     quad = double_gauss_legendre(64)
     nx, G, M = 20, 64, quad.n_dirs
     rng = np.random.default_rng(17)
-    psi_prev = rng.random((nx, 2, G, M))
+    psi_prev = rng.random((nx, 2, M, G))
     args = (rng.random((G, M)), rng.random((G, M)),
             0.1 + 5.0 * rng.random((nx, G)), rng.random((nx, G)),
             SpatialMesh.uniform(nx, 2.0), quad, 0.02)
@@ -183,6 +174,29 @@ def test_sweep_working_set_is_one_cell():
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("name", sorted(QUADRATURES))
+def test_every_half_range_block_is_contiguous(name):
+    # the initial and the swept psi are (n_x, 2, M, G), so each half range
+    # of each cell corner, the block one step of the sweep's cell loop
+    # reads and writes, is one C-contiguous (m, G) run of memory, for the
+    # uneven and the one-sided rules too
+    quad = QUADRATURES[name]
+    prob = benchmark_on(quad, (16, 1))
+    nx, M, G = prob.mesh.n_cells, quad.n_dirs, 16
+    n = int(np.searchsorted(quad.mu, 0.0))
+    rng = np.random.default_rng(29)
+    psi0 = initial_state(prob).psi
+    swept = transport.sweep_all(psi0, prob.inc_left, prob.inc_right,
+                                0.1 + rng.random((nx, G)),
+                                rng.random((nx, G)), prob.mesh, quad, 0.02)
+    for psi in (psi0, swept):
+        assert psi.shape == (nx, 2, M, G)
+        for i in range(nx):
+            for c in (0, 1):
+                assert psi[i, c, :n].flags.c_contiguous
+                assert psi[i, c, n:].flags.c_contiguous
+
+
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(G=st.integers(1, 3), nx=st.integers(1, 6),
        quad=st.sampled_from(sorted(QUADRATURES)),
@@ -195,12 +209,12 @@ def test_closures_match_groups_leading_reference(G, nx, quad, seed):
     quad = CLOSURE_QUADRATURES[quad]
     M = quad.n_dirs
     rng = np.random.default_rng(seed)
-    psi = rng.random((nx, 2, G, M))
-    psi[:, :, rng.random(G) < 0.3] = 0.0      # empty groups take the fallbacks
+    psi = rng.random((nx, 2, M, G))
+    psi[..., rng.random(G) < 0.3] = 0.0       # empty groups take the fallbacks
     inc_left, inc_right = rng.random((G, M)), rng.random((G, M))
     got = transport.compute_qd_factors(psi, inc_left, inc_right, quad)
-    ref = oracles.compute_qd_factors(_relayout(psi), inc_left, inc_right,
-                                     quad)
+    ref = oracles.compute_qd_factors(_relayout(psi, inverse=True), inc_left,
+                                     inc_right, quad)
     for name in ("f_face", "C", "bc_in"):
         assert np.array_equal(getattr(got, name), getattr(ref, name)), name
     assert got.f.shape == ref.f.shape
@@ -217,7 +231,7 @@ def test_closures_of_an_isotropic_field_are_the_quadrature_moments(name):
     quad = CLOSURE_QUADRATURES[name]
     G, M, nx = 3, quad.n_dirs, 4
     val = np.random.default_rng(23).uniform(0.5, 2.0, G)
-    psi = np.broadcast_to(val[:, None], (nx, 2, G, M)).copy()
+    psi = np.broadcast_to(val, (nx, 2, M, G)).copy()
     inc = np.broadcast_to(val[:, None], (G, M)).copy()
     clo = transport.compute_qd_factors(psi, inc, inc, quad)
 
@@ -250,10 +264,10 @@ def test_boundary_closure_reproduces_face_moments(n):
     G, M, nx = 3, quad.n_dirs, 4
     rng = np.random.default_rng(n)
     inc_left, inc_right = rng.random((G, M)), rng.random((G, M))
-    swept = transport.sweep_all(rng.random((nx, 2, G, M)), inc_left,
+    swept = transport.sweep_all(rng.random((nx, 2, M, G)), inc_left,
                                 inc_right, 0.2 + rng.random((nx, G)),
                                 rng.random((nx, G)), mesh, quad, 0.1)
-    iso = np.broadcast_to(rng.random(G)[:, None], (nx, 2, G, M)).copy()
+    iso = np.broadcast_to(rng.random(G), (nx, 2, M, G)).copy()
     for psi, clo in (
             (swept, transport.compute_qd_factors(swept, inc_left, inc_right,
                                                  quad)),
@@ -271,7 +285,7 @@ def test_group_balance_residual_small():
     mesh = SpatialMesh.uniform(5, 2.0)
     G, M, nx = 3, quad.n_dirs, 5
     rng = np.random.default_rng(3)
-    psi_prev = rng.random((nx, 2, G, M))
+    psi_prev = rng.random((nx, 2, M, G))
     inc_left = rng.random((G, M))
     inc_right = rng.random((G, M))
     sigma = 0.2 + rng.random((nx, G))
@@ -290,7 +304,7 @@ def test_nonnegative_from_nonnegative_data():
     rng = np.random.default_rng(19)
     for _ in range(5):
         psi = transport.sweep_all(
-            rng.random((nx, 2, G, M)), rng.random((G, M)), rng.random((G, M)),
+            rng.random((nx, 2, M, G)), rng.random((G, M)), rng.random((G, M)),
             5.0 * rng.random((nx, G)), rng.random((nx, G)), mesh, quad,
             rng.uniform(0.01, 1.0))
         assert psi.min() >= -1e-15
@@ -300,7 +314,7 @@ def test_moments_of_isotropic_field():
     quad = double_gauss_legendre(8)
     G, M, nx = 2, quad.n_dirs, 4
     val = np.array([3.0, 5.0])
-    psi = np.broadcast_to(val[:, None], (nx, 2, G, M)).copy()
+    psi = np.broadcast_to(val, (nx, 2, M, G)).copy()
     inc = np.broadcast_to(val[:, None], (G, M)).copy()
     E, E_face, F = compute_moments(psi, inc, inc, quad)
     assert np.allclose(E, 2.0 * val[:, None] / phys.C_LIGHT, rtol=1e-14)
@@ -319,7 +333,7 @@ def test_isotropic_closure_is_the_sweep_closure_of_an_isotropic_field():
     # than every later pass
     G, M, nx = 2, UNEVEN.n_dirs, 3
     val = np.array([3.0, 5.0])
-    psi = np.broadcast_to(val[:, None], (nx, 2, G, M)).copy()
+    psi = np.broadcast_to(val, (nx, 2, M, G)).copy()
     inc = np.broadcast_to(val[:, None], (G, M)).copy()
     want = transport.compute_qd_factors(psi, inc, inc, UNEVEN)
     got = transport.ClosureData.isotropic(nx, inc, inc, UNEVEN)
@@ -340,8 +354,8 @@ def test_transport_solve_equilibrium_closures():
                                       phys.FleckCummingsOpacity())
     B = opac.B  # (nx, G)
     G, M = 16, quad.n_dirs
-    psi_prev = np.empty((10, 2, G, M))
-    psi_prev[:] = 0.5 * B[:, None, :, None]
+    psi_prev = np.empty((10, 2, M, G))
+    psi_prev[:] = 0.5 * B[:, None, None, :]
     inc = 0.5 * B[0, :, None] * np.ones((G, M))
     psi, clo = transport.transport_solve(psi_prev, inc, inc, opac, mesh, quad,
                                          0.02)

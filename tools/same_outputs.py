@@ -7,9 +7,11 @@ Extracts `src` of REV with `git archive` into a temporary directory, then
 runs each case below with both source trees through the command-line driver:
 the three perfbench workloads at 0.6 ns (configs from
 perfbench/harness.py), the V2, V4, W2 and F2 benchmark runs at 3 ns,
-V4096, V on 4096;1 to 0.2 ns, where nearly every group is narrow, and C2, a
-custom visit order (3,2,3 on 256;32;8;1) to 0.6 ns.  Compares every file
-the driver writes, 45 in all, byte for byte (profiles.csv,
+V4096, V on 4096;1 to 0.2 ns, where nearly every group is narrow, C2, a
+custom visit order (3,2,3 on 256;32;8;1) to 0.6 ns, and Q1, V on 64;1 with
+one direction per half range to 0.2 ns, so the sweep's one-direction blocks
+are checked beside the 8- and 64-direction ones.  Compares every file the
+driver writes, 50 in all, byte for byte (profiles.csv,
 stats.csv, totals.csv, conv_hist.csv, and config.txt less its `out = ` line,
 which names each side's own directory), prints one line per file, and exits
 1 if any file differs or is missing (2 if REV is not a revision).  A
@@ -58,6 +60,8 @@ FULL = {
               "tend": 0.2},
     "C2": {"cycle": "custom", "grids": "256,32,8,1", "visits": "3,2,3",
            "lmax": 2, "dt": 0.02, "tend": 0.6},
+    "Q1": {"cycle": "V", "grids": "64,1", "quad": 1, "lmax": 4, "dt": 0.02,
+           "tend": 0.2},
 }
 CASES = {**{name: harness.workload_config(name) for name in harness.WORKLOADS},
          **FULL}
