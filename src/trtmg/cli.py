@@ -140,12 +140,11 @@ def fc_problem(config: RunConfig) -> Problem:
     material = MaterialModel(c_v=0.5917 * A_RAD * T_b**3)
 
     B_b = phys.planck_groups(np.array([T_b]), hier.rule, hier.edges)[0]
-    G, M = hier.counts[0], quad.n_dirs
-    inc_left = np.zeros((G, M))
-    inc_left[:, quad.positive] = 0.5 * B_b[:, None]
+    n = quad.n_neg
     return Problem(mesh=mesh, quad=quad, hierarchy=hier, material=material,
-                   sigma=FleckCummingsOpacity(), inc_left=inc_left,
-                   inc_right=np.zeros((G, M)), T_init=T_0)
+                   sigma=FleckCummingsOpacity(),
+                   inc_left=np.tile(0.5 * B_b, (quad.n_dirs - n, 1)),
+                   inc_right=np.zeros((n, B_b.size)), T_init=T_0)
 
 
 def _write_csv(path, header, rows):

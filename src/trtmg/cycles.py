@@ -91,11 +91,10 @@ class StepRecord:
     m_ti: int
     m_c: int
     m_lo: int
-    failed = False  # a class attribute: stats.csv has no column for it
 
 
 class FailedStepRecord(StepRecord):
-    failed = True  # the step raised and committed nothing
+    """The record of a step that raised and committed nothing."""
 
 
 @dataclass(frozen=True)
@@ -126,16 +125,26 @@ class Problem:
     hierarchy: FrequencyGridHierarchy
     material: MaterialModel
     sigma: object              # callable (nu, T) -> opacity
-    # the inflows are (G, M), groups before directions, while psi is
-    # (n_x, 2, M, G)
-    inc_left: np.ndarray       # (G, M) inflow at x=0, read in the mu>0 columns
-    inc_right: np.ndarray      # (G, M) inflow at x=X, read in the mu<0 columns
+    # the inflows hold the entering half range only, directions before
+    # groups like a psi corner block, with n = quad.n_neg
+    inc_left: np.ndarray       # (M - n, G) at x=0, the mu>0 directions
+    inc_right: np.ndarray      # (n, G) at x=X, the mu<0 directions
     T_init: float = phys.T_FLOOR
 
     def __post_init__(self):
         if not 0.0 < self.T_init < np.inf:
             raise ValueError(
                 f"T_init must be positive and finite, got {self.T_init}")
+        n, G = self.quad.n_neg, self.hierarchy.counts[0]
+        for name, m in (("inc_left", self.quad.n_dirs - n), ("inc_right", n)):
+            inc = getattr(self, name)
+            if np.shape(inc) != (m, G):
+                raise ValueError(f"{name} must be (entering directions, "
+                                 f"groups) = {(m, G)}, got {np.shape(inc)}")
+            for k, g in np.argwhere(~((inc >= 0.0) & (inc < np.inf)))[:1]:
+                raise ValueError(f"{name} is {inc[k, g]} in entering "
+                                 f"direction {k}, group {g}: an inflow must "
+                                 f"be finite and nonnegative")
 
 
 @dataclass

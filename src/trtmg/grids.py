@@ -180,8 +180,8 @@ class AngularQuadrature:
         return self.mu.size
 
     @property
-    def positive(self) -> np.ndarray:
-        return self.mu > 0
+    def n_neg(self) -> int:  # directions with mu < 0, which come first
+        return int(np.searchsorted(self.mu, 0.0))
 
 
 def double_gauss_legendre(n_per_half: int) -> AngularQuadrature:

@@ -1,12 +1,13 @@
 """Low-order quasidiffusion moment systems on any frequency grid level.
 
-Unknowns per spectral interval: cell energy densities E_i, two boundary-face
-energy densities, and face fluxes F.  Cell balance couples E to the face
-fluxes and the emission source; the first-moment equation lives on dual
-cells (half cells at the boundaries) and is closed by Eddington factors from
-transport plus, on coarse grids, upwinded compensation terms (eta) that make
-the coarse equations agree exactly with the summed fine-grid equations at
-the fine solution.
+Unknowns per spectral interval: n_x + 2 energy densities u (the x = 0 face,
+the cells E, the x = X face, so face k lies between unknowns k and k + 1) and
+the face fluxes F.  Cell balance couples E to the face fluxes and the
+emission source; the first-moment equation lives on dual cells (half cells
+at the boundaries) and is closed by Eddington factors from transport, held
+on u's unknowns, plus, on coarse grids, upwinded compensation terms (eta)
+that make the coarse equations agree exactly with the summed fine-grid
+equations at the fine solution.
 
 Normalization: an isotropic equilibrium field at temperature T has
 E_g = 2 B_g / c, so the spectrum-integrated energy density is a_R T^4.
@@ -33,8 +34,7 @@ class LoqdCoefficients:
     sig_E: np.ndarray       # (P, n_x)
     sig_B: np.ndarray       # (P, n_x)
     B: np.ndarray           # (P, n_x) group emission integrals
-    f: np.ndarray           # (P, n_x) cell Eddington factors
-    f_face: np.ndarray      # (P, 2)
+    f: np.ndarray           # (P, n_x+2) Eddington factors on u's unknowns
     sig_R_face: np.ndarray  # (P, n_x+1)
     eta_hat: np.ndarray     # (P, n_x+1) compensation on the face's right entity
     eta_check: np.ndarray   # (P, n_x+1) compensation on the face's left entity
@@ -50,9 +50,16 @@ class LoqdCoefficients:
 class MomentField:
     """Solution of one level's moment system."""
 
-    E: np.ndarray        # (P, n_x)
-    E_face: np.ndarray   # (P, 2)
+    u: np.ndarray        # (P, n_x+2): the x=0 face, the cells, the x=X face
     F: np.ndarray        # (P, n_x+1)
+
+    @property
+    def E(self) -> np.ndarray:  # (P, n_x) cells, a view of u
+        return self.u[:, 1:-1]
+
+    @property
+    def E_face(self) -> np.ndarray:  # (P, 2) at x=0 and x=X, a view of u
+        return self.u[:, ::self.u.shape[1] - 1]
 
 
 def face_rosseland(sig_cell: np.ndarray, mesh: SpatialMesh) -> np.ndarray:
@@ -71,17 +78,16 @@ def build_fine_coefficients(opac: GroupOpacitySet, closure: ClosureData,
                             mesh: SpatialMesh) -> LoqdCoefficients:
     """Assemble the fine-grid (level 0) coefficients from group opacities and
     transport closures, boundary closure (C, bc_in) included."""
-    G, nx = closure.f.shape
+    G, n = closure.f.shape
     return LoqdCoefficients(
         level=0,
         sig_E=opac.sig_E.T.copy(),
         sig_B=opac.sig_B.T.copy(),
         B=opac.B.T.copy(),
         f=closure.f,
-        f_face=closure.f_face,
         sig_R_face=face_rosseland(opac.sig_R.T, mesh),
-        eta_hat=np.zeros((G, nx + 1)),
-        eta_check=np.zeros((G, nx + 1)),
+        eta_hat=np.zeros((G, n - 1)),
+        eta_check=np.zeros((G, n - 1)),
         C=closure.C,
         bc_in=closure.bc_in,
     )
@@ -109,7 +115,7 @@ def solve_moment_system(coef: LoqdCoefficients, E_prev: np.ndarray,
     """Direct banded solve of one level's moment system for one time step.
 
     Face fluxes are eliminated from the first-moment equations, leaving a
-    tridiagonal system in [E_left_face, E_cells..., E_right_face] per
+    tridiagonal system in u = [E_left_face, E_cells..., E_right_face] per
     interval.  sig_E/source override the absorption and emission density
     (used by the grey solve); source defaults to 2 sigma_B B.  Raises
     ConvergenceError at the first non-finite E, E_face or F, naming the
@@ -122,23 +128,16 @@ def solve_moment_system(coef: LoqdCoefficients, E_prev: np.ndarray,
     if source is None:
         source = 2.0 * coef.sig_B * coef.B
     # F = (R + ca1 u_left - ca2 u_right)/D on every face, where
-    # ca1 = c (f + dxd eta_check) and ca2 = c (f + dxd eta_hat).  eta carries
+    # ca1 = c (f_left + dxd eta_check) and ca2 = c (f_right + dxd eta_hat),
+    # u_left/u_right and f_left/f_right the unknowns either side.  eta carries
     # units 1/cm and scales with the dual-cell width here, which is exactly
     # what makes the merged first-moment equation reproduce the summed
     # originals (the sigma_R spread term it compensates is width-weighted too).
     tau = 1.0 / (c * dt)
     dxd = mesh.dual_dx[None, :]
     D = dxd * (tau + coef.sig_R_face)
-    ca1 = np.empty_like(coef.sig_R_face)
-    ca2 = np.empty_like(coef.sig_R_face)
-    ca1[:, 0] = coef.f_face[:, 0]
-    ca1[:, 1:] = coef.f
-    ca1 += dxd * coef.eta_check
-    ca1 *= c
-    ca2[:, -1] = coef.f_face[:, 1]
-    ca2[:, :-1] = coef.f
-    ca2 += dxd * coef.eta_hat
-    ca2 *= c
+    ca1 = (coef.f[:, :-1] + dxd * coef.eta_check) * c
+    ca2 = (coef.f[:, 1:] + dxd * coef.eta_hat) * c
     R = dxd * tau * F_prev
     A1, A2, RD = ca1 / D, ca2 / D, R / D
 
@@ -163,7 +162,7 @@ def solve_moment_system(coef: LoqdCoefficients, E_prev: np.ndarray,
     # back to one row per interval, in the memory layout callers sum over
     u = np.array(_thomas(*bands)).reshape(-1, P).T.copy()
     F = (R + ca1 * u[:, :-1] - ca2 * u[:, 1:]) / D
-    sol = MomentField(E=u[:, 1:-1], E_face=u[:, [0, -1]], F=F)
+    sol = MomentField(u=u, F=F)
     # one cheap sum guards the scan, which alone decides: a sum can overflow
     if not math.isfinite(u.sum() + F.sum()):
         for name, at in (("E", "cell"), ("E_face", "boundary face"),
@@ -202,11 +201,11 @@ def merge_coefficients(coef: LoqdCoefficients, sol: MomentField,
     """Restrict a level's coefficients onto merged spectral intervals, using
     that level's moment solution as weights.
 
-    Eddington factors and sigma_E average with weight E, sigma_B with weight
-    B, face Rosseland opacities with weight |F|; the flux compensation terms
-    eta are built so the merged first-moment equations reproduce the summed
-    originals exactly at the given solution, with the sign-split placing the
-    correction on the downwind side.  Boundary C factors average with the
+    Eddington factors average with weight u, sigma_E with weight E, sigma_B
+    with weight B, face Rosseland opacities with weight |F|; the flux
+    compensation terms eta are built so the merged first-moment equations
+    reproduce the summed originals exactly at the given solution, with the
+    sign-split placing the correction on the downwind side.  Boundary C factors average with the
     face E weight.  The boundary source bc_in is summed like the equations
     it enters, so each merged boundary condition is the sum of its
     originals at the given solution.
@@ -215,30 +214,26 @@ def merge_coefficients(coef: LoqdCoefficients, sol: MomentField,
     starts = np.asarray(starts, dtype=int)
     counts = np.diff(starts)
 
-    E_p = segment_sum(sol.E, starts)
-    Eface_p = segment_sum(sol.E_face, starts)
+    u, u_p = sol.u, segment_sum(sol.u, starts)
     B_p = segment_sum(coef.B, starts)
     abs_F = np.abs(sol.F)
 
-    sig_E = _wmean(coef.sig_E, sol.E, E_p, starts, counts)
-    f = _wmean(coef.f, sol.E, E_p, starts, counts)
+    sig_E = _wmean(coef.sig_E, sol.E, u_p[:, 1:-1], starts, counts)
+    f = _wmean(coef.f, u, u_p, starts, counts)
     sig_B = _wmean(coef.sig_B, coef.B, B_p, starts, counts)
-    f_face = _wmean(coef.f_face, sol.E_face, Eface_p, starts, counts)
     sig_R_face = _wmean(coef.sig_R_face, abs_F, segment_sum(abs_F, starts),
                         starts, counts, harmonic=True)
 
     # xi collects everything the merged sigma_R cannot represent: the spread
     # of the source level's face opacities about the mean, plus any
     # compensation terms the source level already carried (zero on the fine
-    # grid; folding them in keeps grey-from-coarse merges exact too).
-    left_src = np.concatenate([sol.E_face[:, :1], sol.E], axis=1)
-    right_src = np.concatenate([sol.E, sol.E_face[:, 1:]], axis=1)
+    # grid; folding them in keeps grey-from-coarse merges exact too).  Face
+    # k's left and right entities are unknowns k and k + 1.
     spread = coef.sig_R_face - np.repeat(sig_R_face, counts, axis=0)
     xi = segment_sum(spread * sol.F
-                     + c * (coef.eta_hat * right_src
-                            - coef.eta_check * left_src), starts)
-    left_E = np.concatenate([Eface_p[:, :1], E_p], axis=1)
-    right_E = np.concatenate([E_p, Eface_p[:, 1:]], axis=1)
+                     + c * (coef.eta_hat * u[:, 1:]
+                            - coef.eta_check * u[:, :-1]), starts)
+    left_E, right_E = u_p[:, :-1], u_p[:, 1:]
     # divide only where kept, so an exactly-zero E divides nothing
     eta_hat = np.divide(xi, c * right_E, out=np.zeros_like(xi),
                         where=(xi > 0.0) & (right_E > 1e-300))
@@ -246,7 +241,7 @@ def merge_coefficients(coef: LoqdCoefficients, sol: MomentField,
                           where=(xi < 0.0) & (left_E > 1e-300))
 
     return LoqdCoefficients(
-        level=level_out, sig_E=sig_E, sig_B=sig_B, B=B_p, f=f, f_face=f_face,
+        level=level_out, sig_E=sig_E, sig_B=sig_B, B=B_p, f=f,
         sig_R_face=sig_R_face, eta_hat=eta_hat, eta_check=eta_check,
-        C=_wmean(coef.C, sol.E_face, Eface_p, starts, counts),
+        C=_wmean(coef.C, sol.E_face, u_p[:, [0, -1]], starts, counts),
         bc_in=segment_sum(coef.bc_in, starts))

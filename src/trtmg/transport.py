@@ -22,8 +22,9 @@ when one is given, so a time step's later sweeps overwrite the psi of its
 earlier ones instead of allocating anew.  The closure extraction, too,
 works in psi's layout: its cell average is (n_cells, n_dirs, n_groups), and
 its angular moments are vector-matrix products over the direction axis.
-The inflows are (n_groups, n_dirs), as the problem declares them; the
-sweep reads each entering half range as an (m, n_groups) transpose.
+The inflows hold only the entering half range, laid out like a psi corner
+block: inc_left is (n_dirs - n, n_groups), the mu > 0 directions, and
+inc_right (n, n_groups), the mu < 0 ones, so the sweep reads each as it is.
 """
 
 from __future__ import annotations
@@ -38,11 +39,10 @@ from .phys import C_LIGHT, ConvergenceError, GroupOpacitySet
 
 @dataclass
 class ClosureData:
-    """Quasidiffusion closure of the angular flux: cell and boundary-face
-    Eddington factors, and each face's boundary closure F = c C E + bc_in."""
+    """Quasidiffusion closure of the angular flux: Eddington factors of the
+    moment system's unknowns, and each face's closure F = c C E + bc_in."""
 
-    f: np.ndarray        # (G, n_x)
-    f_face: np.ndarray   # (G, 2) at x=0 and x=X
+    f: np.ndarray        # (G, n_x+2): the x=0 face, the cells, the x=X face
     C: np.ndarray        # (G, 2) exit flux ratio: [-1,0) at x=0, (0,1] at x=X
     bc_in: np.ndarray    # (G, 2) inflow source
 
@@ -50,26 +50,19 @@ class ClosureData:
     def isotropic(cls, n_cells: int, inc_left: np.ndarray,
                   inc_right: np.ndarray,
                   quad: AngularQuadrature) -> "ClosureData":
-        """Closure of an isotropic exit intensity under the given inflow; a
-        non-finite inflow raises ConvergenceError naming group and face."""
-        C = np.tile([-0.5, 0.5], (inc_left.shape[0], 1))
-        bc_in = _inflow_source(C, inc_left, inc_right, quad)
-        if not np.isfinite(bc_in).all():
-            g, side = np.argwhere(~np.isfinite(bc_in))[0]
-            raise ConvergenceError(f"initial closure: non-finite inflow into "
-                                   f"group {g} at x={'0X'[side]}")
-        return cls(f=np.full((len(C), n_cells), 1.0 / 3.0),
-                   f_face=np.full_like(C, 1.0 / 3.0), C=C, bc_in=bc_in)
+        """Closure of an isotropic exit intensity under the given inflow."""
+        C = np.tile([-0.5, 0.5], (inc_left.shape[1], 1))
+        return cls(f=np.full((len(C), n_cells + 2), 1.0 / 3.0), C=C,
+                   bc_in=_inflow_source(C, inc_left, inc_right, quad))
 
 
 def _inflow_source(C, inc_left, inc_right, quad):
     """bc_in = F_in - c C E_in of the entering half range at each face, with
     E_in = (2/c) sum w psi and F_in = 2 sum w mu psi, so c cancels."""
-    w, wmu, pos = quad.w, quad.w * quad.mu, quad.positive
-    left, right = inc_left[:, pos], inc_right[:, ~pos]
+    w, wmu, n = quad.w, quad.w * quad.mu, quad.n_neg
     return 2.0 * np.column_stack([
-        left @ wmu[pos] - C[:, 0] * (left @ w[pos]),
-        right @ wmu[~pos] - C[:, 1] * (right @ w[~pos])])
+        wmu[n:] @ inc_left - C[:, 0] * (w[n:] @ inc_left),
+        wmu[:n] @ inc_right - C[:, 1] * (w[:n] @ inc_right)])
 
 
 def _sweep_rightward(psi, psi_prev, sigma, q, hdx, tau, mu, inflow):
@@ -109,19 +102,20 @@ def sweep_all(psi_prev: np.ndarray, inc_left: np.ndarray, inc_right: np.ndarray,
     (sigma plus the implicit time term) and the source q/2 + psi_prev/(c dt);
     the mid-cell face value is the average of the two corner values, cell
     faces are upwinded.  dt = inf gives the steady-state sweep.  sigma and q
-    are (n_x, G), inc_left and inc_right (G, M), psi_prev and the result
-    (n_x, 2, M, G).  The result is written into out when given (its old
-    values are never read) and into a new array otherwise.
+    are (n_x, G), inc_left (M - n, G) and inc_right (n, G) for the n
+    directions with mu < 0, psi_prev and the result (n_x, 2, M, G).  The
+    result is written into out when given (its old values are never read)
+    and into a new array otherwise.
     """
     tau = 1.0 / (C_LIGHT * dt)
     hdx = 0.5 * mesh.dx[:, None]
     psi = np.empty_like(psi_prev) if out is None else out
-    n = int(np.searchsorted(quad.mu, 0.0))       # directions with mu < 0
+    n = quad.n_neg
     _sweep_rightward(psi[:, :, n:], psi_prev[:, :, n:], sigma, q, hdx, tau,
-                     quad.mu[n:], inc_left[:, n:].T)
+                     quad.mu[n:], inc_left)
     _sweep_rightward(psi[::-1, ::-1, :n], psi_prev[::-1, ::-1, :n],
                      sigma[::-1], q[::-1], hdx[::-1], tau, -quad.mu[:n],
-                     inc_right[:, :n].T)
+                     inc_right)
     return psi
 
 
@@ -134,14 +128,16 @@ def _ratio(num, den, fallback):
 
 def compute_qd_factors(psi: np.ndarray, inc_left: np.ndarray, inc_right: np.ndarray,
                        quad: AngularQuadrature) -> ClosureData:
-    """Eddington factors per cell and boundary face, and each face's exit
-    flux ratio C from the exit-corner intensities with its inflow source.
+    """Eddington factors per boundary face and cell, (G, n_x + 2) in the
+    moment system's order, and each face's exit flux ratio C from the
+    exit-corner intensities with its inflow source.
 
     Raises ConvergenceError if a zeroth angular moment of the cell-average
     intensity is not finite.
     """
-    w, mu, pos = quad.w, quad.mu, quad.positive
-    wmu2 = w * mu * mu
+    w, mu, n = quad.w, quad.mu, quad.n_neg
+    wmu = w * mu
+    wmu2 = wmu * mu
     psi_bar = psi[:, 0] + psi[:, 1]              # (n_x, M, G)
     psi_bar *= 0.5
 
@@ -152,22 +148,21 @@ def compute_qd_factors(psi: np.ndarray, inc_left: np.ndarray, inc_right: np.ndar
         raise ConvergenceError(
             f"transport sweep: non-finite zeroth angular moment in group {g}, "
             f"cell {i}")
-    f = _ratio(wmu2 @ psi_bar, moment0, 1.0 / 3.0).T
 
-    # boundary-face intensities: the inflow where it enters, exit corners
-    # where it leaves
-    fl = np.where(pos[None, :], inc_left, psi[0, 0].T)
-    fr = np.where(pos[None, :], psi[-1, 1].T, inc_right)
-    f_face = np.stack([_ratio(fl @ wmu2, fl @ w, 1.0 / 3.0),
-                       _ratio(fr @ wmu2, fr @ w, 1.0 / 3.0)], axis=1)
+    # boundary-face intensities, exit corners where the field leaves and the
+    # inflow where it enters, as C-ordered (G, M) copies: that layout fixes
+    # the order of BLAS's sums in the face factors
+    fl = np.concatenate([psi[0, 0, :n], inc_left]).T.copy()
+    fr = np.concatenate([inc_right, psi[-1, 1, n:]]).T.copy()
+    f = np.column_stack([_ratio(fl @ wmu2, fl @ w, 1.0 / 3.0),
+                         _ratio(wmu2 @ psi_bar, moment0, 1.0 / 3.0).T,
+                         _ratio(fr @ wmu2, fr @ w, 1.0 / 3.0)])
 
-    # exit rows as (G, k) transposes: F-ordered like a boolean column
-    # gather of a (G, M) array, which fixes the order of BLAS's sums in C
-    exit_l, exit_r = psi[0, 0][~pos].T, psi[-1, 1][pos].T
+    exit_l, exit_r = psi[0, 0, :n], psi[-1, 1, n:]
     C = np.column_stack([
-        _ratio(exit_l @ (w * mu)[~pos], exit_l @ w[~pos], -0.5),
-        _ratio(exit_r @ (w * mu)[pos], exit_r @ w[pos], 0.5)])
-    return ClosureData(f=f, f_face=f_face, C=C,
+        _ratio(wmu[:n] @ exit_l, w[:n] @ exit_l, -0.5),
+        _ratio(wmu[n:] @ exit_r, w[n:] @ exit_r, 0.5)])
+    return ClosureData(f=f, C=C,
                        bc_in=_inflow_source(C, inc_left, inc_right, quad))
 
 

@@ -26,11 +26,32 @@ def _rel_defect(terms: np.ndarray) -> float:
     return float(np.max(res / np.maximum(scale, 1e-300)))
 
 
+def full_inflows(inc_left, inc_right, quad):
+    """The (G, M) inflow arrays, groups before directions, of the entering
+    half ranges inc_left (M - n, G) and inc_right (n, G), n = quad.n_neg:
+    zero in the directions that leave.  The oracles below read this layout
+    through the mu > 0 mask."""
+    n, M = quad.n_neg, quad.n_dirs
+    left = np.zeros((inc_left.shape[1], M))
+    right = np.zeros_like(left)
+    left[:, n:] = inc_left.T
+    right[:, :n] = inc_right.T
+    return left, right
+
+
+def entering(left, right, quad):
+    """The entering half ranges, (M - n, G) at x = 0 and (n, G) at x = X,
+    of (G, M) arrays left and right; the inverse of full_inflows."""
+    n = quad.n_neg
+    return left[:, n:].T.copy(), right[:, :n].T.copy()
+
+
 def compute_moments(psi, inc_left, inc_right, quad):
     """(E, E_face, F) of the sweep intensity psi (n_x, 2, M, G); fluxes at
     cell faces use the upwind corner values, boundary faces the incoming data
     where it enters."""
-    w, mu, pos = quad.w, quad.mu, quad.positive
+    inc_left, inc_right = full_inflows(inc_left, inc_right, quad)
+    w, mu, pos = quad.w, quad.mu, quad.mu > 0
     psi_bar = 0.5 * (psi[:, 0] + psi[:, 1])
     E = np.einsum("m,img->gi", w, psi_bar) / phys.C_LIGHT
 
@@ -67,6 +88,7 @@ def dense_sweep_oracle(psi_prev, inc_left, inc_right, sigma, q, mesh, quad,
     """Assemble every corner equation of one group/direction pair into a
     dense matrix and solve it outright; arguments and result laid out as for
     transport.sweep_all."""
+    inc_left, inc_right = full_inflows(inc_left, inc_right, quad)
     nx, _, M, G = psi_prev.shape
     tau = 1.0 / (phys.C_LIGHT * dt)
     dx = mesh.dx
@@ -109,12 +131,13 @@ def sweep_all(psi_prev, inc_left, inc_right, sigma, q, mesh, quad, dt):
     gathering its directions through the mu > 0 mask, on a groups-leading
     layout: psi_prev and the result (G, M, n_x, 2), sigma and q (G, n_x).
     The bitwise reference for transport.sweep_all."""
+    inc_left, inc_right = full_inflows(inc_left, inc_right, quad)
     nx = mesh.n_cells
     tau = 1.0 / (phys.C_LIGHT * dt)
     dx = mesh.dx
     psi = np.empty_like(psi_prev)
 
-    pos = quad.positive
+    pos = quad.mu > 0
     mu_p = quad.mu[pos][None, :, None]          # (1, Mp, 1)
     mu_n = -quad.mu[~pos][None, :, None]
 
@@ -161,9 +184,11 @@ def compute_qd_factors(psi, inc_left, inc_right, quad):
     """Closures of a groups-leading psi (G, M, n_x, 2), gathering the exit
     corners through the mu > 0 mask, and the inflow source of each face
     written out per side: the reference for transport.compute_qd_factors,
-    bit for bit in f_face, C and bc_in; f, whose direction sums run in
-    another order there, to within the round-off of that order."""
-    w, mu, pos = quad.w, quad.mu, quad.positive
+    bit for bit in f's face columns, C and bc_in; f's cell columns, whose
+    direction sums run in another order there, to within the round-off of
+    that order."""
+    inc_left, inc_right = full_inflows(inc_left, inc_right, quad)
+    w, mu, pos = quad.w, quad.mu, quad.mu > 0
     wmu2 = w * mu * mu
     psi_bar = 0.5 * (psi[..., 0] + psi[..., 1])
 
@@ -184,21 +209,26 @@ def compute_qd_factors(psi, inc_left, inc_right, quad):
     in_l, in_r = inc_left[:, pos], inc_right[:, ~pos]
     bc_left = 2.0 * (in_l @ (w * mu)[pos] - C_minus * (in_l @ w[pos]))
     bc_right = 2.0 * (in_r @ (w * mu)[~pos] - C_plus * (in_r @ w[~pos]))
-    return transport.ClosureData(f=f, f_face=f_face,
+    return transport.ClosureData(f=with_faces(f, f_face),
                                  C=np.column_stack([C_minus, C_plus]),
                                  bc_in=np.column_stack([bc_left, bc_right]))
+
+
+def with_faces(cells, faces):
+    """(P, n_x + 2) from cell columns (P, n_x) and face columns (P, 2): the
+    x = 0 face, the cells, the x = X face."""
+    return np.column_stack([faces[:, 0], cells, faces[:, 1]])
 
 
 def random_coefficients(G, mesh, rng, with_eta=False):
     nx = mesh.n_cells
     f = 0.25 + 0.2 * rng.random((G, nx))  # first draw of the seed
+    sig_E = 0.5 + 2.0 * rng.random((G, nx))
+    sig_B = 0.5 + 2.0 * rng.random((G, nx))
+    B = 0.1 + rng.random((G, nx))
     coef = loqd.LoqdCoefficients(
-        level=0,
-        sig_E=0.5 + 2.0 * rng.random((G, nx)),
-        sig_B=0.5 + 2.0 * rng.random((G, nx)),
-        B=0.1 + rng.random((G, nx)),
-        f=f,
-        f_face=0.3 + 0.2 * rng.random((G, 2)),
+        level=0, sig_E=sig_E, sig_B=sig_B, B=B,
+        f=with_faces(f, 0.3 + 0.2 * rng.random((G, 2))),
         sig_R_face=0.5 + 2.0 * rng.random((G, nx + 1)),
         eta_hat=0.3 * rng.random((G, nx + 1)) if with_eta else np.zeros((G, nx + 1)),
         eta_check=0.3 * rng.random((G, nx + 1)) if with_eta else np.zeros((G, nx + 1)),
@@ -239,10 +269,8 @@ def _first_moment_terms(coef, dt, mesh):
     tau = 1.0 / (phys.C_LIGHT * dt)
     dxd = mesh.dual_dx
     D = dxd * (tau + coef.sig_R_face)
-    a1 = np.concatenate([coef.f_face[:, :1], coef.f], axis=1) \
-        + dxd * coef.eta_check
-    a2 = np.concatenate([coef.f, coef.f_face[:, 1:]], axis=1) \
-        + dxd * coef.eta_hat
+    a1 = coef.f[:, :-1] + dxd * coef.eta_check
+    a2 = coef.f[:, 1:] + dxd * coef.eta_hat
     return tau, D, a1, a2
 
 
@@ -257,8 +285,7 @@ def dense_oracle(coef, E_prev, F_prev, dt, mesh, sig_E=None, source=None):
     tau, D, a1, a2 = _first_moment_terms(coef, dt, mesh)
     dxd = mesh.dual_dx
     dx = mesh.dx
-    E = np.empty((P, nx))
-    E_face = np.empty((P, 2))
+    u = np.empty((P, nx + 2))
     F = np.empty((P, nx + 1))
     for p in range(P):
         n = 2 * nx + 3  # u (nx+2) then F (nx+1)
@@ -283,10 +310,9 @@ def dense_oracle(coef, E_prev, F_prev, dt, mesh, sig_E=None, source=None):
         A[-1, nx + 1] = -c * coef.C[p, 1]
         b[-1] = coef.bc_in[p, 1]
         x = np.linalg.solve(A, b)
-        E_face[p] = x[[0, nx + 1]]
-        E[p] = x[1:nx + 1]
+        u[p] = x[:iF]
         F[p] = x[iF:]
-    return loqd.MomentField(E=E, E_face=E_face, F=F)
+    return loqd.MomentField(u=u, F=F)
 
 
 def residual_norms(coef, sol, E_prev, F_prev, dt, mesh, sig_E=None,
@@ -298,7 +324,7 @@ def residual_norms(coef, sol, E_prev, F_prev, dt, mesh, sig_E=None,
     source = 2.0 * coef.sig_B * coef.B if source is None else source
     tau, D, a1, a2 = _first_moment_terms(coef, dt, mesh)
     dx = mesh.dx[None, :]
-    u = np.concatenate([sol.E_face[:, :1], sol.E, sol.E_face[:, 1:]], axis=1)
+    u = sol.u
 
     worst = 0.0
     # first-moment equations on dual cells
@@ -320,9 +346,8 @@ def residual_norms(coef, sol, E_prev, F_prev, dt, mesh, sig_E=None,
 def conservation_check(fine_sol, coarse_sol, hierarchy, level):
     """Max relative spectrum-conservation mismatch between a level's solution
     and the restriction of the fine one (energy densities and fluxes)."""
-    want = np.concatenate([hierarchy.restrict(fine_sol.E, level),
-                           hierarchy.restrict(fine_sol.E_face, level)], axis=1)
-    got = np.concatenate([coarse_sol.E, coarse_sol.E_face], axis=1)
+    want = hierarchy.restrict(fine_sol.u, level)
+    got = coarse_sol.u
     F = hierarchy.restrict(fine_sol.F, level)
     dE = np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300)
     dF = np.max(np.abs(coarse_sol.F - F)) / max(np.max(np.abs(F)), 1e-300)
@@ -505,14 +530,8 @@ def solve_moment_system(coef: loqd.LoqdCoefficients, E_prev: np.ndarray,
     tau = 1.0 / (c * dt)
     dxd = mesh.dual_dx[None, :]
     D = dxd * (tau + coef.sig_R_face)
-    a1 = np.empty_like(coef.sig_R_face)
-    a2 = np.empty_like(coef.sig_R_face)
-    a1[:, 0] = coef.f_face[:, 0]
-    a1[:, 1:] = coef.f
-    a1 += dxd * coef.eta_check
-    a2[:, -1] = coef.f_face[:, 1]
-    a2[:, :-1] = coef.f
-    a2 += dxd * coef.eta_hat
+    a1 = coef.f[:, :-1] + dxd * coef.eta_check
+    a2 = coef.f[:, 1:] + dxd * coef.eta_hat
     R = dxd * tau * F_prev
 
     dx = mesh.dx[None, :]
@@ -538,7 +557,7 @@ def solve_moment_system(coef: loqd.LoqdCoefficients, E_prev: np.ndarray,
 
     u = _thomas(lower, diag, upper, rhs)
     F = (R + c * a1 * u[:, :-1] - c * a2 * u[:, 1:]) / D
-    return loqd.MomentField(E=u[:, 1:-1], E_face=u[:, [0, -1]], F=F)
+    return loqd.MomentField(u=u, F=F)
 
 
 def _wmean(values: np.ndarray, weights: np.ndarray, den: np.ndarray,
@@ -584,9 +603,9 @@ def merge_coefficients(coef: loqd.LoqdCoefficients, sol: loqd.MomentField,
     abs_F = np.abs(sol.F)
 
     sig_E = _wmean(coef.sig_E, sol.E, E_p, starts)
-    f = _wmean(coef.f, sol.E, E_p, starts)
+    f = _wmean(coef.f[:, 1:-1], sol.E, E_p, starts)
     sig_B = _wmean(coef.sig_B, coef.B, B_p, starts)
-    f_face = _wmean(coef.f_face, sol.E_face, Eface_p, starts)
+    f_face = _wmean(coef.f[:, [0, -1]], sol.E_face, Eface_p, starts)
     sig_R_face = _wmean(coef.sig_R_face, abs_F, segment_sum(abs_F, starts),
                         starts, harmonic=True)
 
@@ -605,7 +624,7 @@ def merge_coefficients(coef: loqd.LoqdCoefficients, sol: loqd.MomentField,
     eta_check = np.where((xi < 0.0) & (left_E > 1e-300), -xi / (c * left_E), 0.0)
 
     return loqd.LoqdCoefficients(
-        level=level_out, sig_E=sig_E, sig_B=sig_B, B=B_p, f=f, f_face=f_face,
-        sig_R_face=sig_R_face, eta_hat=eta_hat, eta_check=eta_check,
+        level=level_out, sig_E=sig_E, sig_B=sig_B, B=B_p,
+        f=with_faces(f, f_face), sig_R_face=sig_R_face, eta_hat=eta_hat, eta_check=eta_check,
         C=_wmean(coef.C, sol.E_face, Eface_p, starts),
         bc_in=segment_sum(coef.bc_in, starts))

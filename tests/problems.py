@@ -31,11 +31,11 @@ def benchmark_on(quad, grids, cells=4):
     """fc_problem's slab on the angular rule quad: its drive B_b/2 enters
     in every mu > 0 direction and nothing enters at x = X."""
     prob = fc_problem(RunConfig(grids=grids, cells=cells))
-    drive = prob.inc_left[:, prob.quad.positive][:, :1]
-    inc_left = np.zeros((len(drive), quad.n_dirs))
-    inc_left[:, quad.positive] = drive
-    return replace(prob, quad=quad, inc_left=inc_left,
-                   inc_right=np.zeros_like(inc_left))
+    drive = prob.inc_left[0]
+    n = quad.n_neg
+    return replace(prob, quad=quad,
+                   inc_left=np.tile(drive, (quad.n_dirs - n, 1)),
+                   inc_right=np.zeros((n, drive.size)))
 
 
 def equilibrium_problem(T0=1.0, cells=4, grids=(16, 1)):
@@ -45,15 +45,12 @@ def equilibrium_problem(T0=1.0, cells=4, grids=(16, 1)):
     mesh = SpatialMesh.uniform(cells, 2.0)
     quad = double_gauss_legendre(4)
     B0 = phys.planck_groups(np.array([T0]), hier.rule, hier.edges)[0]
-    G, M = hier.counts[0], quad.n_dirs
-    inc_left = np.zeros((G, M))
-    inc_left[:, quad.positive] = 0.5 * B0[:, None]
-    inc_right = np.zeros((G, M))
-    inc_right[:, ~quad.positive] = 0.5 * B0[:, None]
+    n = quad.n_neg
     return Problem(mesh=mesh, quad=quad, hierarchy=hier,
                    material=MaterialModel(c_v=0.1 * phys.A_RAD),
-                   sigma=FleckCummingsOpacity(), inc_left=inc_left,
-                   inc_right=inc_right, T_init=T0)
+                   sigma=FleckCummingsOpacity(),
+                   inc_left=np.tile(0.5 * B0, (quad.n_dirs - n, 1)),
+                   inc_right=np.tile(0.5 * B0, (n, 1)), T_init=T0)
 
 
 @contextmanager

@@ -137,8 +137,8 @@ def test_criterion_3_physics_fixed_points():
 
         # the initial isotropic field closes exactly
         st = initial_state(fc_problem(RunConfig(grids=(16, 1))))
+        assert st.closures.f.shape == (16, 12)   # both faces and 10 cells
         assert np.all(st.closures.f == 1.0 / 3.0)
-        assert np.all(st.closures.f_face == 1.0 / 3.0)
         assert np.all(st.closures.C == [-0.5, 0.5])
 
 
@@ -182,8 +182,7 @@ def test_criterion_4_consistency_oracles():
         F_prev = 0.1 * rng.standard_normal((2, 3))
         want = dense_oracle(coef, E_prev, F_prev, 0.05, mesh2)
         got = loqd.solve_moment_system(coef, E_prev, F_prev, 0.05, mesh2)
-        assert np.allclose(got.E, want.E, rtol=1e-12, atol=0)
-        assert np.allclose(got.E_face, want.E_face, rtol=1e-12, atol=0)
+        assert np.allclose(got.u, want.u, rtol=1e-12, atol=0)
         assert np.allclose(got.F, want.F, rtol=1e-12,
                            atol=1e-12 * np.max(np.abs(want.F)))
 

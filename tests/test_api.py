@@ -1,6 +1,7 @@
-"""Every top-level definition in the package is used by the package itself
-(reference checks and helpers that only tests call live in tests/oracles.py),
-and every function reads each of its parameters."""
+"""Every top-level definition and every class member in the package is used
+by the package itself (reference checks and helpers that only tests call
+live in tests/oracles.py), and every function reads each of its
+parameters."""
 
 import ast
 from pathlib import Path
@@ -46,6 +47,37 @@ def test_src_has_no_test_only_definitions():
     paths = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     assert paths
     assert unused_definitions(paths) == []
+
+
+def unused_members(paths) -> list:
+    """(class, member), sorted, for every method, property and class-level
+    assignment other than a dunder (a dataclass field is an annotation, not
+    an assignment) that no code reads as an attribute outside the member's
+    own definition."""
+    trees = [ast.parse(p.read_text()) for p in paths]
+    attrs = [n for t in trees for n in ast.walk(t)
+             if isinstance(n, ast.Attribute)]
+    found = []
+    for cls in (c for t in trees for c in t.body
+                if isinstance(c, ast.ClassDef)):
+        for member in cls.body:
+            own = {id(n) for n in ast.walk(member)}
+            found += [(cls.name, name) for name in _defined(member)
+                      if not (name.startswith("__") and name.endswith("__"))
+                      and not any(a.attr == name and id(a) not in own
+                                  for a in attrs)]
+    return sorted(found)
+
+
+# members only perfbench/ reads: the benchmark runs its harness as it is,
+# so these stay until the harness reads something else
+READ_BY_PERFBENCH = [("MaterialModel", "energy"), ("RunConfig", "grid_counts")]
+
+
+def test_src_class_members_are_used():
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    assert unused_members(paths) == READ_BY_PERFBENCH
 
 
 def unread_parameters(paths) -> list:

@@ -150,9 +150,10 @@ class TestFcProblem:
         assert prob.T_init == 1e-3
         B_b = phys.planck_groups(np.array([1.0]), prob.hierarchy.rule,
                                   prob.hierarchy.edges)[0]
-        pos = prob.quad.positive
-        assert np.all(prob.inc_left[:, pos] == 0.5 * B_b[:, None])
-        assert np.all(prob.inc_left[:, ~pos] == 0.0)
+        # B_b/2 enters in each of the 8 mu > 0 directions, nothing at x = X
+        assert prob.inc_left.shape == (8, 16)
+        assert np.all(prob.inc_left == 0.5 * B_b)
+        assert prob.inc_right.shape == (8, 16)
         assert np.all(prob.inc_right == 0.0)
         # the initial closure's inflow source F_in - c C E_in, with the
         # half-range Planckian's F_in = B/2 and c E_in = B, and C = -1/2

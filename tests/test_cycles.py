@@ -140,8 +140,8 @@ class TestInitialState:
         # the radiation field starts isotropic at psi = B/2 per direction
         assert np.array_equal(st.psi[:, :, 0], st.psi[:, :, -1])
         assert np.all(st.psi[:, 0] == 0.5 * B0[:, None, :])
+        assert st.closures.f.shape == (16, 12)   # both faces and 10 cells
         assert np.all(st.closures.f == 1.0 / 3.0)
-        assert np.all(st.closures.f_face == 1.0 / 3.0)
         assert np.all(st.closures.C == [-0.5, 0.5])
 
     def test_moments_c_ordered(self):
@@ -215,11 +215,16 @@ def test_fixed_point_on_narrow_groups(kind, counts, lmax):
     ("uneven", "F", (16, 8, 4, 1), 1, (37, 42, 1302)),
     ("positive", "V", (16, 1), 4, (14, 61, 1037)),
     ("positive", "F", (16, 8, 4, 1), 1, (39, 44, 1364)),
-], ids=["uneven-V", "uneven-F", "positive-V", "positive-F"])
+    ("negative", "V", (16, 1), 4, (5, 10, 170)),
+    ("negative", "F", (16, 8, 4, 1), 1, (5, 10, 310)),
+], ids=["uneven-V", "uneven-F", "positive-V", "positive-F", "negative-V",
+        "negative-F"])
 def test_whole_runs_on_uneven_half_ranges(name, kind, counts, lmax, totals):
     # every other whole run sweeps a double Gauss-Legendre rule; on half
-    # ranges of unequal size and on a one-sided rule the steps close their
-    # energy budget and take the iteration counts measured for them
+    # ranges of unequal size and on the one-sided rules, where one face
+    # takes no inflow at all (inc_left has no rows on the mu < 0 rule), the
+    # steps close their energy budget and take the iteration counts
+    # measured for them
     prob = benchmark_on(QUADRATURES[name], counts)
     with energy_balance(1e-12) as taken:
         res = run_simulation(prob, make_schedule(kind, counts, lmax),
@@ -441,7 +446,7 @@ class TestConvergenceRecords:
         with pytest.raises(ConvergenceError, match=r"hit the cap 1 "):
             run_time_step(prob, initial_state(prob), sched,
                           ConvergenceCriteria(max_outer=1), 2e-2, capped)
-        assert [r.failed for r in capped.steps] == [True]
+        assert [type(r) for r in capped.steps] == [FailedStepRecord]
         for stats in (res.stats, capped):
             for rec in stats.steps:
                 rows = [r for r in stats.conv if r.step == rec.step]
@@ -466,8 +471,8 @@ class TestConvergenceRecords:
         assert stats.steps == [FailedStepRecord(1, 2e-2, 1, 8, 8 * cost)]
         assert len(stats.conv) == 10
         run_time_step(prob, state, sched, ConvergenceCriteria(), 2e-2, stats)
-        assert [(r.step, r.failed) for r in stats.steps] == [(1, True),
-                                                              (2, False)]
+        assert [(r.step, isinstance(r, FailedStepRecord))
+                for r in stats.steps] == [(1, True), (2, False)]
         assert {r.step for r in stats.conv[10:]} == {2}
         assert (stats.n_ti, stats.n_c, stats.n_lo) == tuple(
             sum(getattr(r, k) for r in stats.steps)
@@ -540,15 +545,14 @@ class TestConvergenceRecords:
         assert (stats.n_ti, stats.n_c, stats.n_lo) == (0, 0, 0)
 
     def test_nan_inflow_fails_at_first_sweep(self):
-        # a NaN entering through the left face fails the first sweep and
-        # names the layer, group and cell, instead of turning that group's
-        # closures into the isotropic fallbacks; the state comes from the
-        # finite problem, so the step's initial closure is finite
+        # a NaN in the committed psi, which the step's first sweep reads as
+        # the previous time level, flows from cell 0 through that sweep and
+        # fails it, naming the layer, group and cell, instead of turning
+        # that group's closures into the isotropic fallbacks (Problem
+        # rejects a non-finite inflow before any sweep)
         prob = _fc()
         state = initial_state(prob)
-        inc_left = prob.inc_left.copy()
-        inc_left[5, -1] = np.nan              # the last direction enters
-        prob = replace(prob, inc_left=inc_left)
+        state.psi[0, 0, -1, 5] = np.nan       # cell 0, group 5, mu > 0
         sched = make_schedule("V", (16, 1), 4)
         stats = IterationStats()
         with pytest.raises(ConvergenceError,
@@ -557,20 +561,6 @@ class TestConvergenceRecords:
             run_time_step(prob, state, sched, ConvergenceCriteria(), 2e-2,
                           stats)
         assert stats.n_ti == 0
-
-    @pytest.mark.parametrize("side,face", [(0, "0"), (1, "X")])
-    def test_nan_inflow_fails_initial_closure(self, side, face):
-        # the initial closure's inflow source reads the inflow, so a NaN in
-        # an entering direction is rejected before any sweep, naming the
-        # group and the face
-        prob = _fc()
-        inc = [prob.inc_left.copy(), prob.inc_right.copy()]
-        inc[side][5, -1 if side == 0 else 0] = np.nan   # entering direction
-        prob = replace(prob, inc_left=inc[0], inc_right=inc[1])
-        with pytest.raises(ConvergenceError,
-                           match=rf"initial closure: non-finite inflow into "
-                                 rf"group 5 at x={face}$"):
-            initial_state(prob)
 
 
 class TestRunSimulation:
@@ -604,6 +594,26 @@ class TestRunSimulation:
         with pytest.raises(ValueError,
                            match="^T_init must be positive and finite"):
             replace(_fc(), T_init=T_init)
+
+    @pytest.mark.parametrize("bad", ["shape", "nan", "inf", "negative"])
+    @pytest.mark.parametrize("name", ["inc_left", "inc_right"])
+    def test_problem_rejects_bad_inflow(self, name, bad):
+        # each inflow holds its entering half range, (8, 32) here: one of
+        # another shape, such as the (G, M) array of every direction, or
+        # with an entry that is not finite and nonnegative is named where
+        # it enters, before the initial closure or a sweep reads it
+        prob = _fc((32, 1))
+        inc = getattr(prob, name).copy()
+        if bad == "shape":
+            inc = np.zeros((32, 16))
+            match = (rf"^{name} must be \(entering directions, groups\) = "
+                     rf"\(8, 32\), got \(32, 16\)$")
+        else:
+            inc[3, 5] = {"nan": np.nan, "inf": np.inf, "negative": -1.0}[bad]
+            match = (rf"^{name} is {inc[3, 5]} in entering direction 3, "
+                     rf"group 5: an inflow must be finite and nonnegative$")
+        with pytest.raises(ValueError, match=match):
+            replace(prob, **{name: inc})
 
     @pytest.mark.parametrize("t_end", [0.05, 0.0, -0.02])
     def test_bad_t_end(self, t_end):
@@ -666,7 +676,7 @@ class TestRunSimulation:
         for _ in range(2):
             c = state.closures
             inputs += [state.T, state.T_r, state.psi, state.E, state.F,
-                       c.f, c.f_face, c.C, c.bc_in]
+                       c.f, c.C, c.bc_in]
             for a in inputs:
                 a.flags.writeable = False
             before = [a.tobytes() for a in inputs]

@@ -16,8 +16,7 @@ def _one_group_coef(mesh, rng):
         sig_E=0.5 + rng.random((1, nx)),
         sig_B=0.5 + rng.random((1, nx)),
         B=0.1 + rng.random((1, nx)),
-        f=np.full((1, nx), 1.0 / 3.0),
-        f_face=np.full((1, 2), 1.0 / 3.0),
+        f=np.full((1, nx + 2), 1.0 / 3.0),
         sig_R_face=0.5 + rng.random((1, nx + 1)),
         eta_hat=np.zeros((1, nx + 1)),
         eta_check=np.zeros((1, nx + 1)),
@@ -54,9 +53,10 @@ def test_equilibrium_temperature_is_fixed_point():
                                       phys.FleckCummingsOpacity())
     quad = double_gauss_legendre(8)
     B = opac.B.T
+    n = quad.n_neg
     clo = transport.ClosureData.isotropic(
-        nx, np.repeat(0.5 * B[:, :1], quad.n_dirs, axis=1),
-        np.repeat(0.5 * B[:, -1:], quad.n_dirs, axis=1), quad)
+        nx, np.tile(0.5 * B[:, 0], (quad.n_dirs - n, 1)),
+        np.tile(0.5 * B[:, -1], (n, 1)), quad)
     coef = loqd.build_fine_coefficients(opac, clo, mesh)
     E_eq = 2.0 * B / phys.C_LIGHT
     dt = 0.02

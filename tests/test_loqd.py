@@ -12,11 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (boundary_source, conservation_check, dense_oracle,
                      random_coefficients, residual_norms,
-                     restrict_boundary_data)
+                     restrict_boundary_data, with_faces)
 
 from trtmg import loqd, phys, transport
 from trtmg.grids import (SpatialMesh, build_fc_frequency_grid, build_hierarchy,
                          double_gauss_legendre)
+
+
+def _field(E, E_face, F):
+    """The moment field of cell and boundary-face energies and fluxes."""
+    return loqd.MomentField(u=with_faces(E, E_face), F=F)
 
 
 def test_face_rosseland():
@@ -37,9 +42,10 @@ def test_equilibrium_fixed_point():
     G = 16
     quad = double_gauss_legendre(8)
     B = opac.B.T
+    n = quad.n_neg
     clo = transport.ClosureData.isotropic(
-        10, np.repeat(0.5 * B[:, :1], quad.n_dirs, axis=1),
-        np.repeat(0.5 * B[:, -1:], quad.n_dirs, axis=1), quad)
+        10, np.tile(0.5 * B[:, 0], (quad.n_dirs - n, 1)),
+        np.tile(0.5 * B[:, -1], (n, 1)), quad)
     coef = loqd.build_fine_coefficients(opac, clo, mesh)
     E_eq = 2.0 * B / phys.C_LIGHT
     sol = loqd.solve_moment_system(coef, E_eq, np.zeros((G, 11)), 0.02, mesh)
@@ -57,8 +63,7 @@ def test_solver_matches_dense_oracle():
     dt = 0.04
     got = loqd.solve_moment_system(coef, E_prev, F_prev, dt, mesh)
     ref = dense_oracle(coef, E_prev, F_prev, dt, mesh)
-    assert np.allclose(got.E, ref.E, rtol=1e-12)
-    assert np.allclose(got.E_face, ref.E_face, rtol=1e-12)
+    assert np.allclose(got.u, ref.u, rtol=1e-12)
     assert np.allclose(got.F, ref.F, rtol=1e-12, atol=1e-14)
     assert residual_norms(coef, got, E_prev, F_prev, dt, mesh) <= 1e-12
 
@@ -108,8 +113,7 @@ def test_merge_weighted_means():
     coef.sig_B[:, 0] = [2.0, 4.0]
     coef.B[:, 0] = [1.0, 3.0]
     coef.sig_R_face[:] = [[1.0], [3.0]] * np.ones((2, 2))
-    sol = loqd.MomentField(E=np.array([[1.0], [3.0]]),
-                           E_face=np.array([[1.0, 2.0], [3.0, 2.0]]),
+    sol = loqd.MomentField(u=np.array([[1.0, 1.0, 2.0], [3.0, 3.0, 2.0]]),
                            F=np.array([[2.0, 2.0], [4.0, 4.0]]))
     got = loqd.merge_coefficients(coef, sol, np.array([0, 2]), level_out=1)
     assert got.sig_E[0, 0] == pytest.approx(3.5)          # E-weighted
@@ -180,9 +184,8 @@ def test_merged_boundary_source_matches_three_array_restriction(G, nx, seed):
                              [G]))
     for starts in (coarse, np.array([0, len(coarse) - 1])):
         P = starts[-1]
-        sol = loqd.MomentField(E=0.1 + rng.random((P, nx)),
-                               E_face=0.1 + rng.random((P, 2)),
-                               F=rng.standard_normal((P, nx + 1)))
+        sol = _field(0.1 + rng.random((P, nx)), 0.1 + rng.random((P, 2)),
+                     rng.standard_normal((P, nx + 1)))
         merged = loqd.merge_coefficients(coef, sol, starts, coef.level + 1)
         bc = restrict_boundary_data(*bc, coef, merged, starts)
         want = boundary_source(*bc, merged)
@@ -191,9 +194,8 @@ def test_merged_boundary_source_matches_three_array_restriction(G, nx, seed):
         coef = merged
     # one interval per segment keeps the source bit for bit
     coef = random_coefficients(G, mesh, rng, with_eta=True)
-    sol = loqd.MomentField(E=0.1 + rng.random((G, nx)),
-                           E_face=0.1 + rng.random((G, 2)),
-                           F=rng.standard_normal((G, nx + 1)))
+    sol = _field(0.1 + rng.random((G, nx)), 0.1 + rng.random((G, 2)),
+                 rng.standard_normal((G, nx + 1)))
     merged = loqd.merge_coefficients(coef, sol, np.arange(G + 1), 1)
     assert np.array_equal(merged.bc_in, coef.bc_in)
 
@@ -202,7 +204,7 @@ def _same_solution(coef, E_prev, F_prev, dt, mesh, **override):
     got = loqd.solve_moment_system(coef, E_prev, F_prev, dt, mesh, **override)
     ref = oracles.solve_moment_system(coef, E_prev, F_prev, dt, mesh,
                                       **override)
-    for name in ("E", "E_face", "F"):
+    for name in ("u", "F"):
         # same bits and same memory layout, since callers sum over axis 0
         # in layout order
         assert np.array_equal(getattr(got, name), getattr(ref, name)), name
@@ -232,10 +234,10 @@ def test_solve_and_merge_match_reference_bitwise(G, dx, with_eta, degenerate,
                                                  seed):
     # fine solve, merge onto random segments, coarse solve, merge to grey
     # and a grey solve with the sig_E/source overrides, each held bit for
-    # bit to oracles.py.  A degenerate segment has all-zero weights (E,
-    # E_face, B and |F|), next to normal ones, so every weighted mean takes
-    # its fallback there: arithmetic for sig_E, f, sig_B, f_face and C,
-    # harmonic for sig_R_face.
+    # bit to oracles.py.  A degenerate segment has all-zero weights (u, B
+    # and |F|), next to normal ones, so every weighted mean takes its
+    # fallback there: arithmetic for sig_E, f, sig_B and C, harmonic for
+    # sig_R_face.
     mesh = SpatialMesh(np.concatenate(([0.0], np.cumsum(dx))))
     nx, dt = mesh.n_cells, 0.03
     rng = np.random.default_rng(seed)
@@ -249,7 +251,7 @@ def test_solve_and_merge_match_reference_bitwise(G, dx, with_eta, degenerate,
     if degenerate and starts.size > 2:
         k = rng.integers(starts.size - 1)
         run = slice(starts[k], starts[k + 1])
-        for w in (sol.E, sol.E_face, sol.F, coef.B):
+        for w in (sol.u, sol.F, coef.B):
             w[run] = 0.0
     coarse = _same_merge(coef, sol, starts, 1)
     E_c = np.add.reduceat(E_prev, starts[:-1], axis=0)
@@ -292,13 +294,11 @@ def test_merge_eta_vanishes_for_uniform_rosseland():
 
 def test_conservation_check_flags_mismatch():
     hier = build_hierarchy(build_fc_frequency_grid(4), (4, 1))
-    sol = loqd.MomentField(E=np.ones((4, 2)), E_face=np.ones((4, 2)),
-                           F=np.ones((4, 3)))
-    good = loqd.MomentField(E=hier.restrict(sol.E, 1),
-                            E_face=hier.restrict(sol.E_face, 1),
+    sol = loqd.MomentField(u=np.ones((4, 4)), F=np.ones((4, 3)))
+    good = loqd.MomentField(u=hier.restrict(sol.u, 1),
                             F=hier.restrict(sol.F, 1))
     dE, dF = conservation_check(sol, good, hier, 1)
     assert dE == 0.0 and dF == 0.0
-    bad = loqd.MomentField(E=good.E * 1.01, E_face=good.E_face, F=good.F)
+    bad = _field(good.E * 1.01, good.E_face, good.F)
     dE, _ = conservation_check(sol, bad, hier, 1)
     assert dE >= 1e-3

@@ -12,7 +12,8 @@ import oracles
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import compute_moments, dense_sweep_oracle, group_balance_residual
+from oracles import (compute_moments, dense_sweep_oracle, entering,
+                     group_balance_residual)
 from problems import QUADRATURES, UNEVEN, benchmark_on
 
 from trtmg import phys, transport
@@ -27,6 +28,13 @@ def _two_dir_quad():
 # the closure tests add the v1_s128 benchmark's rule, 64 directions per
 # half range
 CLOSURE_QUADRATURES = {**QUADRATURES, "S128": double_gauss_legendre(64)}
+
+
+def _isotropic_inflows(val, quad):
+    """Inflows of val[g] in every entering direction at both faces."""
+    n = quad.n_neg
+    return (np.broadcast_to(val, (quad.n_dirs - n, val.size)).copy(),
+            np.broadcast_to(val, (n, val.size)).copy())
 
 
 def _order_bound(quad):
@@ -48,8 +56,8 @@ def test_hand_corner_values():
     quad = _two_dir_quad()
     mesh = SpatialMesh.uniform(1, 1.0)
     psi_prev = np.zeros((1, 2, 2, 1))      # (n_x, 2, M, G)
-    inc_left = np.array([[0.0, 1.0]])
-    inc_right = np.zeros((1, 2))
+    inc_left = np.array([[1.0]])           # (entering directions, G)
+    inc_right = np.zeros((1, 1))
     sigma = np.full((1, 1), 2.0)
     q = np.zeros((1, 1))
     psi = transport.sweep_all(psi_prev, inc_left, inc_right, sigma, q, mesh,
@@ -57,9 +65,8 @@ def test_hand_corner_values():
     assert psi[0, 0, 1, 0] == pytest.approx(0.6, rel=1e-14)
     assert psi[0, 1, 1, 0] == pytest.approx(0.2, rel=1e-14)
     # mirrored problem: unit inflow from the right into mu = -1
-    psi = transport.sweep_all(psi_prev, np.zeros((1, 2)),
-                              np.array([[1.0, 0.0]]), sigma, q, mesh, quad,
-                              np.inf)
+    psi = transport.sweep_all(psi_prev, np.zeros((1, 1)), np.array([[1.0]]),
+                              sigma, q, mesh, quad, np.inf)
     assert psi[0, 1, 0, 0] == pytest.approx(0.6, rel=1e-14)
     assert psi[0, 0, 0, 0] == pytest.approx(0.2, rel=1e-14)
 
@@ -69,16 +76,14 @@ def test_free_streaming():
     mesh = SpatialMesh.uniform(6, 3.0)
     G, M, nx = 2, quad.n_dirs, 6
     rng = np.random.default_rng(11)
-    inc_left = rng.random((G, M))
-    inc_right = rng.random((G, M))
+    inc_left, inc_right = entering(rng.random((G, M)), rng.random((G, M)),
+                                   quad)
     psi = transport.sweep_all(np.zeros((nx, 2, M, G)), inc_left, inc_right,
                               np.zeros((nx, G)), np.zeros((nx, G)), mesh,
                               quad, np.inf)
-    pos = quad.positive
-    for m in np.flatnonzero(pos):
-        assert np.allclose(psi[:, :, m], inc_left[:, m], rtol=1e-13)
-    for m in np.flatnonzero(~pos):
-        assert np.allclose(psi[:, :, m], inc_right[:, m], rtol=1e-13)
+    n = quad.n_neg
+    assert np.allclose(psi[:, :, n:], inc_left, rtol=1e-13)
+    assert np.allclose(psi[:, :, :n], inc_right, rtol=1e-13)
 
 
 def test_equilibrium_intensity_is_fixed_point():
@@ -93,13 +98,13 @@ def test_equilibrium_intensity_is_fixed_point():
     sigma = np.tile(np.linspace(0.5, 3.0, G), (nx, 1))
     q = sigma * B
     psi_eq = np.broadcast_to(0.5 * B, (nx, 2, M, G)).copy()
-    inc = np.broadcast_to(0.5 * B[:, None], (G, M)).copy()
+    inc = _isotropic_inflows(0.5 * B, quad)
     for dt in (np.inf, 0.02):
-        psi = transport.sweep_all(psi_eq, inc, inc, sigma, q, mesh, quad, dt)
+        psi = transport.sweep_all(psi_eq, *inc, sigma, q, mesh, quad, dt)
         assert np.allclose(psi, psi_eq, rtol=1e-13)
-    clo = transport.compute_qd_factors(psi_eq, inc, inc, quad)
+    clo = transport.compute_qd_factors(psi_eq, *inc, quad)
+    assert clo.f.shape == (G, nx + 2)
     assert np.allclose(clo.f, 1.0 / 3.0, rtol=1e-14)
-    assert np.allclose(clo.f_face, 1.0 / 3.0, rtol=1e-14)
     assert np.allclose(clo.C[:, 0], -0.5, rtol=1e-14)
     assert np.allclose(clo.C[:, 1], 0.5, rtol=1e-14)
 
@@ -110,8 +115,8 @@ def test_sweep_matches_dense_solve():
         G, M, nx = 2, quad.n_dirs, 4
         rng = np.random.default_rng(7)
         psi_prev = rng.random((nx, 2, M, G))
-        inc_left = rng.random((G, M))
-        inc_right = rng.random((G, M))
+        inc_left, inc_right = entering(rng.random((G, M)),
+                                       rng.random((G, M)), quad)
         sigma = 0.1 + 3.0 * rng.random((nx, G))
         q = rng.random((nx, G))
         for dt in (np.inf, 0.05):
@@ -138,6 +143,7 @@ def test_sweep_matches_two_loop_reference(G, dx, quad, dt, seed):
     rng = np.random.default_rng(seed)
     psi_prev, inc_left, inc_right = (rng.random((G, M, nx, 2)),
                                      rng.random((G, M)), rng.random((G, M)))
+    inc_left, inc_right = entering(inc_left, inc_right, quad)
     sigma, q = 0.1 + 5.0 * rng.random((G, nx)), rng.random((G, nx))
     ref = _relayout(oracles.sweep_all(psi_prev, inc_left, inc_right, sigma,
                                       q, mesh, quad, dt))
@@ -158,7 +164,7 @@ def test_sweep_working_set_is_one_cell():
     nx, G, M = 20, 64, quad.n_dirs
     rng = np.random.default_rng(17)
     psi_prev = rng.random((nx, 2, M, G))
-    args = (rng.random((G, M)), rng.random((G, M)),
+    args = (*entering(rng.random((G, M)), rng.random((G, M)), quad),
             0.1 + 5.0 * rng.random((nx, G)), rng.random((nx, G)),
             SpatialMesh.uniform(nx, 2.0), quad, 0.02)
     want = transport.sweep_all(psi_prev, *args)
@@ -183,7 +189,7 @@ def test_every_half_range_block_is_contiguous(name):
     quad = QUADRATURES[name]
     prob = benchmark_on(quad, (16, 1))
     nx, M, G = prob.mesh.n_cells, quad.n_dirs, 16
-    n = int(np.searchsorted(quad.mu, 0.0))
+    n = quad.n_neg
     rng = np.random.default_rng(29)
     psi0 = initial_state(prob).psi
     swept = transport.sweep_all(psi0, prob.inc_left, prob.inc_right,
@@ -203,21 +209,23 @@ def test_every_half_range_block_is_contiguous(name):
        seed=st.integers(0, 2**32 - 1))
 @example(G=64, nx=20, quad="S128", seed=128)
 def test_closures_match_groups_leading_reference(G, nx, quad, seed):
-    # f_face, C and bc_in bit for bit; f sums its directions in psi's
-    # layout, in another order than the reference, so it is held to that
-    # order's round-off
+    # f's face columns, C and bc_in bit for bit; f's cell columns sum their
+    # directions in psi's layout, in another order than the reference, so
+    # they are held to that order's round-off
     quad = CLOSURE_QUADRATURES[quad]
     M = quad.n_dirs
     rng = np.random.default_rng(seed)
     psi = rng.random((nx, 2, M, G))
     psi[..., rng.random(G) < 0.3] = 0.0       # empty groups take the fallbacks
-    inc_left, inc_right = rng.random((G, M)), rng.random((G, M))
+    inc_left, inc_right = entering(rng.random((G, M)), rng.random((G, M)),
+                                   quad)
     got = transport.compute_qd_factors(psi, inc_left, inc_right, quad)
     ref = oracles.compute_qd_factors(_relayout(psi, inverse=True), inc_left,
                                      inc_right, quad)
-    for name in ("f_face", "C", "bc_in"):
+    for name in ("C", "bc_in"):
         assert np.array_equal(getattr(got, name), getattr(ref, name)), name
-    assert got.f.shape == ref.f.shape
+    assert got.f.shape == ref.f.shape == (G, nx + 2)
+    assert np.array_equal(got.f[:, [0, -1]], ref.f[:, [0, -1]])
     assert np.all(np.abs(got.f - ref.f) <= _order_bound(quad) * ref.f)
 
 
@@ -232,8 +240,8 @@ def test_closures_of_an_isotropic_field_are_the_quadrature_moments(name):
     G, M, nx = 3, quad.n_dirs, 4
     val = np.random.default_rng(23).uniform(0.5, 2.0, G)
     psi = np.broadcast_to(val, (nx, 2, M, G)).copy()
-    inc = np.broadcast_to(val[:, None], (G, M)).copy()
-    clo = transport.compute_qd_factors(psi, inc, inc, quad)
+    clo = transport.compute_qd_factors(psi, *_isotropic_inflows(val, quad),
+                                       quad)
 
     w = [Fraction(x) for x in quad.w]
     mu = [Fraction(x) for x in quad.mu]
@@ -244,12 +252,10 @@ def test_closures_of_an_isotropic_field_are_the_quadrature_moments(name):
         return float(sum(w[m] * mu[m]**power for m in dirs)
                      / sum(w[m] for m in dirs))
 
-    f = ratio(2, range(M))
-    for got, want in ((clo.f, f), (clo.f_face, f),
-                      (clo.C[:, 0], ratio(1, np.flatnonzero(~quad.positive),
-                                          -0.5)),
-                      (clo.C[:, 1], ratio(1, np.flatnonzero(quad.positive),
-                                          0.5))):
+    n = quad.n_neg
+    for got, want in ((clo.f, ratio(2, range(M))),
+                      (clo.C[:, 0], ratio(1, range(n), -0.5)),
+                      (clo.C[:, 1], ratio(1, range(n, M), 0.5))):
         assert np.all(np.abs(got - want) <= _order_bound(quad) * abs(want))
 
 
@@ -263,7 +269,8 @@ def test_boundary_closure_reproduces_face_moments(n):
     mesh = SpatialMesh.uniform(4, 2.0)
     G, M, nx = 3, quad.n_dirs, 4
     rng = np.random.default_rng(n)
-    inc_left, inc_right = rng.random((G, M)), rng.random((G, M))
+    inc_left, inc_right = entering(rng.random((G, M)), rng.random((G, M)),
+                                   quad)
     swept = transport.sweep_all(rng.random((nx, 2, M, G)), inc_left,
                                 inc_right, 0.2 + rng.random((nx, G)),
                                 rng.random((nx, G)), mesh, quad, 0.1)
@@ -286,8 +293,8 @@ def test_group_balance_residual_small():
     G, M, nx = 3, quad.n_dirs, 5
     rng = np.random.default_rng(3)
     psi_prev = rng.random((nx, 2, M, G))
-    inc_left = rng.random((G, M))
-    inc_right = rng.random((G, M))
+    inc_left, inc_right = entering(rng.random((G, M)), rng.random((G, M)),
+                                   quad)
     sigma = 0.2 + rng.random((nx, G))
     q = rng.random((nx, G))
     psi = transport.sweep_all(psi_prev, inc_left, inc_right, sigma, q, mesh,
@@ -304,7 +311,8 @@ def test_nonnegative_from_nonnegative_data():
     rng = np.random.default_rng(19)
     for _ in range(5):
         psi = transport.sweep_all(
-            rng.random((nx, 2, M, G)), rng.random((G, M)), rng.random((G, M)),
+            rng.random((nx, 2, M, G)),
+            *entering(rng.random((G, M)), rng.random((G, M)), quad),
             5.0 * rng.random((nx, G)), rng.random((nx, G)), mesh, quad,
             rng.uniform(0.01, 1.0))
         assert psi.min() >= -1e-15
@@ -315,8 +323,7 @@ def test_moments_of_isotropic_field():
     G, M, nx = 2, quad.n_dirs, 4
     val = np.array([3.0, 5.0])
     psi = np.broadcast_to(val, (nx, 2, M, G)).copy()
-    inc = np.broadcast_to(val[:, None], (G, M)).copy()
-    E, E_face, F = compute_moments(psi, inc, inc, quad)
+    E, E_face, F = compute_moments(psi, *_isotropic_inflows(val, quad), quad)
     assert np.allclose(E, 2.0 * val[:, None] / phys.C_LIGHT, rtol=1e-14)
     assert np.allclose(E_face, 2.0 * val[:, None] / phys.C_LIGHT, rtol=1e-14)
     assert np.allclose(F, 0.0, atol=1e-15)
@@ -334,10 +341,11 @@ def test_isotropic_closure_is_the_sweep_closure_of_an_isotropic_field():
     G, M, nx = 2, UNEVEN.n_dirs, 3
     val = np.array([3.0, 5.0])
     psi = np.broadcast_to(val, (nx, 2, M, G)).copy()
-    inc = np.broadcast_to(val[:, None], (G, M)).copy()
-    want = transport.compute_qd_factors(psi, inc, inc, UNEVEN)
-    got = transport.ClosureData.isotropic(nx, inc, inc, UNEVEN)
-    for name in ("f", "f_face", "C", "bc_in"):
+    inc = _isotropic_inflows(val, UNEVEN)
+    want = transport.compute_qd_factors(psi, *inc, UNEVEN)
+    got = transport.ClosureData.isotropic(nx, *inc, UNEVEN)
+    assert got.f.shape == want.f.shape
+    for name in ("f", "C", "bc_in"):
         assert np.allclose(getattr(got, name), getattr(want, name),
                            rtol=1e-14, atol=0.0), name
 
@@ -356,9 +364,9 @@ def test_transport_solve_equilibrium_closures():
     G, M = 16, quad.n_dirs
     psi_prev = np.empty((10, 2, M, G))
     psi_prev[:] = 0.5 * B[:, None, None, :]
-    inc = 0.5 * B[0, :, None] * np.ones((G, M))
-    psi, clo = transport.transport_solve(psi_prev, inc, inc, opac, mesh, quad,
-                                         0.02)
+    psi, clo = transport.transport_solve(
+        psi_prev, *_isotropic_inflows(0.5 * B[0], quad), opac, mesh, quad,
+        0.02)
     assert np.allclose(psi, psi_prev, rtol=1e-12)
     assert np.allclose(clo.f, 1.0 / 3.0, rtol=1e-12)
     assert np.allclose(clo.C[:, 0], -0.5, rtol=1e-12)
